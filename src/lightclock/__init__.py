@@ -84,7 +84,6 @@ from .alterations import (
 from .transition import (
     UNBOUNDED,
     PartialInterval,
-    TransitionParams,
     black_hole_interval,
     damping_factor,
     middle_branch,

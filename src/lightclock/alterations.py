@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .line_elements import GravitySource, LAMBDA_UNITS, potential_velocity
+from .line_elements import (
+    LAMBDA_UNITS,
+    GravitySource,
+    convert_lambda,
+    modified_lambda,
+    potential_velocity,
+)
+from .velocity_space import gamma_factor
 
 
 @dataclass(frozen=True)
@@ -67,29 +74,21 @@ class GravCompareInput:
                 f"lambda_unit must be one of {LAMBDA_UNITS}, got {self.lambda_unit!r}"
             )
 
-    def _lambda_per_m2(self, value: float) -> float:
-        if self.lambda_unit == "s^-2":
-            return value / (self.c * self.c)
-        if self.lambda_unit == "cm^-2":
-            return value * 1.0e4
-        return value
-
     def g1(self, r: float, side: str = "P") -> float:
         lam = self.Lambda if side == "P" else (
             self.Lambda1 if self.Lambda1 is not None else self.Lambda
         )
+        lam = convert_lambda(lam, self.lambda_unit, self.c)
         if math.isinf(r):
-            if self._lambda_per_m2(lam) != 0.0:
+            if lam != 0.0:
                 raise ValueError("infinite radius needs Lambda = 0 on that side")
             return 1.0
-        return 1.0 - self.r_s / r - self._lambda_per_m2(lam) * r * r / 3.0
+        return modified_lambda(self.r_s, lam, r)
 
 
 def gamma_special(v_E: float, c: float) -> float:
     """sqrt(1 - v_E^2/c^2)."""
-    if abs(v_E) >= c:
-        raise ValueError("superluminal")
-    return math.sqrt(1.0 - (v_E / c) ** 2)
+    return gamma_factor(v_E, c)
 
 
 def gamma_gravitational(src: GravitySource, R: float) -> float:

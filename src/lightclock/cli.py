@@ -34,44 +34,82 @@ DEFAULT_C = 299792458.0
 DEFAULT_TRANSITION_K = 1e-3
 
 
-def _tolerance() -> float:
-    return float(os.environ.get("LIGHTCLOCK_TOL", "1e-12"))
-
-
 class ConfigError(Exception):
     pass
 
 
-# expected unit tag per config field; None means dimensionless (plain number)
-_EXPECTED_UNITS: dict[str, str | None] = {
-    "t1": "s", "t2": "s", "t3": "s", "t": "s",
-    "dt": "s", "dt_emit": "s", "tau_s": "s", "a": "s",
-    "c": "m/s", "v": "m/s", "v1": "m/s", "v2": "m/s", "v3": "m/s",
-    "d": "m/s", "u": "m/s",
-    "omega": "m/s", "omega1": "m/s", "omega2": "m/s", "omega3": "m/s",
-    "x": "m", "y": "m", "z": "m",
-    "dx": "m", "dy": "m", "dz": "m", "dr": "m", "dR": "m",
-    "r0": "m", "r": "m", "R": "m", "R1": "m", "R2": "m", "rp": "m", "L": "m",
-    "theta": "rad", "dtheta": "rad", "dphi": "rad",
-    "nu_s": "Hz", "nu_r": "Hz",
-    "mass": "kg", "mass_s": "kg",
-    "rho": "kg/m^3",
-    "G": "m^3/(kg s^2)",
-    "rate": "1/s",
-    # dimensionless
-    "gamma": None, "g1_p": None, "g1_r": None,
-    "rs_over_rp": None, "rr_over_rp": None,
-    "k": None, "lam": None, "x_min": None, "x_max": None,
-    "lambda_min": None, "lambda_max": None,
-    "n": None, "n_pulses": None, "exponent": None,
-    "count_a": None, "count_b": None,
+def _tolerance() -> float:
+    text = os.environ.get("LIGHTCLOCK_TOL", "1e-12")
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"LIGHTCLOCK_TOL must be a non-negative number, got {text!r}")
+    return tol
+
+
+# Every parameter a subcommand takes is declared once, here or in _OTHER.
+# Float parameters are listed under the unit tag their config value must
+# carry; None means dimensionless (a plain number), and LAMBDA_UNITS means the
+# value declares one of those units, which sets lambda_unit.
+_FLOATS_BY_UNIT: dict[str | tuple[str, ...] | None, str] = {
+    "s": "t1 t2 t3 t dt dt_emit tau_s a",
+    "m/s": "c v v1 v2 v3 d u omega omega1 omega2 omega3",
+    "m": "x y z dx dy dz dr dR r0 r R R1 R2 rp L",
+    "rad": "theta dtheta dphi",
+    "Hz": "nu_s nu_r",
+    "kg": "mass mass_s",
+    "kg/m^3": "rho",
+    "m^3/(kg s^2)": "G",
+    "1/s": "rate",
+    line_elements.LAMBDA_UNITS: "Lambda Lambda1",
+    None: "gamma g1_p g1_r rs_over_rp rr_over_rp k lam x_min x_max lambda_min lambda_max exponent",
+}
+_UNITS = {name: unit for unit, names in _FLOATS_BY_UNIT.items() for name in names.split()}
+
+# the other parameters: their type, or the tuple of strings they may take
+_OTHER: dict[str, Any] = {
+    "n": int, "n_pulses": int, "sweep_R": str, "out": str,
+    "mode": ("real", "complex"),
+    "lambda_unit": line_elements.LAMBDA_UNITS,
+    "model": ("linear", "exponential", "powerlaw"),
 }
 
-_LAMBDA_FIELDS = ("Lambda", "Lambda1")
+
+def _config_value(name: str, entry: Any, resolved: dict[str, Any]) -> Any:
+    """Check one config field against its declared unit or type and strip
+    its unit tag."""
+    kind, unit = _OTHER.get(name, float), _UNITS.get(name)
+    # a dimensionless number may carry a tag too, or none
+    units = (unit,) if isinstance(unit, str) else unit or (None, "dimensionless", "1")
+    if isinstance(entry, dict) and kind in (float, int):
+        if entry.get("unit") not in units:
+            raise ConfigError(
+                f"config field {name!r}: expected unit {'|'.join(filter(None, units))!r}, "
+                f"got {entry.get('unit')!r}"
+            )
+        if isinstance(unit, tuple):
+            resolved["lambda_unit"] = entry["unit"]
+        entry = entry.get("value")
+    elif unit is not None:
+        raise ConfigError(
+            f"config field {name!r} must carry a unit tag "
+            f'({{"value": ..., "unit": "{"|".join(units)}"}})'
+        )
+    if isinstance(kind, tuple):
+        if entry not in kind:
+            raise ConfigError(f"config field {name!r} must be one of {kind}, got {entry!r}")
+        return entry
+    if isinstance(entry, bool) or not isinstance(entry, (int, float) if kind is float else kind):
+        what = "a number" if kind is float else f"a JSON {kind.__name__}"
+        raise ConfigError(f"config field {name!r} must be {what}, got {entry!r}")
+    return entry if unit is None else float(entry)
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    """Read a config file, validating unit tags and stripping them."""
+def _load_config(path: str | None, names: Sequence[str]) -> dict[str, Any]:
+    """Read a config file and resolve the fields in ``names``; other fields
+    are ignored."""
     if path is None:
         return {}
     try:
@@ -86,70 +124,40 @@ def _load_config(path: str | None) -> dict[str, Any]:
 
     resolved: dict[str, Any] = {}
     for name, entry in raw.items():
-        if name in _LAMBDA_FIELDS:
-            if not (isinstance(entry, dict) and "value" in entry and "unit" in entry):
-                raise ConfigError(
-                    f"config field {name!r} needs an explicit unit tag "
-                    '({"value": ..., "unit": "s^-2"|"m^-2"|"cm^-2"})'
-                )
-            if entry["unit"] not in line_elements.LAMBDA_UNITS:
-                raise ConfigError(
-                    f"config field {name!r}: unit {entry['unit']!r} is not one of "
-                    f"{line_elements.LAMBDA_UNITS}"
-                )
-            resolved[name] = float(entry["value"])
-            resolved["lambda_unit"] = entry["unit"]
-            continue
-        expected = _EXPECTED_UNITS.get(name)
-        if expected is None:
-            if isinstance(entry, dict):
-                unit = entry.get("unit")
-                if unit not in (None, "dimensionless", "1"):
-                    raise ConfigError(
-                        f"config field {name!r} is dimensionless, got unit {unit!r}"
-                    )
-                entry = entry["value"]
-            resolved[name] = entry
-        else:
-            if not (isinstance(entry, dict) and "value" in entry and "unit" in entry):
-                raise ConfigError(
-                    f"config field {name!r} must carry a unit tag "
-                    f'({{"value": ..., "unit": "{expected}"}})'
-                )
-            if entry["unit"] != expected:
-                raise ConfigError(
-                    f"config field {name!r}: expected unit {expected!r}, "
-                    f"got {entry['unit']!r}"
-                )
-            resolved[name] = float(entry["value"])
+        if name in names:
+            resolved[name] = _config_value(name, entry, resolved)
     return resolved
 
 
 class Params:
-    """Flag/config merge: flags win, then config, then defaults."""
+    """Flag/config merge: flags win, then config, then defaults.
+
+    The light speed ``c`` is resolved on construction: --c, then
+    --natural-units (c = 1), then the config, then SI.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
-        self.config = _load_config(self.args.get("config"))
+        names = _COMMANDS[args.command][1].split() + ["out", "c"]
+        self.config = _load_config(self.args.get("config"), names)
+        c = self.args.get("c")
+        if c is None:
+            c = 1.0 if self.args.get("natural_units") else self.config.get("c", DEFAULT_C)
+        if not 0.0 < c < math.inf:
+            raise ConfigError(f"parameter 'c' must be positive and finite, got {c!r}")
+        self.c = c
 
     def get(self, name: str, default: Any = None, required: bool = False) -> Any:
         value = self.args.get(name)
         if value is None:
-            value = self.config.get(name)
-        if value is None:
-            value = default
+            value = self.config.get(name, default)
         if value is None and required:
             raise ConfigError(f"missing required parameter {name!r}")
         return value
 
-    def light_speed(self) -> float:
-        c = self.args.get("c")
-        if c is not None:
-            return c
-        if self.args.get("natural_units"):
-            return 1.0
-        c = self.config.get("c")
-        return DEFAULT_C if c is None else c
+    def require(self, *names: str) -> tuple:
+        """The values of ``names`` in order; each must be given."""
+        return tuple(self.get(name, required=True) for name in names)
 
 
 def _format_value(x: Any) -> str:
@@ -172,7 +180,8 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def emit_json(obj: dict[str, Any], out: str | None) -> None:
-    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+    """Strict JSON: a non-finite value raises ValueError."""
+    _write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def emit_plot_data(
@@ -201,18 +210,14 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns a dict (emitted as JSON) or a
+# (header, rows) pair (emitted as CSV)
 
 
-def _cmd_radar(p: Params) -> int:
-    c = p.light_speed()
-    rec = radar.RadarRecord(
-        t1=p.get("t1", required=True),
-        t2=p.get("t2", required=True),
-        t3=p.get("t3", required=True),
-    )
-    m = radar.einstein_measures(rec, c)
-    result = {
+def _cmd_radar(p: Params) -> dict:
+    rec = radar.RadarRecord(*p.require("t1", "t2", "t3"))
+    m = radar.einstein_measures(rec, p.c)
+    return {
         "t_E": m.t_E,
         "r_E": m.r_E,
         "v_E": m.v_E,
@@ -220,92 +225,53 @@ def _cmd_radar(p: Params) -> int:
         "t2_pred": m.t2_pred,
         "degenerate": m.degenerate,
         "geometric_mean_ok": radar.check_geometric_mean(rec, _tolerance()),
-        "omega": radar.rapidity_from_vE(m.v_E, c).omega,
+        "omega": radar.rapidity_from_vE(m.v_E, p.c).omega,
     }
-    emit_json(result, p.get("out"))
-    return 0
 
 
-def _cmd_compose(p: Params) -> int:
-    c = p.light_speed()
-    v3 = velocity_space.compose_einstein(
-        p.get("v1", required=True), p.get("v2", required=True), c
-    )
-    emit_json({"v3": v3}, p.get("out"))
-    return 0
+def _cmd_compose(p: Params) -> dict:
+    return {"v3": velocity_space.compose_einstein(*p.require("v1", "v2"), p.c)}
 
 
-def _cmd_lorentz(p: Params) -> int:
-    c = p.light_speed()
-    event = velocity_space.Event4(
-        t=p.get("t", required=True),
-        x=p.get("x", required=True),
-        y=p.get("y", 0.0),
-        z=p.get("z", 0.0),
-    )
-    moved = velocity_space.lorentz_transform(event, p.get("v3", required=True), c)
-    emit_json(
-        {
-            "t": moved.t,
-            "x": moved.x,
-            "y": moved.y,
-            "z": moved.z,
-            "interval_before": velocity_space.interval(event, c),
-            "interval_after": velocity_space.interval(moved, c),
-        },
-        p.get("out"),
-    )
-    return 0
+def _cmd_lorentz(p: Params) -> dict:
+    event = velocity_space.Event4(*p.require("t", "x"), p.get("y", 0.0), p.get("z", 0.0))
+    moved = velocity_space.lorentz_transform(event, p.get("v3", required=True), p.c)
+    return {
+        **vars(moved),
+        "interval_before": velocity_space.interval(event, p.c),
+        "interval_after": velocity_space.interval(moved, p.c),
+    }
 
 
-def _cmd_triangle(p: Params) -> int:
-    c = p.light_speed()
-    tri = velocity_space.solve_triangle(
-        p.get("omega1", required=True),
-        p.get("omega2", required=True),
-        p.get("omega3", required=True),
-        c,
-    )
+def _cmd_triangle(p: Params) -> dict:
+    tri = velocity_space.solve_triangle(*p.require("omega1", "omega2", "omega3"), p.c)
     ein = velocity_space.triangle_to_einstein(tri)
-    emit_json(
-        {
-            "theta": tri.theta,
-            "phi": tri.phi,
-            "p1": tri.p1,
-            "p2": tri.p2,
-            "n": tri.n,
-            "v1": ein.v1,
-            "v2": ein.v2,
-            "v3": ein.v3,
-            "residual_projection": ein.residual_projection,
-            "residual_beta": ein.residual_beta,
-            "residual_normal": ein.residual_normal,
-        },
-        p.get("out"),
-    )
-    return 0
+    return {
+        "theta": tri.theta,
+        "phi": tri.phi,
+        "p1": tri.p1,
+        "p2": tri.p2,
+        "n": tri.n,
+        **vars(ein),
+    }
 
 
 def _source(p: Params, force_massless: bool = False) -> line_elements.GravitySource:
-    c = p.light_speed()
-    G = p.get("G", 6.6743e-11)
-    Lambda = p.get("Lambda", 0.0)
-    lambda_unit = p.get("lambda_unit", "s^-2")
+    common = dict(
+        G=p.get("G", 6.6743e-11),
+        c=p.c,
+        Lambda=p.get("Lambda", 0.0),
+        lambda_unit=p.get("lambda_unit", "s^-2"),
+    )
     if force_massless:
-        return line_elements.GravitySource(
-            mass_M=0.0, G=G, c=c, Lambda=Lambda, lambda_unit=lambda_unit
-        )
+        return line_elements.GravitySource(mass_M=0.0, **common)
     r0 = p.get("r0")
     mass = p.get("mass")
     if r0 is None and mass is None:
         raise ConfigError("need either r0 or mass")
     if r0 is not None:
-        return line_elements.source_from_r0(
-            r0, c=c, G=G, Lambda=Lambda, lambda_unit=lambda_unit
-        )
-    return line_elements.GravitySource(
-        mass_M=mass, G=G, c=c, Lambda=Lambda, lambda_unit=lambda_unit
-    )
+        return line_elements.source_from_r0(r0, **common)
+    return line_elements.GravitySource(mass_M=mass, **common)
 
 
 def _metric_point(p: Params) -> MetricPoint:
@@ -319,17 +285,15 @@ def _metric_point(p: Params) -> MetricPoint:
     )
 
 
-def _cmd_metric(p: Params) -> int:
-    c = p.light_speed()
+def _cmd_metric(p: Params) -> dict | tuple:
+    c = p.c
     form = p.get("form")
-    out = p.get("out")
 
     if form == "minkowski":
         ds2 = line_elements.minkowski_interval(
             p.get("dt", 0.0), p.get("dx", 0.0), p.get("dy", 0.0), p.get("dz", 0.0), c
         )
-        emit_json({"ds2": ds2}, out)
-        return 0
+        return {"ds2": ds2}
 
     if form == "linear":
         lam = LambdaFactor(
@@ -339,117 +303,83 @@ def _cmd_metric(p: Params) -> int:
             mode=p.get("mode", "real"),
         )
         ds2 = line_elements.linear_interval(lam, p.get("dt", 0.0), p.get("dr", 0.0), c)
-        emit_json({"lambda": lam.value(), "ds2": ds2}, out)
-        return 0
+        return {"lambda": lam.value(), "ds2": ds2}
 
     if form == "rw":
         ds2 = line_elements.robertson_walker_interval(
             p.get("a", required=True), _metric_point(p), c
         )
-        emit_json({"ds2": ds2}, out)
-        return 0
+        return {"ds2": ds2}
 
     if form == "approx":
         src = _source(p)
         ds2 = line_elements.newtonian_first_approx(
             src, p.get("r", required=True), p.get("dt", 0.0), p.get("dr", 0.0), c
         )
-        emit_json({"ds2": ds2, "field_strength": src.schwarzschild_r0 / p.get("r")}, out)
-        return 0
+        return {"ds2": ds2, "field_strength": src.schwarzschild_r0 / p.get("r")}
 
     # Schwarzschild family: schwarzschild | modified | desitter
     src = _source(p, force_massless=(form == "desitter"))
     if form == "schwarzschild":
-        lam_of = lambda R: line_elements.schwarzschild_lambda(src, R)
+        lam_of = line_elements.schwarzschild_lambda
     else:
-        lam_of = lambda R: line_elements.modified_schwarzschild_lambda(src, R)
+        lam_of = line_elements.modified_schwarzschild_lambda
+
+    def row(R: float) -> tuple:
+        lam = lam_of(src, R)
+        gamma = math.sqrt(lam) if lam > 0 else math.nan  # nan past a horizon
+        return R, lam, line_elements.null_radial_speed(lam, c), gamma
 
     sweep = p.get("sweep_R")
     if sweep is not None:
-        rows = []
-        for R in _parse_sweep(sweep):
-            lam = lam_of(R)
-            gamma = math.sqrt(lam) if lam > 0 else float("nan")
-            rows.append((R, lam, line_elements.null_radial_speed(lam, c), gamma))
-        emit_plot_data(
-            ("R_m", "lambda_dimensionless", "null_speed_m_per_s", "gamma_dimensionless"),
-            rows,
-            out,
-        )
-        return 0
+        header = ("R_m", "lambda_dimensionless", "null_speed_m_per_s", "gamma_dimensionless")
+        return header, [row(R) for R in _parse_sweep(sweep)]
 
     R = p.get("R")
     if R is None:
         raise ConfigError("need either R or sweep_R")
-    lam = lam_of(R)
-    result = {
-        "R": R,
-        "lambda": lam,
-        "null_speed": line_elements.null_radial_speed(lam, c),
-        "gamma": math.sqrt(lam) if lam > 0 else None,
-    }
+    R, lam, null_speed, gamma = row(R)
+    result = {"R": R, "lambda": lam, "null_speed": null_speed, "gamma": gamma if lam > 0 else None}
     point = _metric_point(p)
     if point.dt or point.dR or point.dtheta or point.dphi:
         result["ds2"] = line_elements.radial_interval_value(lam, point, c)
-    emit_json(result, out)
-    return 0
+    return result
 
 
-def _cmd_radar_distance(p: Params) -> int:
-    c = p.light_speed()
+def _cmd_radar_distance(p: Params) -> dict:
     src = _source(p)
-    delta_t = line_elements.radar_coordinate_time(
-        src, p.get("R1", required=True), p.get("R2", required=True), c
-    )
-    emit_json({"delta_t": delta_t, "c_delta_t": c * delta_t}, p.get("out"))
-    return 0
+    delta_t = line_elements.radar_coordinate_time(src, *p.require("R1", "R2"), p.c)
+    return {"delta_t": delta_t, "c_delta_t": p.c * delta_t}
 
 
-def _cmd_horizon(p: Params) -> int:
-    src = _source(p)
-    emit_json({"roots": line_elements.horizon_roots(src)}, p.get("out"))
-    return 0
+def _cmd_horizon(p: Params) -> dict:
+    return {"roots": line_elements.horizon_roots(_source(p))}
 
 
-def _alter_gamma(p: Params, c: float) -> float:
+def _cmd_alter(p: Params) -> dict:
+    effect = p.get("effect")
+    if effect == "total-doppler":
+        nu_s = p.get("nu_s", required=True)
+        received = alterations.total_doppler(nu_s, p.get("v", required=True), p.c)
+        return {"nu_received": received, "ratio": received / nu_s}
     gamma = p.get("gamma")
     if gamma is None:
         v = p.get("v")
         if v is None:
             raise ConfigError("need either gamma or v")
-        gamma = alterations.gamma_special(v, c)
-    return gamma
-
-
-def _cmd_alter(p: Params) -> int:
-    c = p.light_speed()
-    effect = p.get("effect")
-    out = p.get("out")
+        gamma = alterations.gamma_special(v, p.c)
     if effect == "doppler":
-        gamma = _alter_gamma(p, c)
         nu_m = alterations.transverse_doppler(p.get("nu_s", required=True), gamma)
-        emit_json({"gamma": gamma, "nu_m": nu_m}, out)
-    elif effect == "total-doppler":
-        nu_s = p.get("nu_s", required=True)
-        received = alterations.total_doppler(nu_s, p.get("v", required=True), c)
-        emit_json({"nu_received": received, "ratio": received / nu_s}, out)
-    elif effect == "decay":
-        gamma = _alter_gamma(p, c)
+        return {"gamma": gamma, "nu_m": nu_m}
+    if effect == "decay":
         tau_m = alterations.decay_lifetime(p.get("tau_s", required=True), gamma)
-        emit_json({"gamma": gamma, "tau_m": tau_m}, out)
-    elif effect == "mass":
-        gamma = _alter_gamma(p, c)
-        mass_m = alterations.mass_alteration(p.get("mass_s", required=True), gamma)
-        emit_json({"gamma": gamma, "mass_m": mass_m}, out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown alteration {effect!r}")
-    return 0
+        return {"gamma": gamma, "tau_m": tau_m}
+    mass_m = alterations.mass_alteration(p.get("mass_s", required=True), gamma)
+    return {"gamma": gamma, "mass_m": mass_m}
 
 
-def _cmd_dilation(p: Params) -> int:
-    c = p.light_speed()
-    rs_over_rp = p.get("rs_over_rp", required=True)
-    rr_over_rp = p.get("rr_over_rp", required=True)
+def _cmd_dilation(p: Params) -> dict:
+    rs_over_rp, rr_over_rp = p.require("rs_over_rp", "rr_over_rp")
     Lambda = p.get("Lambda", 0.0)
     Lambda1 = p.get("Lambda1")
     rp = p.get("rp")
@@ -464,31 +394,23 @@ def _cmd_dilation(p: Params) -> int:
         Lambda=Lambda,
         Lambda1=Lambda1,
         lambda_unit=p.get("lambda_unit", "s^-2"),
-        c=c,
+        c=p.c,
     )
-    emit_json({"ratio": alterations.gravitational_clock_compare(inp)}, p.get("out"))
-    return 0
+    return {"ratio": alterations.gravitational_clock_compare(inp)}
 
 
-def _cmd_compare_frequency(p: Params) -> int:
-    nu_p = alterations.frequency_compare(
-        p.get("g1_p", required=True),
-        p.get("g1_r", required=True),
-        p.get("nu_r", required=True),
-    )
-    emit_json({"nu_p": nu_p}, p.get("out"))
-    return 0
+def _cmd_compare_frequency(p: Params) -> dict:
+    return {"nu_p": alterations.frequency_compare(*p.require("g1_p", "g1_r", "nu_r"))}
 
 
-def _cmd_transition(p: Params) -> int:
-    c = p.light_speed()
+def _cmd_transition(p: Params) -> dict | tuple:
+    c = p.c
     mode = p.get("mode")
-    out = p.get("out")
     k = p.get("k", DEFAULT_TRANSITION_K)
     if mode == "H":
         x_min = p.get("x_min", -5.0 * k)
         x_max = p.get("x_max", 5.0 * k)
-        n = int(p.get("n", 101))
+        n = p.get("n", 101)
         grid = sorted(set(_parse_sweep(f"{x_min}:{x_max}:{n}") + [0.0, 2.0 * k]))
         grid = [x for x in grid if x_min <= x <= x_max]
         rows = [
@@ -499,159 +421,112 @@ def _cmd_transition(p: Params) -> int:
             )
             for x in grid
         ]
-        emit_plot_data(
-            ("x_dimensionless", "H_dimensionless", "H_prime_dimensionless"), rows, out
-        )
-        return 0
+        return ("x_dimensionless", "H_dimensionless", "H_prime_dimensionless"), rows
     if mode == "interval":
-        result = transition.partial_interval(
+        return vars(transition.partial_interval(
             p.get("lam", required=True), k, p.get("dt", 0.0), p.get("dR", 0.0), c
-        )
-        emit_json({"value": result.value, "branch": result.branch}, out)
-        return 0
-    if mode == "photons":
-        lam = p.get("lam")
-        if lam is not None:
-            plus, minus = transition.photon_families(lam, k, c)
-            emit_json({"lambda": lam, "speed_plus": plus, "speed_minus": minus}, out)
-            return 0
-        lam_min = p.get("lambda_min", 1e-3 * k)
-        lam_max = p.get("lambda_max", 2.0 * k)
-        n = int(p.get("n", 101))
-        rows = []
-        for lam_val in _parse_sweep(f"{lam_min}:{lam_max}:{n}"):
-            plus, minus = transition.photon_families(lam_val, k, c)
-            rows.append((lam_val, plus, minus))
-        emit_plot_data(
-            ("lambda_dimensionless", "speed_plus_m_per_s", "speed_minus_m_per_s"),
-            rows,
-            out,
-        )
-        return 0
-    raise ConfigError(f"unknown transition mode {mode!r}")  # pragma: no cover
+        ))
+    # photons: one lambda as JSON, or a fan over [lambda_min, lambda_max] as CSV
+    lam = p.get("lam")
+    if lam is not None:
+        plus, minus = transition.photon_families(lam, k, c)
+        return {"lambda": lam, "speed_plus": plus, "speed_minus": minus}
+    lam_min = p.get("lambda_min", 1e-3 * k)
+    lam_max = p.get("lambda_max", 2.0 * k)
+    n = p.get("n", 101)
+    rows = []
+    for lam_val in _parse_sweep(f"{lam_min}:{lam_max}:{n}"):
+        plus, minus = transition.photon_families(lam_val, k, c)
+        rows.append((lam_val, plus, minus))
+    return ("lambda_dimensionless", "speed_plus_m_per_s", "speed_minus_m_per_s"), rows
 
 
-def _cmd_sim(p: Params) -> int:
-    c = p.light_speed()
+def _cmd_sim(p: Params) -> dict | tuple:
+    c = p.c
     mode = p.get("mode")
-    out = p.get("out")
     if mode == "roundtrip":
-        t1 = p.get("t1", required=True)
-        scenario = PropagationScenario(
-            velocity_profile=lambda _t: c, t1=t1, a=t1, b=10.0 * t1 + 1.0, c=c
-        )
-        rec = medium.roundtrip(scenario, p.get("omega", required=True), t1)
-        emit_json(
-            {
-                "t1": rec.t1,
-                "t2": rec.t2,
-                "t3": rec.t3,
-                "geometric_mean_ok": radar.check_geometric_mean(rec, _tolerance()),
-            },
-            out,
-        )
-        return 0
+        t1, omega = p.require("t1", "omega")
+        rec = radar.record_from_rapidity(omega, c, t1)
+        return {**vars(rec), "geometric_mean_ok": radar.check_geometric_mean(rec, _tolerance())}
     if mode == "counts":
         spec = clocks.LightClockSpec(
             round_trip_length_L=p.get("L", required=True), light_speed_c=c
         )
+        trace = medium.count_trace(spec, *p.require("omega", "t1"), p.get("n_pulses", 3))
         rows = [
             (i + 1, row.tau1, row.tau2, row.tau3, row.t1, row.t2, row.t3)
-            for i, row in enumerate(
-                medium.count_trace(
-                    spec,
-                    p.get("omega", required=True),
-                    p.get("t1", required=True),
-                    int(p.get("n_pulses", 3)),
-                )
-            )
+            for i, row in enumerate(trace)
         ]
-        emit_plot_data(
-            (
-                "pulse_index",
-                "tau1_ticks",
-                "tau2_ticks",
-                "tau3_ticks",
-                "t1_s",
-                "t2_s",
-                "t3_s",
-            ),
-            rows,
-            out,
-        )
-        return 0
+        header = ("pulse_index", "tau1_ticks", "tau2_ticks", "tau3_ticks", "t1_s", "t2_s", "t3_s")
+        return header, rows
     if mode == "equilinear":
-        t1 = p.get("t1", required=True)
-        t2 = p.get("t2", required=True)
-        t3 = p.get("t3", required=True)
+        t1, t2, t3 = p.require("t1", "t2", "t3")
         scenario = PropagationScenario(
             velocity_profile=lambda _t: c, t1=t1, a=t1, b=t3, c=c
         )
-        res = medium.equilinear_check(scenario, t1, t2, t3)
-        emit_json(
-            {"w1": res.w1, "w2": res.w2, "w3": res.w3, "residual": res.residual}, out
-        )
-        return 0
-    if mode == "offset":
-        separation, classical = medium.parallel_photon_offset(
-            p.get("u", required=True),
-            p.get("omega", required=True),
-            c,
-            p.get("dt_emit", required=True),
-        )
-        emit_json(
-            {
-                "separation": separation,
-                "classical": classical,
-                "ratio": separation / classical,
-            },
-            out,
-        )
-        return 0
-    raise ConfigError(f"unknown sim mode {mode!r}")  # pragma: no cover
+        return vars(medium.equilinear_check(scenario, t1, t2, t3))
+    # offset
+    u, omega, dt_emit = p.require("u", "omega", "dt_emit")
+    separation, classical = medium.parallel_photon_offset(u, omega, c, dt_emit)
+    return {
+        "separation": separation,
+        "classical": classical,
+        "ratio": separation / classical,
+    }
 
 
-def _cmd_hubble(p: Params) -> int:
-    model = p.get("model", required=True)
-    t = p.get("t", required=True)
+def _cmd_hubble(p: Params) -> dict:
+    model, t = p.require("model", "t")
     if model == "linear":
         rate = p.get("rate", 1.0)
         scale = lambda tt: rate * tt
     elif model == "exponential":
         rate = p.get("rate", required=True)
         scale = lambda tt: (tt * rate).exp() if hasattr(tt * rate, "exp") else math.exp(rate * tt)
-    elif model == "powerlaw":
+    else:  # powerlaw
         exponent = p.get("exponent", required=True)
         scale = lambda tt: tt**exponent
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown model {model!r}")
     rates = line_elements.hubble_deceleration(
         scale, t, rho=p.get("rho"), G=p.get("G", 6.6743e-11)
     )
-    result: dict[str, Any] = {"H": rates.H, "q": rates.q}
-    if rates.friedmann_residual is not None:
-        result["friedmann_residual"] = rates.friedmann_residual
-    emit_json(result, p.get("out"))
-    return 0
+    # friedmann_residual is reported only when a density was given
+    return {key: value for key, value in vars(rates).items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+# subcommand: (help, parameters, handler, positional (dest, choices) or
+# None); every subcommand also takes --config, --out, --c and --natural-units
+_COMMANDS: dict[str, tuple[str, str, Any, Any]] = {
+    "radar": ("Einstein measures of a radar record", "t1 t2 t3", _cmd_radar, None),
+    "compose": ("Einstein velocity composition", "v1 v2", _cmd_compose, None),
+    "lorentz": ("x-aligned boost of an event", "t x y z v3", _cmd_lorentz, None),
+    "triangle": ("solve a hyperbolic velocity triangle", "omega1 omega2 omega3",
+                 _cmd_triangle, None),
+    "metric": ("evaluate a line element",
+               "dt dx dy dz dr dR dtheta dphi theta v d a R r r0 mass G Lambda"
+               " mode lambda_unit sweep_R", _cmd_metric,
+               ("form", "minkowski linear schwarzschild modified desitter rw approx")),
+    "radar-distance": ("radial pulse coordinate flight time", "r0 mass G R1 R2",
+                       _cmd_radar_distance, None),
+    "horizon": ("horizon radii of the modified factor", "r0 mass G Lambda lambda_unit",
+                _cmd_horizon, None),
+    "alter": ("physical alteration ratios", "nu_s tau_s mass_s v gamma", _cmd_alter,
+              ("effect", "doppler total-doppler decay mass")),
+    "dilation": ("gravitational clock-rate comparison",
+                 "rs_over_rp rr_over_rp rp Lambda Lambda1 lambda_unit", _cmd_dilation, None),
+    "compare-frequency": ("two-position frequency comparison", "g1_p g1_r nu_r",
+                          _cmd_compare_frequency, None),
+    "transition": ("transition-zone machinery", "k lam x_min x_max lambda_min lambda_max dt dR n",
+                   _cmd_transition, ("mode", "H interval photons")),
+    "sim": ("medium-propagation simulator", "omega t1 t2 t3 L u dt_emit n_pulses", _cmd_sim,
+            ("mode", "roundtrip counts equilinear offset")),
+    "hubble": ("expansion rate and deceleration parameter", "model t rate exponent rho G",
+               _cmd_hubble, None),
+}
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override it")
-    sp.add_argument("--out", help="output path (default stdout)")
-    sp.add_argument("--c", type=float, default=None, help="light speed in m/s")
-    sp.add_argument(
-        "--natural-units", action="store_true", help="set c = 1 unless --c is given"
-    )
-    sp.add_argument("--emit", choices=("json", "csv"), default=None, help=argparse.SUPPRESS)
-
-
-def _float_arg(sp: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        sp.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=None)
+_HELP = {"sweep_R": "radial sweep start:stop:count emitting CSV"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -660,94 +535,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic light-clock kinematics engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("radar", help="Einstein measures of a radar record")
-    _add_common(sp)
-    _float_arg(sp, "t1", "t2", "t3")
-    sp.set_defaults(func=_cmd_radar)
-
-    sp = sub.add_parser("compose", help="Einstein velocity composition")
-    _add_common(sp)
-    _float_arg(sp, "v1", "v2")
-    sp.set_defaults(func=_cmd_compose)
-
-    sp = sub.add_parser("lorentz", help="x-aligned boost of an event")
-    _add_common(sp)
-    _float_arg(sp, "t", "x", "y", "z", "v3")
-    sp.set_defaults(func=_cmd_lorentz)
-
-    sp = sub.add_parser("triangle", help="solve a hyperbolic velocity triangle")
-    _add_common(sp)
-    _float_arg(sp, "omega1", "omega2", "omega3")
-    sp.set_defaults(func=_cmd_triangle)
-
-    sp = sub.add_parser("metric", help="evaluate a line element")
-    sp.add_argument(
-        "form",
-        choices=("minkowski", "linear", "schwarzschild", "modified", "desitter", "rw", "approx"),
-    )
-    _add_common(sp)
-    _float_arg(
-        sp, "dt", "dx", "dy", "dz", "dr", "dR", "dtheta", "dphi", "theta",
-        "v", "d", "a", "R", "r", "r0", "mass", "G", "Lambda",
-    )
-    sp.add_argument("--mode", choices=("real", "complex"), default=None)
-    sp.add_argument("--lambda-unit", dest="lambda_unit",
-                    choices=line_elements.LAMBDA_UNITS, default=None)
-    sp.add_argument("--sweep-R", dest="sweep_R", default=None,
-                    help="radial sweep start:stop:count emitting CSV")
-    sp.set_defaults(func=_cmd_metric)
-
-    sp = sub.add_parser("radar-distance", help="radial pulse coordinate flight time")
-    _add_common(sp)
-    _float_arg(sp, "r0", "mass", "G", "R1", "R2")
-    sp.set_defaults(func=_cmd_radar_distance)
-
-    sp = sub.add_parser("horizon", help="horizon radii of the modified factor")
-    _add_common(sp)
-    _float_arg(sp, "r0", "mass", "G", "Lambda")
-    sp.add_argument("--lambda-unit", dest="lambda_unit",
-                    choices=line_elements.LAMBDA_UNITS, default=None)
-    sp.set_defaults(func=_cmd_horizon)
-
-    sp = sub.add_parser("alter", help="physical alteration ratios")
-    sp.add_argument("effect", choices=("doppler", "total-doppler", "decay", "mass"))
-    _add_common(sp)
-    _float_arg(sp, "nu_s", "tau_s", "mass_s", "v", "gamma")
-    sp.set_defaults(func=_cmd_alter)
-
-    sp = sub.add_parser("dilation", help="gravitational clock-rate comparison")
-    _add_common(sp)
-    _float_arg(sp, "rs_over_rp", "rr_over_rp", "rp", "Lambda", "Lambda1")
-    sp.add_argument("--lambda-unit", dest="lambda_unit",
-                    choices=line_elements.LAMBDA_UNITS, default=None)
-    sp.set_defaults(func=_cmd_dilation)
-
-    sp = sub.add_parser("compare-frequency", help="two-position frequency comparison")
-    _add_common(sp)
-    _float_arg(sp, "g1_p", "g1_r", "nu_r")
-    sp.set_defaults(func=_cmd_compare_frequency)
-
-    sp = sub.add_parser("transition", help="transition-zone machinery")
-    sp.add_argument("mode", choices=("H", "interval", "photons"))
-    _add_common(sp)
-    _float_arg(sp, "k", "lam", "x_min", "x_max", "lambda_min", "lambda_max", "dt", "dR")
-    sp.add_argument("--n", type=int, default=None)
-    sp.set_defaults(func=_cmd_transition)
-
-    sp = sub.add_parser("sim", help="medium-propagation simulator")
-    sp.add_argument("mode", choices=("roundtrip", "counts", "equilinear", "offset"))
-    _add_common(sp)
-    _float_arg(sp, "omega", "t1", "t2", "t3", "L", "u", "dt_emit")
-    sp.add_argument("--n-pulses", dest="n_pulses", type=int, default=None)
-    sp.set_defaults(func=_cmd_sim)
-
-    sp = sub.add_parser("hubble", help="expansion rate and deceleration parameter")
-    _add_common(sp)
-    sp.add_argument("--model", choices=("linear", "exponential", "powerlaw"), default=None)
-    _float_arg(sp, "t", "rate", "exponent", "rho", "G")
-    sp.set_defaults(func=_cmd_hubble)
-
+    for command, (help_text, names, handler, positional) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        if positional is not None:
+            sp.add_argument(positional[0], choices=positional[1].split())
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        sp.add_argument("--out", help="output path (default stdout)")
+        sp.add_argument("--c", type=float, help="light speed in m/s")
+        sp.add_argument(
+            "--natural-units", action="store_true", help="set c = 1 unless --c is given"
+        )
+        for name in names.split():
+            kind = _OTHER.get(name, float)
+            choices = kind if isinstance(kind, tuple) else None
+            sp.add_argument(
+                f"--{name.replace('_', '-')}",
+                dest=name,
+                type=None if choices else kind,
+                choices=choices,
+                help=_HELP.get(name),
+            )
+        sp.set_defaults(func=handler)
     return parser
 
 
@@ -756,11 +564,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params = Params(args)
-        return args.func(params)
+        result = args.func(params)
+        if isinstance(result, dict):
+            emit_json(result, params.get("out"))
+        else:
+            emit_plot_data(*result, params.get("out"))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -78,11 +78,17 @@ class GravitySource:
     @property
     def lambda_per_m2(self) -> float:
         """Cosmological constant converted to m^-2."""
-        if self.lambda_unit == "s^-2":
-            return self.Lambda / (self.c * self.c)
-        if self.lambda_unit == "cm^-2":
-            return self.Lambda * 1.0e4
-        return self.Lambda
+        return convert_lambda(self.Lambda, self.lambda_unit, self.c)
+
+
+def convert_lambda(value: float, unit: str, c: float) -> float:
+    """A cosmological constant given in ``unit`` (one of LAMBDA_UNITS),
+    converted to m^-2."""
+    if unit == "s^-2":
+        return value / (c * c)
+    if unit == "cm^-2":
+        return value * 1.0e4
+    return value
 
 
 def source_from_r0(
@@ -174,7 +180,13 @@ def modified_schwarzschild_lambda(src: GravitySource, R: float) -> float:
     conversion).  With M = 0 this is the de Sitter factor."""
     if R <= 0:
         raise ValueError("R must be positive")
-    return 1.0 - src.schwarzschild_r0 / R - src.lambda_per_m2 * R * R / 3.0
+    return modified_lambda(src.schwarzschild_r0, src.lambda_per_m2, R)
+
+
+def modified_lambda(r0: float, lambda_per_m2: float, R: float) -> float:
+    """1 − r0/R − (1/3)·Lambda·R² from the Schwarzschild radius r0 and
+    Lambda in m^-2."""
+    return 1.0 - r0 / R - lambda_per_m2 * R * R / 3.0
 
 
 def null_radial_speed(lambda_value: float, c: float) -> float:

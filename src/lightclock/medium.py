@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .clocks import LightClockSpec
-from .radar import RadarRecord
+from .radar import RadarRecord, record_from_rapidity
 
 _QUAD_TOL = 1e-12
 
@@ -137,8 +137,7 @@ def roundtrip(sc: PropagationScenario, omega: float, t1: float) -> RadarRecord:
     """Radar record (t1, t1·e^{omega/c}, t1·e^{2omega/c}) for a constant
     profile; the geometric-mean law holds by construction."""
     _require_constant_profile(sc)
-    q = math.exp(omega / sc.c)
-    return RadarRecord(t1=t1, t2=t1 * q, t3=t1 * q * q)
+    return record_from_rapidity(omega, sc.c, t1)
 
 
 def equilinear_check(

@@ -18,23 +18,10 @@ import numpy as np
 
 from .line_elements import (
     GravitySource,
-    LambdaFactor,
     MetricPoint,
     radial_interval_value,
     schwarzschild_lambda,
 )
-
-
-@dataclass(frozen=True)
-class TransitionParams:
-    """Finite zone width k and the host lambda factor."""
-
-    k: float
-    lam: LambdaFactor
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
 
 
 class _Unbounded:

@@ -65,10 +65,15 @@ class TriangleEinstein:
     residual_normal: float  # v1·sinθ − v2·sinφ/(β3(1+α))
 
 
-def beta_gamma(v: float, c: float) -> BetaGamma:
+def gamma_factor(v: float, c: float) -> float:
+    """sqrt(1 − v²/c²) for a subluminal speed v."""
     if abs(v) >= c:
         raise ValueError("superluminal")
-    g = math.sqrt(1.0 - (v / c) ** 2)
+    return math.sqrt(1.0 - (v / c) ** 2)
+
+
+def beta_gamma(v: float, c: float) -> BetaGamma:
+    g = gamma_factor(v, c)
     return BetaGamma(v=v, beta=1.0 / g, gamma=g)
 
 
@@ -147,9 +152,9 @@ def triangle_to_einstein(
     v1 = c * math.tanh(tri.omega1 / c)
     v2 = c * math.tanh(tri.omega2 / c)
     v3 = c * math.tanh(tri.omega3 / c)
-    b1 = 1.0 / math.sqrt(1.0 - (v1 / c) ** 2)
-    b2 = 1.0 / math.sqrt(1.0 - (v2 / c) ** 2)
-    b3 = 1.0 / math.sqrt(1.0 - (v3 / c) ** 2)
+    b1 = 1.0 / gamma_factor(v1, c)
+    b2 = 1.0 / gamma_factor(v2, c)
+    b3 = 1.0 / gamma_factor(v3, c)
     cos_t, sin_t = math.cos(tri.theta), math.sin(tri.theta)
     cos_p, sin_p = math.cos(tri.phi), math.sin(tri.phi)
     alpha = v3 * v2 * cos_p / (c * c)
@@ -170,9 +175,7 @@ def triangle_to_einstein(
 
 def lorentz_transform(e2: Event4, v3: float, c: float) -> Event4:
     """x-aligned boost: t1 = β3(t2 − v3·x2/c²), x1 = β3(x2 − v3·t2)."""
-    if abs(v3) >= c:
-        raise ValueError("superluminal")
-    b3 = 1.0 / math.sqrt(1.0 - (v3 / c) ** 2)
+    b3 = 1.0 / gamma_factor(v3, c)
     return Event4(
         t=b3 * (e2.t - v3 * e2.x / (c * c)),
         x=b3 * (e2.x - v3 * e2.t),

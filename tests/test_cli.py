@@ -313,3 +313,123 @@ class TestSubcommandSurface:
         )
         assert res.returncode == 0
         assert json.loads(out.read_text())["v3"] == 0.8
+
+
+# ---------------------------------------------------------------------------
+# in-process: cli.main(argv) under capsys, no subprocess
+
+from lightclock import cli
+
+
+def _table_params():
+    for command, (_, names, _, positional) in cli._COMMANDS.items():
+        mode = [positional[1].split()[0]] if positional else []
+        for name in names.split() + ["out", "c"]:
+            yield command, mode, name
+
+
+TABLE_PARAMS = list(_table_params())
+
+
+def _flag_value(name):
+    """A valid flag text for the parameter and the value it parses to."""
+    kind = cli._OTHER.get(name, float)
+    if isinstance(kind, tuple):
+        return kind[-1], kind[-1]
+    if kind is int:
+        return "7", 7
+    if kind is str:
+        return "1:2:3", "1:2:3"
+    return "1.5", 1.5
+
+
+def run_main(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+class TestParameterTable:
+    def test_every_subcommand_is_in_the_table(self):
+        assert len(cli._COMMANDS) == 13
+
+    @pytest.mark.parametrize("command,mode,name", TABLE_PARAMS)
+    def test_flag_parses(self, command, mode, name):
+        text, value = _flag_value(name)
+        flag = "--" + name.replace("_", "-")
+        args = cli.build_parser().parse_args([command, *mode, flag, text])
+        assert getattr(args, name) == value
+
+    @pytest.mark.parametrize("command,mode,name", TABLE_PARAMS)
+    def test_wrong_unit_tag_names_parameter(self, capsys, tmp_path, command, mode, name):
+        cfg = write_config(tmp_path, {name: {"value": 1.0, "unit": "furlong"}})
+        code, out, err = run_main(capsys, command, *mode, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
+        assert repr(name) in err
+
+
+class TestConfigAndOutputDefects:
+    @pytest.mark.parametrize(
+        "argv,payload,name",
+        [
+            (("transition", "H"), {"k": "abc"}, "k"),
+            (("transition", "H"), {"k": True}, "k"),
+            (("transition", "H"), {"n": 4.5}, "n"),
+            (("radar",), {"t1": {"value": True, "unit": "s"}}, "t1"),
+            (("radar",), {"t1": {"value": "1", "unit": "s"}}, "t1"),
+            (("metric", "schwarzschild"), {"sweep_R": 5}, "sweep_R"),
+            (("metric", "linear"), {"mode": "imaginary"}, "mode"),
+            (("compose",), {"c": {"value": 0.0, "unit": "m/s"}}, "c"),
+        ],
+    )
+    def test_wrong_config_type_is_two(self, capsys, tmp_path, argv, payload, name):
+        code, out, err = run_main(capsys, *argv, "--config", write_config(tmp_path, payload))
+        assert (code, out) == (2, "")
+        assert repr(name) in err
+
+    @pytest.mark.parametrize("tol", ["abc", "-1", "nan"])
+    def test_bad_tolerance_env_is_two(self, capsys, monkeypatch, tol):
+        monkeypatch.setenv("LIGHTCLOCK_TOL", tol)
+        code, out, err = run_main(capsys, "radar", "--t1", "1", "--t2", "2", "--t3", "4", "--c", "1")
+        assert (code, out) == (2, "")
+        assert "LIGHTCLOCK_TOL" in err
+
+    @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
+    def test_bad_light_speed_is_two(self, capsys, c):
+        code, out, err = run_main(capsys, "compose", "--v1", "0.1", "--v2", "0.1", "--c", c)
+        assert (code, out) == (2, "")
+        assert "'c'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("metric", "minkowski", "--dt", "1e200"),
+            ("sim", "roundtrip", "--omega", "1000", "--t1", "1", "--c", "1"),
+        ],
+    )
+    def test_overflow_is_one(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error:")
+
+    def test_csv_keeps_nan_gamma_past_horizon(self, capsys):
+        code, out, _ = run_main(
+            capsys, "metric", "desitter", "--Lambda", "3", "--lambda-unit", "m^-2",
+            "--sweep-R", "0.5:1.5:3", "--natural-units",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "1.5,-1.25,1.25,nan"
+
+    def test_plain_and_tagged_dimensionless_config(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"k": {"value": 0.5, "unit": "1"}, "n": 3})
+        code, out, _ = run_main(capsys, "transition", "H", "--config", cfg)
+        assert code == 0
+        assert out.splitlines()[1].startswith("-2.5,")

@@ -6,8 +6,6 @@ import pytest
 from lightclock import (
     UNBOUNDED,
     MetricPoint,
-    TransitionParams,
-    LambdaFactor,
     black_hole_interval,
     damping_factor,
     middle_branch,
@@ -223,9 +221,3 @@ class TestPhotonFamilies:
             photon_families(0.5, 0.2, 1.0)
         with pytest.raises(ValueError):
             photon_families(0.0, 0.2, 1.0)
-
-
-class TestParams:
-    def test_positive_width(self):
-        with pytest.raises(ValueError):
-            TransitionParams(k=0.0, lam=LambdaFactor(v=0.0))
