@@ -140,6 +140,11 @@ class Params:
         self.args = vars(args)
         names = _COMMANDS[args.command][1].split() + ["out", "c"]
         self.config = _load_config(self.args.get("config"), names)
+        # argparse's float() and json.load both accept nan and inf
+        for name in names:
+            for value in (self.args.get(name), self.config.get(name)):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"parameter {name!r} must be finite, got {value!r}")
         c = self.args.get("c")
         if c is None:
             c = 1.0 if self.args.get("natural_units") else self.config.get("c", DEFAULT_C)
@@ -205,6 +210,8 @@ def _parse_sweep(text: str) -> list[float]:
         raise ConfigError(f"sweep must look like start:stop:count, got {text!r}") from exc
     if count < 2:
         raise ConfigError("sweep count must be at least 2")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep start and stop must be finite, got {text!r}")
     step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count)]
 

@@ -4,21 +4,73 @@ Propagation distance obeys s(t) = t·∫ v(x)/x dx, so the medium velocity
 between two times is the log-kernel integral ∫ v(x)/x dx; for a constant
 profile that integral is additive in log-time, which is exactly what makes
 radar round trips geometric: t2 = sqrt(t1·t3).
+
+The log-kernel integral is taken in s = ln x, where it is the smooth
+∫ v(e^s) ds, by an adaptive Gauss–Kronrod 7–15 rule with the QUADPACK
+abscissae, weights and error scaling (Piessens et al., *QUADPACK*, 1983).
+The subinterval with the largest error estimate is bisected until the
+summed estimate is at most max(1e-12, 1e-12·|integral|).  If 200
+subintervals do not reach that, a subinterval can no longer be halved, or
+the estimate is not finite, the best estimate is returned with an
+``IntegrationWarning``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
+import warnings
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
-
-import numpy as np
-from scipy.integrate import quad
 
 from .clocks import LightClockSpec
 from .radar import RadarRecord, record_from_rapidity
 
 _QUAD_TOL = 1e-12
+_QUAD_LIMIT = 200  # subintervals
+
+# QUADPACK qk15: the Kronrod abscissae in (0, 1), outermost first (the odd
+# positions are also the 7-point Gauss abscissae), the Kronrod weights for
+# them and for the centre, and the Gauss weights for the odd positions and
+# the centre
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+# the same rules over all 15 abscissae of [-1, 1], in ascending order
+_X15 = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
+_WK15 = _WGK + _WGK[6::-1]
+_WG15 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+         0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
+_EPS = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+class IntegrationWarning(UserWarning):
+    """The log-kernel integral did not reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -68,11 +120,52 @@ class EquilinearResult:
     residual: float
 
 
+def _gk15(v: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """QUADPACK qk15 on ∫_a^b v(e^s) ds: the Kronrod estimate and its error."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    exp = math.exp
+    fv = [v(exp(centre + half * x)) for x in _X15]
+    resk = sum(map(mul, _WK15, fv))
+    resg = sum(map(mul, _WG15, fv))
+    resabs = sum(map(mul, _WK15, map(abs, fv)))
+    mean = 0.5 * resk
+    resasc = sum(map(mul, _WK15, [abs(y - mean) for y in fv]))
+    width = abs(half)
+    resabs *= width
+    resasc *= width
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return resk * half, err
+
+
 def _log_kernel_integral(v: Callable[[float], float], lo: float, hi: float) -> float:
-    value, _ = quad(
-        lambda x: v(x) / x, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200
-    )
-    return value
+    """∫_lo^hi v(x)/x dx = ∫ v(e^s) ds over [ln lo, ln hi], by adaptive GK15."""
+    a, b = math.log(lo), math.log(hi)
+    total, error = _gk15(v, a, b)
+    heap = [(-error, a, b, total)]  # the largest error first
+    while not error <= max(_QUAD_TOL, _QUAD_TOL * abs(total)):
+        _, a, b, _ = heap[0]
+        mid = 0.5 * (a + b)
+        if len(heap) >= _QUAD_LIMIT or not (a < mid < b and math.isfinite(error)):
+            warnings.warn(
+                f"log-kernel integral over [{lo!r}, {hi!r}] stopped at "
+                f"{len(heap)} subintervals with estimated error {error:.3g} "
+                f"(tolerance {_QUAD_TOL:g}); the result may be inaccurate",
+                IntegrationWarning,
+                stacklevel=3,
+            )
+            break
+        heapq.heappop(heap)
+        for left, right in ((a, mid), (mid, b)):
+            value, err = _gk15(v, left, right)
+            heapq.heappush(heap, (-err, left, right, value))
+        total = math.fsum(item[3] for item in heap)
+        error = math.fsum(-item[0] for item in heap)
+    return total
 
 
 def distance_profile(sc: PropagationScenario, t: float) -> float:
@@ -97,36 +190,48 @@ def medium_velocity(
         raise ValueError("need a <= t_start < t_end <= b")
     omega = _log_kernel_integral(sc.velocity_profile, t_start, t_end)
     log_span = math.log(t_end / t_start)
+    v = sc.velocity_profile
 
     def gap(t: float) -> float:
-        return sc.velocity_profile(t) * log_span - omega
+        return v(t) * log_span - omega
 
-    grid = np.linspace(t_start, t_end, 257)
-    values = np.array([gap(float(t)) for t in grid])
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if float(np.min(np.abs(values))) <= 1e-12 * scale:
-        witness = float(grid[int(np.argmin(np.abs(values)))])
+    grid = _linspace(t_start, t_end, 257)
+    values = [v(t) * log_span - omega for t in grid]  # gap(t), without a call per point
+    scale = max(1.0, max(values), -min(values))
+    smallest = min(map(abs, values))
+    if smallest <= 1e-12 * scale:
+        witness = grid[list(map(abs, values)).index(smallest)]
         return MediumVelocity(omega=omega, witness=witness)
-    idx = np.nonzero(values[:-1] * values[1:] <= 0.0)[0]
-    if idx.size == 0:
+    for idx, product in enumerate(map(mul, values, values[1:])):
+        if product <= 0.0:
+            break
+    else:
         raise ValueError("no mean-value witness found; is the profile continuous?")
-    lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
+    lo, hi = grid[idx], grid[idx + 1]
+    gap_lo = values[idx]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if gap(lo) * gap(mid) <= 0.0:
+        gap_mid = gap(mid)
+        if gap_lo * gap_mid <= 0.0:
             hi = mid
         else:
-            lo = mid
+            lo, gap_lo = mid, gap_mid
         if hi - lo <= 1e-15 * max(1.0, abs(mid)):
             break
     return MediumVelocity(omega=omega, witness=0.5 * (lo + hi))
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """n points as numpy.linspace computes them: start + i·step, and stop
+    exactly at the end."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
+
+
 def _require_constant_profile(sc: PropagationScenario) -> None:
-    samples = np.linspace(sc.a, sc.b, 101)
-    vals = np.array([sc.velocity_profile(float(t)) for t in samples])
-    spread = float(np.max(vals) - np.min(vals))
-    if spread > 1e-12 * max(1.0, float(np.max(np.abs(vals)))):
+    vals = [sc.velocity_profile(t) for t in _linspace(sc.a, sc.b, 101)]
+    spread = max(vals) - min(vals)
+    if spread > 1e-12 * max(1.0, max(abs(v) for v in vals)):
         raise ValueError(
             "round trip requires a constant to-and-fro propagation speed; "
             "the supplied profile varies over [a, b]"
@@ -183,6 +288,7 @@ def count_trace(
     Medium times follow the geometric law per pulse; the reflection count is
     the midpoint of emission and return counts, so every row satisfies
     tau3 = 2·tau2 − tau1, and each next pulse starts on the previous return.
+    A pulse whose times or counts overflow raises ValueError naming it.
     """
     if n_pulses < 1:
         raise ValueError("need at least one pulse")
@@ -208,4 +314,14 @@ def count_trace(
             )
         )
         start = end
+
+    def overflows(row: PulseCounts) -> bool:
+        # t3 and tau2 bound every other column of the row
+        return not (math.isfinite(row.t3) and math.isfinite(row.tau2))
+
+    # each column is monotone in the pulse index, so its extremes are the
+    # first and the last row
+    if overflows(rows[0]) or overflows(rows[-1]):
+        first = next(i for i, row in enumerate(rows) if overflows(row))
+        raise ValueError(f"pulse {first + 1} overflows: its medium times or counts are not finite")
     return rows

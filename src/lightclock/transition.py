@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .line_elements import (
     GravitySource,
     MetricPoint,
@@ -41,39 +39,47 @@ def middle_branch(x, k: float):
     if k <= 0:
         raise ValueError("k must be positive")
     k2 = k * k
-    return -(x**3) / (2.0 * k2 * k2) + 7.0 * x * x / (4.0 * k2 * k) - x / k2 - 1.0 / k
+    # x*x*x, not x**3: numpy's vectorised power can differ from libm's pow in
+    # the last bit, and the float and array paths must agree exactly
+    return -(x * x * x) / (2.0 * k2 * k2) + 7.0 * x * x / (4.0 * k2 * k) - x / k2 - 1.0 / k
 
 
-def transition_profile(x, k: float):
-    """C¹ bridge profile; accepts scalars or numpy arrays."""
+def _bridge(x, k: float, inner, middle):
+    """inner(x) for x ≤ 0, middle(x) for 0 < x ≤ 2k, 0 beyond; x is a number
+    (float path, no numpy) or array-like (numpy.piecewise)."""
     if k <= 0:
         raise ValueError("k must be positive")
+    if isinstance(x, (int, float)):  # numpy.float64 is a float
+        x = float(x)
+        if x <= 0.0:
+            return inner(x)
+        return middle(x) if x <= 2.0 * k else 0.0
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     out = np.piecewise(
         arr,
         [arr <= 0.0, (arr > 0.0) & (arr <= 2.0 * k)],
-        [lambda s: 1.0 / (s - k), lambda s: middle_branch(s, k), 0.0],
+        [inner, middle, 0.0],
     )
     return float(out) if arr.ndim == 0 else out
+
+
+def transition_profile(x, k: float):
+    """C¹ bridge profile; accepts scalars or numpy arrays."""
+    return _bridge(x, k, lambda s: 1.0 / (s - k), lambda s: middle_branch(s, k))
 
 
 def transition_profile_prime(x, k: float):
     """Branchwise derivative of the bridge profile; continuous everywhere
     (value −1/k² at the inner junction, 0 at the outer one)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
     k2 = k * k
-
-    def d_mid(s):
-        return -3.0 * s * s / (2.0 * k2 * k2) + 7.0 * s / (2.0 * k2 * k) - 1.0 / k2
-
-    arr = np.asarray(x, dtype=float)
-    out = np.piecewise(
-        arr,
-        [arr <= 0.0, (arr > 0.0) & (arr <= 2.0 * k)],
-        [lambda s: -1.0 / ((s - k) ** 2), d_mid, 0.0],
+    return _bridge(
+        x,
+        k,
+        lambda s: -1.0 / ((s - k) * (s - k)),
+        lambda s: -3.0 * s * s / (2.0 * k2 * k2) + 7.0 * s / (2.0 * k2 * k) - 1.0 / k2,
     )
-    return float(out) if arr.ndim == 0 else out
 
 
 def damping_factor(R: float, src: GravitySource):

@@ -315,6 +315,33 @@ class TestSubcommandSurface:
         assert json.loads(out.read_text())["v3"] == 0.8
 
 
+class TestStartupImports:
+    """The CLI runs without numpy or scipy: numpy serves only array input to
+    the transition profiles, and scipy only the tests' oracles."""
+
+    def test_import_cli(self):
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import lightclock.cli, sys; "
+             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"],
+            capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stdout) == (0, "[]\n")
+
+    def test_compose_call(self):
+        # -X importtime lists every module the process imports on stderr
+        res = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "lightclock", "compose",
+             "--v1", "0.5", "--v2", "0.5", "--c", "1"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0
+        assert json.loads(res.stdout) == {"v3": 0.8}
+        modules = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()]
+        assert "lightclock.cli" in modules
+        assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy")]
+
+
 # ---------------------------------------------------------------------------
 # in-process: cli.main(argv) under capsys, no subprocess
 
@@ -388,6 +415,10 @@ class TestConfigAndOutputDefects:
             (("metric", "schwarzschild"), {"sweep_R": 5}, "sweep_R"),
             (("metric", "linear"), {"mode": "imaginary"}, "mode"),
             (("compose",), {"c": {"value": 0.0, "unit": "m/s"}}, "c"),
+            (("compose",), {"v1": {"value": math.nan, "unit": "m/s"}}, "v1"),
+            (("compose",), {"c": {"value": math.inf, "unit": "m/s"}}, "c"),
+            (("transition", "H"), {"k": math.nan}, "k"),
+            (("transition", "H"), {"x_max": -math.inf}, "x_max"),
         ],
     )
     def test_wrong_config_type_is_two(self, capsys, tmp_path, argv, payload, name):
@@ -409,10 +440,36 @@ class TestConfigAndOutputDefects:
         assert "'c'" in err
 
     @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("compose", "--v1", "nan", "--v2", "0.1", "--c", "1"), "v1"),
+            (("compose", "--v1", "0.1", "--v2=-inf", "--c", "1"), "v2"),
+            (("radar", "--t1", "1", "--t2", "2", "--t3", "inf", "--c", "1"), "t3"),
+            (("transition", "H", "--k", "NaN"), "k"),
+            (("sim", "counts", "--omega", "1", "--t1", "1", "--L", "inf"), "L"),
+        ],
+    )
+    def test_non_finite_flag_is_two(self, capsys, argv, name):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert repr(name) in err
+
+    def test_non_finite_sweep_is_two(self, capsys):
+        code, out, err = run_main(
+            capsys, "metric", "schwarzschild", "--r0", "1", "--sweep-R", "2:inf:3",
+            "--natural-units",
+        )
+        assert (code, out) == (2, "")
+        assert "sweep" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("metric", "minkowski", "--dt", "1e200"),
             ("sim", "roundtrip", "--omega", "1000", "--t1", "1", "--c", "1"),
+            ("sim", "counts", "--omega", "1", "--t1", "1", "--L", "1", "--n-pulses", "2000",
+             "--natural-units"),
         ],
     )
     def test_overflow_is_one(self, capsys, argv):

@@ -1,7 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from lightclock import (
     LightClockSpec,
@@ -16,6 +18,7 @@ from lightclock import (
     rapidity_from_vE,
     roundtrip,
 )
+from lightclock.medium import IntegrationWarning, _log_kernel_integral
 
 
 def constant_speed(c: float, t1: float = 1.0, a: float = 0.5, b: float = 64.0):
@@ -50,6 +53,36 @@ class TestDistanceProfile:
         sc = constant_speed(1.0, t1=1.0)
         with pytest.raises(ValueError):
             distance_profile(sc, 0.75)
+
+
+class TestLogKernelIntegral:
+    PROFILES = {
+        "constant": lambda t: 1.3,
+        "linear": lambda t: 0.7 * t,
+        "2+sin t": lambda t: 2.0 + math.sin(t),
+        "e^-t": lambda t: math.exp(-t),
+    }
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_agrees_with_quad(self, name):
+        v = self.PROFILES[name]
+        rng = random.Random(2003)
+        for _ in range(150):
+            lo = rng.uniform(0.1, 10.0)
+            hi = lo * rng.uniform(1.001, 20.0)
+            oracle, _ = quad(lambda x: v(x) / x, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert abs(_log_kernel_integral(v, lo, hi) - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+    def test_budget_exhausted_warns(self):
+        # about 640 periods of sin: more than 200 GK15 subintervals resolve
+        with pytest.warns(IntegrationWarning, match="200 subintervals"):
+            value = _log_kernel_integral(self.PROFILES["2+sin t"], 1.0, 4000.0)
+        assert math.isfinite(value)
+
+    def test_non_finite_profile_warns(self):
+        with pytest.warns(IntegrationWarning):
+            value = _log_kernel_integral(lambda t: math.nan, 1.0, 2.0)
+        assert math.isnan(value)
 
 
 class TestMediumVelocity:
@@ -220,6 +253,16 @@ class TestCountTrace:
         assert abs(diagram.t_E - direct.t_E) <= 2.0 * spec.time_unit_u
         assert abs(diagram.r_E - direct.r_E) <= 2.0 * spec.round_trip_length_L
         assert diagram.v_E == pytest.approx(direct.v_E, rel=1e-12)
+
+    def test_overflow_names_pulse(self):
+        # t3 of pulse n is e^{2n}, past the float range from n = 355
+        spec = LightClockSpec(1.0, 1.0)
+        assert len(count_trace(spec, 1.0, 1.0, 354)) == 354
+        with pytest.raises(ValueError, match="pulse 355 overflows"):
+            count_trace(spec, 1.0, 1.0, 2000)
+        # receding times: the first counts overflow, the later ones would not
+        with pytest.raises(ValueError, match="pulse 1 overflows"):
+            count_trace(LightClockSpec(1e-10, 1.0), -50.0, 1e300, 5)
 
     def test_domain(self):
         spec = LightClockSpec(1.0, 1.0)

@@ -43,6 +43,25 @@ class TestProfileValues:
         assert np.allclose(vec, [transition_profile(float(x), 1.0) for x in xs], rtol=0, atol=0)
 
 
+    @pytest.mark.parametrize("k", KS + (0.3,))
+    def test_float_and_array_paths_agree_bitwise(self, k):
+        # either side of each junction, inside each branch, and seeded points
+        # across the cubic, where numpy's x**3 and libm's pow can differ
+        points = [
+            p
+            for x in (0.0, k, 2.0 * k)
+            for p in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+        ] + [-k, 0.5 * k, 1.5 * k, 3.0 * k]
+        points += np.random.default_rng(41).uniform(0.0, 2.0 * k, 200).tolist()
+        for fn in (transition_profile, transition_profile_prime):
+            array = fn(np.array(points), k)
+            for x, expected in zip(points, array):
+                for arg in (x, np.float64(x), np.array(x)):
+                    value = fn(arg, k)
+                    assert type(value) is float
+                    assert value.hex() == float(expected).hex()
+
+
 class TestProfileDerivative:
     def test_inner_junction(self):
         for k in KS:
