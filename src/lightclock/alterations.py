@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import LAMBDA_UNITS
 from .line_elements import (
-    LAMBDA_UNITS,
     GravitySource,
     convert_lambda,
     modified_lambda,

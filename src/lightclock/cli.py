@@ -16,11 +16,10 @@ import os
 import sys
 from typing import Any, Sequence
 
+# each submodule's body runs only when a handler first uses it (see the
+# package docstring), so a call loads just the modules its subcommand needs
 from . import (
-    GravCompareInput,
-    LambdaFactor,
-    MetricPoint,
-    PropagationScenario,
+    LAMBDA_UNITS,
     alterations,
     clocks,
     line_elements,
@@ -63,7 +62,7 @@ _FLOATS_BY_UNIT: dict[str | tuple[str, ...] | None, str] = {
     "kg/m^3": "rho",
     "m^3/(kg s^2)": "G",
     "1/s": "rate",
-    line_elements.LAMBDA_UNITS: "Lambda Lambda1",
+    LAMBDA_UNITS: "Lambda Lambda1",
     None: "gamma g1_p g1_r rs_over_rp rr_over_rp k lam x_min x_max lambda_min lambda_max exponent",
 }
 _UNITS = {name: unit for unit, names in _FLOATS_BY_UNIT.items() for name in names.split()}
@@ -72,7 +71,7 @@ _UNITS = {name: unit for unit, names in _FLOATS_BY_UNIT.items() for name in name
 _OTHER: dict[str, Any] = {
     "n": int, "n_pulses": int, "sweep_R": str, "out": str,
     "mode": ("real", "complex"),
-    "lambda_unit": line_elements.LAMBDA_UNITS,
+    "lambda_unit": LAMBDA_UNITS,
     "model": ("linear", "exponential", "powerlaw"),
 }
 
@@ -108,8 +107,9 @@ def _config_value(name: str, entry: Any, resolved: dict[str, Any]) -> Any:
 
 
 def _load_config(path: str | None, names: Sequence[str]) -> dict[str, Any]:
-    """Read a config file and resolve the fields in ``names``; other fields
-    are ignored."""
+    """Read a config file and resolve the fields in ``names``.  A field that
+    only other subcommands take is ignored, since a config may be shared; one
+    that no subcommand takes is an error."""
     if path is None:
         return {}
     try:
@@ -126,6 +126,8 @@ def _load_config(path: str | None, names: Sequence[str]) -> dict[str, Any]:
     for name, entry in raw.items():
         if name in names:
             resolved[name] = _config_value(name, entry, resolved)
+        elif name not in _DECLARED:
+            raise ConfigError(f"config field {name!r} is not a parameter of any subcommand")
     return resolved
 
 
@@ -281,8 +283,8 @@ def _source(p: Params, force_massless: bool = False) -> line_elements.GravitySou
     return line_elements.GravitySource(mass_M=mass, **common)
 
 
-def _metric_point(p: Params) -> MetricPoint:
-    return MetricPoint(
+def _metric_point(p: Params) -> line_elements.MetricPoint:
+    return line_elements.MetricPoint(
         R=p.get("R", 0.0),
         theta=p.get("theta", math.pi / 2.0),
         dt=p.get("dt", 0.0),
@@ -303,7 +305,7 @@ def _cmd_metric(p: Params) -> dict | tuple:
         return {"ds2": ds2}
 
     if form == "linear":
-        lam = LambdaFactor(
+        lam = line_elements.LambdaFactor(
             v=p.get("v", required=True),
             d=p.get("d", 0.0),
             c=c,
@@ -334,8 +336,13 @@ def _cmd_metric(p: Params) -> dict | tuple:
 
     def row(R: float) -> tuple:
         lam = lam_of(src, R)
+        null_speed = line_elements.null_radial_speed(lam, c)
+        if not (math.isfinite(lam) and math.isfinite(null_speed)):
+            raise ValueError(
+                f"metric at R = {R!r} is not finite: lambda {lam!r}, null speed {null_speed!r}"
+            )
         gamma = math.sqrt(lam) if lam > 0 else math.nan  # nan past a horizon
-        return R, lam, line_elements.null_radial_speed(lam, c), gamma
+        return R, lam, null_speed, gamma
 
     sweep = p.get("sweep_R")
     if sweep is not None:
@@ -394,7 +401,7 @@ def _cmd_dilation(p: Params) -> dict:
         raise ConfigError("rp is required when a cosmological constant is supplied")
     if rp is None:
         rp = 1.0
-    inp = GravCompareInput(
+    inp = alterations.GravCompareInput(
         r_s=rs_over_rp * rp,
         r_P=rp,
         r_R=rr_over_rp * rp,
@@ -468,7 +475,7 @@ def _cmd_sim(p: Params) -> dict | tuple:
         return header, rows
     if mode == "equilinear":
         t1, t2, t3 = p.require("t1", "t2", "t3")
-        scenario = PropagationScenario(
+        scenario = medium.PropagationScenario(
             velocity_profile=lambda _t: c, t1=t1, a=t1, b=t3, c=c
         )
         return vars(medium.equilinear_check(scenario, t1, t2, t3))
@@ -532,6 +539,9 @@ _COMMANDS: dict[str, tuple[str, str, Any, Any]] = {
     "hubble": ("expansion rate and deceleration parameter", "model t rate exponent rho G",
                _cmd_hubble, None),
 }
+
+# every config field: the parameters of all subcommands
+_DECLARED = {"out", "c"}.union(*(names.split() for _, names, _, _ in _COMMANDS.values()))
 
 _HELP = {"sweep_R": "radial sweep start:stop:count emitting CSV"}
 

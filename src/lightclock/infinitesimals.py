@@ -22,7 +22,12 @@ def _check_finite(x: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class Dual:
-    """Number of the form real + eps·ε with ε² = 0."""
+    """Number of the form real + eps·ε with ε² = 0.
+
+    ``<``, ``<=``, ``>`` and ``>=`` compare standard parts only, while ``==``
+    compares both parts: ``Dual(1, 2) <= Dual(1, 3)`` and ``>=`` both hold
+    although ``==`` is False.
+    """
 
     real: float
     eps: float = 0.0

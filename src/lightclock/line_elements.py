@@ -15,12 +15,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from . import LAMBDA_UNITS
 from .infinitesimals import Dual
 
 VelocityTerm = Union[float, Callable[..., float]]
-
-#: supported unit tags for the cosmological constant
-LAMBDA_UNITS = ("s^-2", "m^-2", "cm^-2")
 
 
 @dataclass(frozen=True)

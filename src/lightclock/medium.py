@@ -257,11 +257,23 @@ def equilinear_check(
     w1 is integrated over [t1, t2] on the outgoing profile, w2 over [t2, t3]
     on the return profile (defaulting to the same scenario), w3 over
     [t1, t3]; |w1 + w2 − w3| vanishes by log additivity whenever the two
-    profiles share their standard parts.
+    profiles share their standard parts.  [t1, t3] must lie in the outgoing
+    scenario's [a, b], and [t2, t3] in the return scenario's.
     """
     if not (t1 <= t2 <= t3):
         raise ValueError("need t1 <= t2 <= t3")
     back = sc_back if sc_back is not None else sc
+    if not (sc.a <= t1 and t3 <= sc.b and back.a <= t2 and t3 <= back.b):
+        if t1 < sc.a:
+            name, t, scenario = "t1", t1, sc
+        elif t2 < back.a:
+            name, t, scenario = "t2", t2, back
+        else:
+            name, t, scenario = "t3", t3, sc if t3 > sc.b else back
+        raise ValueError(
+            f"{name} = {t!r} lies outside the scenario's [a, b]"
+            f" = [{scenario.a!r}, {scenario.b!r}]"
+        )
     w1 = 0.0 if t2 == t1 else _log_kernel_integral(sc.velocity_profile, t1, t2)
     w2 = 0.0 if t3 == t2 else _log_kernel_integral(back.velocity_profile, t2, t3)
     w3 = 0.0 if t3 == t1 else _log_kernel_integral(sc.velocity_profile, t1, t3)

@@ -315,9 +315,23 @@ class TestSubcommandSurface:
         assert json.loads(out.read_text())["v3"] == 0.8
 
 
+# The lightclock modules whose body has run: a submodule that is not yet used
+# sits in sys.modules as a lazy placeholder, not as a plain module.
+RAN = ("sorted(n for n, m in sys.modules.items()"
+       " if n.startswith('lightclock.') and type(m) is types.ModuleType)")
+
+
+def python_json(code):
+    """Run ``code`` in a fresh interpreter; its last stdout line is JSON."""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
 class TestStartupImports:
     """The CLI runs without numpy or scipy: numpy serves only array input to
-    the transition profiles, and scipy only the tests' oracles."""
+    the transition profiles, and scipy only the tests' oracles.  Neither
+    ``import lightclock`` nor the CLI runs a submodule before a call uses it."""
 
     def test_import_cli(self):
         res = subprocess.run(
@@ -340,6 +354,47 @@ class TestStartupImports:
         modules = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()]
         assert "lightclock.cli" in modules
         assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy")]
+
+    @pytest.mark.parametrize("module", ["lightclock", "lightclock.cli"])
+    def test_import_runs_no_kernel_module(self, module):
+        ran = python_json(f"import json, sys, types, {module}; print(json.dumps({RAN}))")
+        assert ran == (["lightclock.cli"] if module == "lightclock.cli" else [])
+
+    def test_compose_runs_only_velocity_space(self):
+        ran = python_json(
+            "import json, sys, types; from lightclock import cli; "
+            "cli.main(['compose', '--v1', '0.5', '--v2', '0.5', '--c', '1']); "
+            f"print(json.dumps({RAN}))"
+        )
+        assert ran == ["lightclock.cli", "lightclock.velocity_space"]
+
+    def test_exports_resolve_to_their_modules(self):
+        missing = python_json(
+            "import importlib, json, lightclock; print(json.dumps(["
+            "name for module, names in lightclock._EXPORTS.items() for name in names.split()"
+            " if getattr(lightclock, name)"
+            " is not getattr(importlib.import_module('lightclock.' + module), name)]))"
+        )
+        assert missing == []
+
+    def test_star_import_and_submodule_attributes(self):
+        names = python_json(
+            "import json, lightclock; ns = {}; exec('from lightclock import *', ns); "
+            "assert lightclock.velocity_space.compose_einstein(0.5, 0.5, 1.0) == 0.8; "
+            "print(json.dumps(sorted(set(ns) - {'__builtins__'})))"
+        )
+        import lightclock
+
+        assert names == sorted(lightclock.__all__)
+        assert {"SPEED_OF_LIGHT", "LAMBDA_UNITS", "Dual", "roundtrip"} <= set(names)
+
+    def test_lambda_units_declared_once(self):
+        import lightclock
+        from lightclock import alterations, cli, line_elements
+
+        assert line_elements.LAMBDA_UNITS is lightclock.LAMBDA_UNITS
+        assert alterations.LAMBDA_UNITS is lightclock.LAMBDA_UNITS
+        assert cli._OTHER["lambda_unit"] is lightclock.LAMBDA_UNITS
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +531,35 @@ class TestConfigAndOutputDefects:
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("domain error:")
+
+    def test_unknown_config_field_is_two(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {
+            "t_1": {"value": 1.0, "unit": "s"}, "t1": {"value": 1.0, "unit": "s"},
+            "t2": {"value": 2.0, "unit": "s"}, "t3": {"value": 4.0, "unit": "s"},
+        })
+        code, out, err = run_main(capsys, "radar", "--config", cfg, "--c", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert "'t_1'" in err
+
+    def test_other_subcommands_config_fields_are_ignored(self, capsys, tmp_path):
+        # k belongs to transition; a config may be shared between subcommands
+        cfg = write_config(tmp_path, {
+            "k": 0.5, "t1": {"value": 1.0, "unit": "s"},
+            "t2": {"value": 2.0, "unit": "s"}, "t3": {"value": 4.0, "unit": "s"},
+        })
+        code, out, _ = run_main(capsys, "radar", "--config", cfg, "--c", "1")
+        assert code == 0
+        assert json.loads(out)["t_E"] == 2.5
+
+    def test_non_finite_sweep_row_is_one(self, capsys):
+        code, out, err = run_main(
+            capsys, "metric", "modified", "--r0", "1", "--Lambda", "1e300",
+            "--lambda-unit", "m^-2", "--sweep-R", "1e5:1e6:2", "--natural-units",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error:")
+        assert "R = 100000.0" in err
 
     def test_csv_keeps_nan_gamma_past_horizon(self, capsys):
         code, out, _ = run_main(

@@ -45,6 +45,12 @@ class TestDualArithmetic:
         with pytest.raises(ValueError):
             Dual(0.0, float("inf"))
 
+    def test_ordering_compares_standard_parts_only(self):
+        a, b = Dual(1, 2), Dual(1, 3)
+        assert a <= b and a >= b
+        assert not (a < b or a > b)
+        assert a != b
+
 
 class TestStandardPart:
     def test_plain(self):

@@ -183,6 +183,19 @@ class TestEquilinear:
         # legs with different standard speeds are not equilinear
         assert res.residual == pytest.approx(math.log(2.0), abs=1e-10)
 
+    @pytest.mark.parametrize("times,name", [((0.0, 1.0, 2.0), "t1"), ((1.0, 2.0, 100.0), "t3")])
+    def test_times_outside_scenario_rejected(self, times, name):
+        sc = constant_speed(1.0, a=0.5, b=4.0)
+        with pytest.raises(ValueError, match=f"{name} = .* outside"):
+            equilinear_check(sc, *times)
+
+    def test_return_leg_outside_its_scenario_rejected(self):
+        back = PropagationScenario(lambda t: 2.0, t1=3.0, a=3.0, b=64.0, c=2.0)
+        with pytest.raises(ValueError, match="t2 = 2.0 .* outside"):
+            equilinear_check(constant_speed(1.0), 1.0, 2.0, 4.0, sc_back=back)
+        # the outgoing leg may start before the return scenario does
+        assert equilinear_check(constant_speed(1.0), 1.0, 3.0, 4.0, sc_back=back).w1 > 0
+
 
 class TestParallelPhotonOffset:
     def test_factor_two(self):
