@@ -17,6 +17,7 @@ import sys
 __version__ = "0.1.0"
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+GRAVITATIONAL_CONSTANT = 6.6743e-11  # m^3 kg^-1 s^-2
 
 #: supported unit tags for the cosmological constant
 LAMBDA_UNITS = ("s^-2", "m^-2", "cm^-2")
@@ -51,7 +52,7 @@ _EXPORTS = {
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [*_OWNER, "SPEED_OF_LIGHT", "LAMBDA_UNITS"]
+__all__ = [*_OWNER, "SPEED_OF_LIGHT", "GRAVITATIONAL_CONSTANT", "LAMBDA_UNITS"]
 
 
 def _lazy_submodule(name: str):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import LAMBDA_UNITS
+from . import LAMBDA_UNITS, SPEED_OF_LIGHT
 from .line_elements import (
     GravitySource,
     convert_lambda,
@@ -39,9 +39,15 @@ class AlterationReport:
     clock_rate_ratio: float
 
 
+def _require_unit_interval(what: str, *values: float) -> None:
+    """ValueError "<what> must lie in (0, 1]" unless every value does."""
+    for value in values:
+        if not (0.0 < value <= 1.0):
+            raise ValueError(f"{what} must lie in (0, 1]")
+
+
 def alteration_report(gamma: float) -> AlterationReport:
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
+    _require_unit_interval("gamma", gamma)
     return AlterationReport(
         gamma=gamma,
         frequency_ratio=gamma,
@@ -62,12 +68,12 @@ class GravCompareInput:
     Lambda: float = 0.0  # attached to the P-side factor
     Lambda1: float | None = None  # R-side; defaults to Lambda
     lambda_unit: str = "s^-2"
-    c: float = 299792458.0
+    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        if self.r_s < 0:
+        if not self.r_s >= 0:
             raise ValueError("r_s must be non-negative")
-        if self.r_P < self.r_s or self.r_R < self.r_s:
+        if not (self.r_P >= self.r_s and self.r_R >= self.r_s):
             raise ValueError("both radii must lie at or outside r_s")
         if self.lambda_unit not in LAMBDA_UNITS:
             raise ValueError(
@@ -103,8 +109,7 @@ def transverse_doppler(nu_s: float, gamma: float) -> float:
     """Emitted-frequency alteration nu_m = gamma * nu_s."""
     if nu_s <= 0:
         raise ValueError("frequency must be positive")
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
+    _require_unit_interval("gamma", gamma)
     return gamma * nu_s
 
 
@@ -144,8 +149,7 @@ def separated_operator_check(
     delta_s = f'/f at gamma*t_m must satisfy delta_s = delta_m/gamma; the
     absolute difference (central differences, step h) is returned.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
+    _require_unit_interval("gamma", gamma)
 
     def log_rate(g: Callable[[float], float], t: float) -> float:
         g0 = g(t)
@@ -174,22 +178,19 @@ def gravitational_clock_compare(inp: GravCompareInput) -> float:
 
 def frequency_compare(g1_P: float, g1_R: float, nu_R: float) -> float:
     """Solve sqrt(g1(P))·nu_P = sqrt(g1(R))·nu_R for nu_P."""
-    if not (0.0 < g1_P <= 1.0) or not (0.0 < g1_R <= 1.0):
-        raise ValueError("g1 factors must lie in (0, 1]")
+    _require_unit_interval("g1 factors", g1_P, g1_R)
     return math.sqrt(g1_R / g1_P) * nu_R
 
 
 def altered_light_speed(g1: float, c: float) -> float:
     """Comparative light speed sqrt(g1)·c at the deeper position."""
-    if not (0.0 < g1 <= 1.0):
-        raise ValueError("g1 must lie in (0, 1]")
+    _require_unit_interval("g1", g1)
     return math.sqrt(g1) * c
 
 
 def rate_of_change_compare(
     g1_P: float, g1_R: float, dQ_P_per_second: float
 ) -> float:
-    """Solve sqrt(g1(P))·rate_P = sqrt(g1(R))·rate_R for the R-side rate."""
-    if not (0.0 < g1_P <= 1.0) or not (0.0 < g1_R <= 1.0):
-        raise ValueError("g1 factors must lie in (0, 1]")
-    return math.sqrt(g1_P / g1_R) * dQ_P_per_second
+    """Solve sqrt(g1(P))·rate_P = sqrt(g1(R))·rate_R for the R-side rate:
+    the frequency law with the two positions swapped."""
+    return frequency_compare(g1_R, g1_P, dQ_P_per_second)

@@ -20,6 +20,7 @@ from typing import Any, Sequence
 # package docstring), so a call loads just the modules its subcommand needs
 from . import (
     LAMBDA_UNITS,
+    SPEED_OF_LIGHT,
     alterations,
     clocks,
     line_elements,
@@ -29,7 +30,6 @@ from . import (
     velocity_space,
 )
 
-DEFAULT_C = 299792458.0
 DEFAULT_TRANSITION_K = 1e-3
 
 
@@ -149,7 +149,7 @@ class Params:
                     raise ConfigError(f"parameter {name!r} must be finite, got {value!r}")
         c = self.args.get("c")
         if c is None:
-            c = 1.0 if self.args.get("natural_units") else self.config.get("c", DEFAULT_C)
+            c = 1.0 if self.args.get("natural_units") else self.config.get("c", SPEED_OF_LIGHT)
         if not 0.0 < c < math.inf:
             raise ConfigError(f"parameter 'c' must be positive and finite, got {c!r}")
         self.c = c
@@ -166,16 +166,15 @@ class Params:
         """The values of ``names`` in order; each must be given."""
         return tuple(self.get(name, required=True) for name in names)
 
+    def given(self, *names: str) -> dict[str, Any]:
+        """The parameters among ``names`` that were given, as keyword
+        arguments, so that the kernel's own defaults cover the rest."""
+        return {name: value for name in names if (value := self.get(name)) is not None}
+
 
 def _format_value(x: Any) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (bool, int, str)):
-        return str(x)
-    try:
-        return repr(float(x))  # numpy scalars and friends
-    except (TypeError, ValueError):
-        return str(x)
+    # float() first: numpy.float64 is a float whose repr is "np.float64(...)"
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -243,7 +242,7 @@ def _cmd_compose(p: Params) -> dict:
 
 
 def _cmd_lorentz(p: Params) -> dict:
-    event = velocity_space.Event4(*p.require("t", "x"), p.get("y", 0.0), p.get("z", 0.0))
+    event = velocity_space.Event4(*p.require("t", "x"), **p.given("y", "z"))
     moved = velocity_space.lorentz_transform(event, p.get("v3", required=True), p.c)
     return {
         **vars(moved),
@@ -266,12 +265,7 @@ def _cmd_triangle(p: Params) -> dict:
 
 
 def _source(p: Params, force_massless: bool = False) -> line_elements.GravitySource:
-    common = dict(
-        G=p.get("G", 6.6743e-11),
-        c=p.c,
-        Lambda=p.get("Lambda", 0.0),
-        lambda_unit=p.get("lambda_unit", "s^-2"),
-    )
+    common = dict(c=p.c, **p.given("G", "Lambda", "lambda_unit"))
     if force_massless:
         return line_elements.GravitySource(mass_M=0.0, **common)
     r0 = p.get("r0")
@@ -285,12 +279,7 @@ def _source(p: Params, force_massless: bool = False) -> line_elements.GravitySou
 
 def _metric_point(p: Params) -> line_elements.MetricPoint:
     return line_elements.MetricPoint(
-        R=p.get("R", 0.0),
-        theta=p.get("theta", math.pi / 2.0),
-        dt=p.get("dt", 0.0),
-        dR=p.get("dR", 0.0),
-        dtheta=p.get("dtheta", 0.0),
-        dphi=p.get("dphi", 0.0),
+        R=p.get("R", 0.0), **p.given("theta", "dt", "dR", "dtheta", "dphi")
     )
 
 
@@ -305,12 +294,7 @@ def _cmd_metric(p: Params) -> dict | tuple:
         return {"ds2": ds2}
 
     if form == "linear":
-        lam = line_elements.LambdaFactor(
-            v=p.get("v", required=True),
-            d=p.get("d", 0.0),
-            c=c,
-            mode=p.get("mode", "real"),
-        )
+        lam = line_elements.LambdaFactor(v=p.get("v", required=True), c=c, **p.given("d", "mode"))
         ds2 = line_elements.linear_interval(lam, p.get("dt", 0.0), p.get("dr", 0.0), c)
         return {"lambda": lam.value(), "ds2": ds2}
 
@@ -394,21 +378,15 @@ def _cmd_alter(p: Params) -> dict:
 
 def _cmd_dilation(p: Params) -> dict:
     rs_over_rp, rr_over_rp = p.require("rs_over_rp", "rr_over_rp")
-    Lambda = p.get("Lambda", 0.0)
-    Lambda1 = p.get("Lambda1")
-    rp = p.get("rp")
-    if (Lambda or Lambda1) and rp is None:
+    if (p.get("Lambda") or p.get("Lambda1")) and p.get("rp") is None:
         raise ConfigError("rp is required when a cosmological constant is supplied")
-    if rp is None:
-        rp = 1.0
+    rp = p.get("rp", 1.0)
     inp = alterations.GravCompareInput(
         r_s=rs_over_rp * rp,
         r_P=rp,
         r_R=rr_over_rp * rp,
-        Lambda=Lambda,
-        Lambda1=Lambda1,
-        lambda_unit=p.get("lambda_unit", "s^-2"),
         c=p.c,
+        **p.given("Lambda", "Lambda1", "lambda_unit"),
     )
     return {"ratio": alterations.gravitational_clock_compare(inp)}
 
@@ -496,13 +474,11 @@ def _cmd_hubble(p: Params) -> dict:
         scale = lambda tt: rate * tt
     elif model == "exponential":
         rate = p.get("rate", required=True)
-        scale = lambda tt: (tt * rate).exp() if hasattr(tt * rate, "exp") else math.exp(rate * tt)
+        scale = lambda tt: (tt * rate).exp()  # tt is a Dual
     else:  # powerlaw
         exponent = p.get("exponent", required=True)
         scale = lambda tt: tt**exponent
-    rates = line_elements.hubble_deceleration(
-        scale, t, rho=p.get("rho"), G=p.get("G", 6.6743e-11)
-    )
+    rates = line_elements.hubble_deceleration(scale, t, **p.given("rho", "G"))
     # friedmann_residual is reported only when a density was given
     return {key: value for key, value in vars(rates).items() if value is not None}
 

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import SPEED_OF_LIGHT
+
 
 @dataclass(frozen=True)
 class LightClockSpec:
     """Round-trip path length and local light speed of one clock."""
 
     round_trip_length_L: float  # meters, full to-and-fro path
-    light_speed_c: float = 299792458.0  # m/s
+    light_speed_c: float = SPEED_OF_LIGHT  # m/s
 
     def __post_init__(self):
-        if self.round_trip_length_L <= 0:
+        if not self.round_trip_length_L > 0:
             raise ValueError("round_trip_length_L must be positive")
-        if self.light_speed_c <= 0:
+        if not self.light_speed_c > 0:
             raise ValueError("light_speed_c must be positive")
 
     @property
@@ -42,9 +44,9 @@ class CountPair:
     count_b: float
 
     def __post_init__(self):
-        if self.count_a < 0 or self.count_b < 0:
+        if not (self.count_a >= 0 and self.count_b >= 0):
             raise ValueError("counter readings must be non-negative")
-        if self.count_b < self.count_a:
+        if not self.count_b >= self.count_a:
             raise ValueError("count_b must not precede count_a")
 
 

@@ -101,10 +101,7 @@ class Dual:
                 raise ZeroDivisionError(
                     "infinitesimal division: divisor has zero standard part"
                 )
-            return Dual(
-                self.real**n, n * self.real ** (n - 1) * self.eps
-            )
-        if self.real <= 0.0:
+        elif self.real <= 0.0:
             raise ValueError("fractional power of a non-positive dual")
         return Dual(
             self.real**n, n * self.real ** (n - 1) * self.eps

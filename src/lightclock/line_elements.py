@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from . import LAMBDA_UNITS
+from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT
 from .infinitesimals import Dual
 
 VelocityTerm = Union[float, Callable[..., float]]
@@ -32,7 +32,7 @@ class LambdaFactor:
 
     v: VelocityTerm
     d: VelocityTerm = 0.0
-    c: float = 299792458.0
+    c: float = SPEED_OF_LIGHT
     mode: str = "real"
 
     def __post_init__(self):
@@ -55,13 +55,13 @@ class GravitySource:
     cosmological constant whose unit must be declared explicitly."""
 
     mass_M: float  # kg
-    G: float = 6.6743e-11  # m^3 kg^-1 s^-2
-    c: float = 299792458.0  # m/s
+    G: float = GRAVITATIONAL_CONSTANT  # m^3 kg^-1 s^-2
+    c: float = SPEED_OF_LIGHT  # m/s
     Lambda: float = 0.0
     lambda_unit: str = "s^-2"
 
     def __post_init__(self):
-        if self.mass_M < 0:
+        if not self.mass_M >= 0:
             raise ValueError("mass must be non-negative")
         if self.lambda_unit not in LAMBDA_UNITS:
             raise ValueError(
@@ -91,8 +91,8 @@ def convert_lambda(value: float, unit: str, c: float) -> float:
 
 def source_from_r0(
     r0: float,
-    c: float = 299792458.0,
-    G: float = 6.6743e-11,
+    c: float = SPEED_OF_LIGHT,
+    G: float = GRAVITATIONAL_CONSTANT,
     Lambda: float = 0.0,
     lambda_unit: str = "s^-2",
 ) -> GravitySource:
@@ -125,10 +125,14 @@ def minkowski_interval(dt, dx, dy, dz, c: float):
     return (c * dt) * (c * dt) - dx * dx - dy * dy - dz * dz
 
 
-def _angular(p: MetricPoint):
-    return (p.R * p.R) * (
-        math.sin(p.theta) ** 2 * p.dphi * p.dphi + p.dtheta * p.dtheta
-    )
+def radial_form(lam_val: float, dt, dR, c: float):
+    """lambda·(c dt)² − dR²/lambda, shared by the radial and linear forms."""
+    return lam_val * (c * dt) * (c * dt) - (dR * dR) / lam_val
+
+
+def angular_term(R, theta, dtheta, dphi):
+    """R²(sin²θ dφ² + dθ²)."""
+    return (R * R) * (math.sin(theta) ** 2 * dphi * dphi + dtheta * dtheta)
 
 
 def radial_interval(lam: LambdaFactor, p: MetricPoint, c: float):
@@ -140,11 +144,7 @@ def radial_interval(lam: LambdaFactor, p: MetricPoint, c: float):
 def radial_interval_value(lam_val: float, p: MetricPoint, c: float):
     if lam_val == 0.0:
         raise ValueError(f"singular surface: lambda vanishes at R={p.R}")
-    return (
-        lam_val * (c * p.dt) * (c * p.dt)
-        - (p.dR * p.dR) / lam_val
-        - _angular(p)
-    )
+    return radial_form(lam_val, p.dt, p.dR, c) - angular_term(p.R, p.theta, p.dtheta, p.dphi)
 
 
 def linear_interval(lam: LambdaFactor, dt, dr, c: float):
@@ -152,7 +152,7 @@ def linear_interval(lam: LambdaFactor, dt, dr, c: float):
     lam_val = lam.value()
     if lam_val == 0.0:
         raise ValueError("singular surface: lambda vanishes")
-    return lam_val * (c * dt) * (c * dt) - (dr * dr) / lam_val
+    return radial_form(lam_val, dt, dr, c)
 
 
 def schwarzschild_lambda(src: GravitySource, R: float) -> float:
@@ -263,7 +263,8 @@ def robertson_walker_interval(a: float, p: MetricPoint, c: float):
     curvature = 1.0 - (p.R / (c * a)) ** 2
     if curvature <= 0.0:
         raise ValueError("curvature singularity in spatial factor: R >= c*a")
-    return (c * p.dt) * (c * p.dt) - (p.dR * p.dR) / curvature - _angular(p)
+    angular = angular_term(p.R, p.theta, p.dtheta, p.dphi)
+    return (c * p.dt) * (c * p.dt) - (p.dR * p.dR) / curvature - angular
 
 
 def newtonian_first_approx(src: GravitySource, r: float, dt, dr, c: float):
@@ -320,7 +321,7 @@ def hubble_deceleration(
     a: Callable[[Dual], Dual],
     t: float,
     rho: float | None = None,
-    G: float = 6.6743e-11,
+    G: float = GRAVITATIONAL_CONSTANT,
 ) -> ExpansionRates:
     """H = a'/a and q = −(1 + H'/H²) for a scale function a(t).
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
+from . import SPEED_OF_LIGHT
 from .clocks import LightClockSpec
 from .radar import RadarRecord, record_from_rapidity
 
@@ -82,7 +83,7 @@ class PropagationScenario:
     t1: float
     a: float
     b: float
-    c: float = 299792458.0
+    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if not (0.0 < self.a < self.b):

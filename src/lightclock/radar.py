@@ -36,9 +36,9 @@ class Rapidity:
     c: float  # m/s
 
     def __post_init__(self):
-        if self.omega < 0:
+        if not self.omega >= 0:
             raise ValueError("medium velocity must be non-negative")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be positive")
 
 
@@ -80,9 +80,7 @@ def rapidity_from_vE(v_E: float, c: float) -> Rapidity:
 
 def record_from_rapidity(omega: float, c: float, t1: float) -> RadarRecord:
     """Record (t1, t1·e^{omega/c}, t1·e^{2omega/c}); satisfies the
-    geometric-mean law by construction."""
-    if t1 <= 0:
-        raise ValueError("invalid medium time: t1 must be positive")
+    geometric-mean law by construction (RadarRecord checks t1)."""
     if omega < 0:
         raise ValueError("medium velocity must be non-negative")
     q = math.exp(omega / c)

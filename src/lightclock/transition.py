@@ -11,12 +11,13 @@ transformation dU = dt + f·dR.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .line_elements import (
     GravitySource,
     MetricPoint,
+    angular_term,
+    radial_form,
     radial_interval_value,
     schwarzschild_lambda,
 )
@@ -38,10 +39,8 @@ def middle_branch(x, k: float):
     branches with matching value and slope."""
     if k <= 0:
         raise ValueError("k must be positive")
-    k2 = k * k
-    # x*x*x, not x**3: numpy's vectorised power can differ from libm's pow in
-    # the last bit, and the float and array paths must agree exactly
-    return -(x * x * x) / (2.0 * k2 * k2) + 7.0 * x * x / (4.0 * k2 * k) - x / k2 - 1.0 / k
+    s = x / k  # Horner's rule in x/k: no power of k to overflow
+    return (((-0.5 * s + 1.75) * s - 1.0) * s - 1.0) / k
 
 
 def _bridge(x, k: float, inner, middle):
@@ -73,13 +72,12 @@ def transition_profile(x, k: float):
 def transition_profile_prime(x, k: float):
     """Branchwise derivative of the bridge profile; continuous everywhere
     (value −1/k² at the inner junction, 0 at the outer one)."""
-    k2 = k * k
-    return _bridge(
-        x,
-        k,
-        lambda s: -1.0 / ((s - k) * (s - k)),
-        lambda s: -3.0 * s * s / (2.0 * k2 * k2) + 7.0 * s / (2.0 * k2 * k) - 1.0 / k2,
-    )
+
+    def middle(lam):
+        s = lam / k
+        return ((-1.5 * s + 3.5) * s - 1.0) / (k * k)
+
+    return _bridge(x, k, lambda s: -1.0 / ((s - k) * (s - k)), middle)
 
 
 def damping_factor(R: float, src: GravitySource):
@@ -107,7 +105,7 @@ def black_hole_interval(lamval, dU, dR, R, theta, dtheta, dphi, c: float):
     return (
         lamval * (c * dU) * (c * dU)
         - 2.0 * c * dU * dR
-        - (R * R) * (math.sin(theta) ** 2 * dphi * dphi + dtheta * dtheta)
+        - angular_term(R, theta, dtheta, dphi)
     )
 
 
@@ -153,14 +151,12 @@ def partial_interval(
         value = (lam - k) * (c * dtime) * (c * dtime) - 2.0 * c * dtime * dR
         return PartialInterval(value=value, branch="interior")
     if lam >= 2.0 * k:
-        value = (lam - k) * (c * dtime) * (c * dtime) - (dR * dR) / (lam - k)
-        return PartialInterval(value=value, branch="exterior")
-    if lam == k:
+        branch, shifted = "exterior", dtime
+    elif lam == k:
         raise ValueError("transition singularity at lambda=k")
-    g = middle_branch(lam, k)
-    shifted = dtime - g * dR / c
-    value = (lam - k) * (c * shifted) * (c * shifted) - (dR * dR) / (lam - k)
-    return PartialInterval(value=value, branch="transition")
+    else:
+        branch, shifted = "transition", dtime - middle_branch(lam, k) * dR / c
+    return PartialInterval(value=radial_form(lam - k, shifted, dR, c), branch=branch)
 
 
 def photon_families(lamval: float, k: float, c: float) -> tuple[float, float]:

@@ -569,6 +569,19 @@ class TestConfigAndOutputDefects:
         assert code == 0
         assert out.splitlines()[-1] == "1.5,-1.25,1.25,nan"
 
+    def test_wide_transition_profile_is_finite(self, capsys):
+        code, out, _ = run_main(capsys, "transition", "H", "--k", "1e200", "--n", "3")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    def test_numpy_scalars_print_as_floats(self, capsys):
+        import numpy as np
+
+        cli.emit_plot_data(("a", "b"), [(np.float64(0.1), np.float32(0.1))], None)
+        assert capsys.readouterr().out == "a,b\n0.1,0.1\n"
+
     def test_plain_and_tagged_dimensionless_config(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"k": {"value": 0.5, "unit": "1"}, "n": 3})
         code, out, _ = run_main(capsys, "transition", "H", "--config", cfg)

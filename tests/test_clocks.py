@@ -1,9 +1,14 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lightclock import (
     CountPair,
+    GravCompareInput,
+    GravitySource,
     LightClockSpec,
+    Rapidity,
     counts_for_length,
     distance_from_counts,
     einstein_from_count_diagram,
@@ -28,6 +33,29 @@ class TestSpec:
             CountPair(3.0, 2.0)
         with pytest.raises(ValueError):
             CountPair(-1.0, 2.0)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: LightClockSpec(NAN), "round_trip_length_L must be positive"),
+        (lambda: LightClockSpec(1.0, NAN), "light_speed_c must be positive"),
+        (lambda: CountPair(NAN, NAN), "counter readings must be non-negative"),
+        (lambda: CountPair(1.0, NAN), "counter readings must be non-negative"),
+        (lambda: CountPair(NAN, 1.0), "counter readings must be non-negative"),
+        (lambda: GravitySource(mass_M=NAN), "mass must be non-negative"),
+        (lambda: Rapidity(omega=NAN, c=1.0), "medium velocity must be non-negative"),
+        (lambda: Rapidity(omega=1.0, c=NAN), "c must be positive"),
+        (lambda: GravCompareInput(r_s=NAN, r_P=1.0, r_R=2.0), "r_s must be non-negative"),
+        (lambda: GravCompareInput(r_s=0.5, r_P=NAN, r_R=2.0), "both radii must lie"),
+    ],
+)
+def test_constructor_guards_reject_nan(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestTimeFromCounts:

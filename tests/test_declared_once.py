@@ -1,0 +1,87 @@
+"""Each physical constant and each kernel default is declared in one place:
+c and G in the package, the defaults of optional parameters in the kernel
+signatures, which the CLI leaves to the kernel when a parameter is omitted."""
+
+import inspect
+import json
+import math
+
+import pytest
+
+import lightclock
+from lightclock import (
+    GravCompareInput,
+    GravitySource,
+    LambdaFactor,
+    LightClockSpec,
+    PropagationScenario,
+    cli,
+    hubble_deceleration,
+    source_from_r0,
+)
+
+
+def _default(obj, name):
+    return inspect.signature(obj).parameters[name].default
+
+
+@pytest.mark.parametrize(
+    "obj,name",
+    [
+        (LightClockSpec, "light_speed_c"),
+        (LambdaFactor, "c"),
+        (GravitySource, "c"),
+        (source_from_r0, "c"),
+        (PropagationScenario, "c"),
+        (GravCompareInput, "c"),
+    ],
+)
+def test_light_speed_defaults_are_the_package_constant(obj, name):
+    assert _default(obj, name) is lightclock.SPEED_OF_LIGHT
+
+
+@pytest.mark.parametrize(
+    "obj", [GravitySource, source_from_r0, hubble_deceleration]
+)
+def test_gravitational_constant_defaults_are_the_package_constant(obj):
+    assert _default(obj, "G") is lightclock.GRAVITATIONAL_CONSTANT
+
+
+def test_constants():
+    assert lightclock.SPEED_OF_LIGHT == 299792458.0
+    assert lightclock.GRAVITATIONAL_CONSTANT == 6.6743e-11
+    assert "GRAVITATIONAL_CONSTANT" in lightclock.__all__
+    assert not hasattr(cli, "DEFAULT_C")
+
+
+def _stdout(capsys, argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, ""), err
+    return out
+
+
+HALF_PI = repr(math.pi / 2.0)
+
+
+@pytest.mark.parametrize(
+    "argv,spelt_out",
+    [
+        (["metric", "schwarzschild", "--r0", "1e4", "--R", "3e4", "--dt", "1e-3",
+          "--dR", "20", "--dphi", "1e-4"],
+         ["--G", "6.6743e-11", "--Lambda", "0", "--lambda-unit", "s^-2",
+          "--theta", HALF_PI, "--dtheta", "0"]),
+        (["metric", "linear", "--v", "0.3", "--dt", "1", "--dr", "0.5", "--natural-units"],
+         ["--d", "0", "--mode", "real"]),
+        (["lorentz", "--t", "1", "--x", "0.5", "--v3", "0.3", "--c", "1"],
+         ["--y", "0", "--z", "0"]),
+        (["dilation", "--rs-over-rp", "0.5", "--rr-over-rp", "4"],
+         ["--Lambda", "0", "--lambda-unit", "s^-2"]),
+        (["hubble", "--model", "powerlaw", "--exponent", "0.5", "--t", "2", "--rho", "1e-26"],
+         ["--G", "6.6743e-11"]),
+    ],
+)
+def test_omitted_parameter_takes_the_kernel_default(capsys, argv, spelt_out):
+    omitted = _stdout(capsys, argv)
+    assert omitted == _stdout(capsys, argv + spelt_out)
+    assert json.loads(omitted)

@@ -62,6 +62,15 @@ class TestProfileValues:
                     assert value.hex() == float(expected).hex()
 
 
+    @pytest.mark.parametrize("k", [1e200, 1e300])
+    def test_wide_bridge_stays_finite(self, k):
+        # Horner's rule in x/k: no power of k overflows inside the cubic
+        assert middle_branch(2.0 * k, k) == 0.0
+        for x in (0.5 * k, k, 1.5 * k, 2.0 * k):
+            assert math.isfinite(transition_profile(x, k))
+            assert math.isfinite(transition_profile_prime(x, k))
+
+
 class TestProfileDerivative:
     def test_inner_junction(self):
         for k in KS:
