@@ -1,10 +1,12 @@
 """Command-line surface: scenario configuration, batch evaluation, and
 table/plot-data emission.
 
-Parameters come from flags or from a JSON config file (flags win).  Physical
-quantities in config files carry explicit unit tags; a mismatch is a config
-error (exit 2).  Domain errors from the core exit 1.  Output is JSON for
-single results and CSV for sweeps, both byte-deterministic.
+Parameters come from flags or from a JSON config file (flags win).  Each
+(command, mode) reads the parameters its row in ``_COMMANDS`` declares; a
+flag it does not read is a config error (exit 2).  Physical quantities in
+config files carry explicit unit tags; a mismatch is a config error too.
+Domain errors from the core exit 1.  Output is JSON for single results and
+CSV for sweeps, both byte-deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Any, Sequence
 
 # each submodule's body runs only when a handler first uses it (see the
@@ -103,13 +106,18 @@ def _config_value(name: str, entry: Any, resolved: dict[str, Any]) -> Any:
     if isinstance(entry, bool) or not isinstance(entry, (int, float) if kind is float else kind):
         what = "a number" if kind is float else f"a JSON {kind.__name__}"
         raise ConfigError(f"config field {name!r} must be {what}, got {entry!r}")
-    return entry if unit is None else float(entry)
+    if unit is None:
+        return entry
+    try:
+        return float(entry)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"config field {name!r} is too large for a float") from None
 
 
 def _load_config(path: str | None, names: Sequence[str]) -> dict[str, Any]:
     """Read a config file and resolve the fields in ``names``.  A field that
-    only other subcommands take is ignored, since a config may be shared; one
-    that no subcommand takes is an error."""
+    only other subcommands or modes take is ignored, since a config may be
+    shared; one that none takes is an error."""
     if path is None:
         return {}
     try:
@@ -117,7 +125,7 @@ def _load_config(path: str | None, names: Sequence[str]) -> dict[str, Any]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -131,22 +139,48 @@ def _load_config(path: str | None, names: Sequence[str]) -> dict[str, Any]:
     return resolved
 
 
-class Params:
-    """Flag/config merge: flags win, then config, then defaults.
+def _names(spec: str) -> list[str]:
+    """The parameter names of a row's spec, alternatives and groups split."""
+    return spec.replace("|", " ").replace(",", " ").split()
 
-    The light speed ``c`` is resolved on construction: --c, then
-    --natural-units (c = 1), then the config, then SI.
+
+def _flags(rows: dict) -> list[str]:
+    """The flags of a subcommand: every parameter any of its rows reads."""
+    return list(dict.fromkeys(name for spec, _ in rows.values() for name in _names(spec)))
+
+
+class Params:
+    """The row of a call's (command, mode) and its flag/config merge: flags
+    win, then config, then defaults.
+
+    A flag the row does not read is a config error, and so is giving a
+    parameter from each side of one of its alternatives ``a|b`` (flag and
+    config merged).  The light speed ``c`` is resolved on construction:
+    --c, then --natural-units (c = 1), then the config, then SI.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
-        names = _COMMANDS[args.command][1].split() + ["out", "c"]
-        self.config = _load_config(self.args.get("config"), names)
+        _, dest, rows = _COMMANDS[args.command]
+        mode = self.args.get(dest)  # None for a command without modes
+        spec, self.handler = rows[mode]
+        self.label = f"{args.command} {mode}" if mode else args.command
+        self.names = _names(spec) + ["out", "c"]
+        self.config = _load_config(self.args.get("config"), self.names)
+        unread = [n for n in _flags(rows) if n not in self.names and self.args.get(n) is not None]
+        if unread:
+            raise ConfigError(
+                f"{self.label} does not read {', '.join(map(repr, unread))}; it reads {spec}"
+            )
         # argparse's float() and json.load both accept nan and inf
-        for name in names:
+        for name in self.names:
             for value in (self.args.get(name), self.config.get(name)):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"parameter {name!r} must be finite, got {value!r}")
+        for pair in (token.split("|") for token in spec.split() if "|" in token):
+            a, b = ([n for n in side.split(",") if self.get(n) is not None] for side in pair)
+            if a and b:
+                raise ConfigError(f"give {a[0]!r} or {b[0]!r}, not both")
         c = self.args.get("c")
         if c is None:
             c = 1.0 if self.args.get("natural_units") else self.config.get("c", SPEED_OF_LIGHT)
@@ -155,6 +189,7 @@ class Params:
         self.c = c
 
     def get(self, name: str, default: Any = None, required: bool = False) -> Any:
+        assert name in self.names, f"{self.label} reads {name!r} but its row does not declare it"
         value = self.args.get(name)
         if value is None:
             value = self.config.get(name, default)
@@ -170,6 +205,11 @@ class Params:
         """The parameters among ``names`` that were given, as keyword
         arguments, so that the kernel's own defaults cover the rest."""
         return {name: value for name in names if (value := self.get(name)) is not None}
+
+    def summary(self) -> str:
+        """The parameters given and the light speed, as name=value pairs."""
+        given = {**self.given(*self.names), "c": self.c}
+        return " ".join(f"{name}={value!r}" for name, value in given.items())
 
 
 def _format_value(x: Any) -> str:
@@ -203,23 +243,31 @@ def emit_plot_data(
     _write_text("\n".join(lines) + "\n", out)
 
 
+def _sweep(start: float, stop: float, count: int, name: str) -> list[float]:
+    """``count`` evenly spaced points from ``start`` to ``stop``; ``name``
+    is the parameter that gave the count."""
+    if count < 2:
+        raise ConfigError(f"{name!r} must count at least 2 points, got {count}")
+    step = (stop - start) / (count - 1)
+    if not math.isfinite(step):
+        raise ConfigError(f"{name!r}: the step from {start!r} to {stop!r} overflows")
+    return [start + i * step for i in range(count)]
+
+
 def _parse_sweep(text: str) -> list[float]:
     try:
         start_s, stop_s, count_s = text.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError as exc:
-        raise ConfigError(f"sweep must look like start:stop:count, got {text!r}") from exc
-    if count < 2:
-        raise ConfigError("sweep count must be at least 2")
+        raise ConfigError(f"'sweep_R' must look like start:stop:count, got {text!r}") from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"sweep start and stop must be finite, got {text!r}")
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+        raise ConfigError(f"'sweep_R' start and stop must be finite, got {text!r}")
+    return _sweep(start, stop, count, "sweep_R")
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns a dict (emitted as JSON) or a
-# (header, rows) pair (emitted as CSV)
+# command handlers, one per (command, mode) row: each returns a dict (emitted
+# as JSON) or a (header, rows) pair (emitted as CSV)
 
 
 def _cmd_radar(p: Params) -> dict:
@@ -264,16 +312,15 @@ def _cmd_triangle(p: Params) -> dict:
     }
 
 
-def _source(p: Params, force_massless: bool = False) -> line_elements.GravitySource:
-    common = dict(c=p.c, **p.given("G", "Lambda", "lambda_unit"))
-    if force_massless:
-        return line_elements.GravitySource(mass_M=0.0, **common)
+def _source(p: Params, *names: str) -> line_elements.GravitySource:
+    """The source given by r0 or mass, and G, plus the parameters ``names``."""
+    common = dict(c=p.c, **p.given("G", *names))
     r0 = p.get("r0")
-    mass = p.get("mass")
-    if r0 is None and mass is None:
-        raise ConfigError("need either r0 or mass")
     if r0 is not None:
         return line_elements.source_from_r0(r0, **common)
+    mass = p.get("mass")
+    if mass is None:
+        raise ConfigError("need either r0 or mass")
     return line_elements.GravitySource(mass_M=mass, **common)
 
 
@@ -283,40 +330,37 @@ def _metric_point(p: Params) -> line_elements.MetricPoint:
     )
 
 
-def _cmd_metric(p: Params) -> dict | tuple:
+def _metric_minkowski(p: Params) -> dict:
+    ds2 = line_elements.minkowski_interval(
+        p.get("dt", 0.0), p.get("dx", 0.0), p.get("dy", 0.0), p.get("dz", 0.0), p.c
+    )
+    return {"ds2": ds2}
+
+
+def _metric_linear(p: Params) -> dict:
+    lam = line_elements.LambdaFactor(v=p.get("v", required=True), c=p.c, **p.given("d", "mode"))
+    ds2 = line_elements.linear_interval(lam, p.get("dt", 0.0), p.get("dr", 0.0), p.c)
+    return {"lambda": lam.value(), "ds2": ds2}
+
+
+def _metric_rw(p: Params) -> dict:
+    ds2 = line_elements.robertson_walker_interval(
+        p.get("a", required=True), _metric_point(p), p.c
+    )
+    return {"ds2": ds2}
+
+
+def _metric_approx(p: Params) -> dict:
+    src = _source(p)
+    ds2 = line_elements.newtonian_first_approx(
+        src, p.get("r", required=True), p.get("dt", 0.0), p.get("dr", 0.0), p.c
+    )
+    return {"ds2": ds2, "field_strength": src.schwarzschild_r0 / p.get("r")}
+
+
+def _radial_metric(p: Params, src: line_elements.GravitySource, lam_of: Any) -> dict | tuple:
+    """The factor ``lam_of(src, R)`` at the point R, or over sweep_R as CSV."""
     c = p.c
-    form = p.get("form")
-
-    if form == "minkowski":
-        ds2 = line_elements.minkowski_interval(
-            p.get("dt", 0.0), p.get("dx", 0.0), p.get("dy", 0.0), p.get("dz", 0.0), c
-        )
-        return {"ds2": ds2}
-
-    if form == "linear":
-        lam = line_elements.LambdaFactor(v=p.get("v", required=True), c=c, **p.given("d", "mode"))
-        ds2 = line_elements.linear_interval(lam, p.get("dt", 0.0), p.get("dr", 0.0), c)
-        return {"lambda": lam.value(), "ds2": ds2}
-
-    if form == "rw":
-        ds2 = line_elements.robertson_walker_interval(
-            p.get("a", required=True), _metric_point(p), c
-        )
-        return {"ds2": ds2}
-
-    if form == "approx":
-        src = _source(p)
-        ds2 = line_elements.newtonian_first_approx(
-            src, p.get("r", required=True), p.get("dt", 0.0), p.get("dr", 0.0), c
-        )
-        return {"ds2": ds2, "field_strength": src.schwarzschild_r0 / p.get("r")}
-
-    # Schwarzschild family: schwarzschild | modified | desitter
-    src = _source(p, force_massless=(form == "desitter"))
-    if form == "schwarzschild":
-        lam_of = line_elements.schwarzschild_lambda
-    else:
-        lam_of = line_elements.modified_schwarzschild_lambda
 
     def row(R: float) -> tuple:
         lam = lam_of(src, R)
@@ -351,29 +395,24 @@ def _cmd_radar_distance(p: Params) -> dict:
 
 
 def _cmd_horizon(p: Params) -> dict:
-    return {"roots": line_elements.horizon_roots(_source(p))}
+    return {"roots": line_elements.horizon_roots(_source(p, "Lambda", "lambda_unit"))}
 
 
-def _cmd_alter(p: Params) -> dict:
-    effect = p.get("effect")
-    if effect == "total-doppler":
-        nu_s = p.get("nu_s", required=True)
-        received = alterations.total_doppler(nu_s, p.get("v", required=True), p.c)
-        return {"nu_received": received, "ratio": received / nu_s}
+def _alteration(p: Params, rest: str, key: str, kernel: Any) -> dict:
+    """``kernel(rest value, gamma)`` under ``key``, gamma given or from v."""
     gamma = p.get("gamma")
     if gamma is None:
         v = p.get("v")
         if v is None:
             raise ConfigError("need either gamma or v")
         gamma = alterations.gamma_special(v, p.c)
-    if effect == "doppler":
-        nu_m = alterations.transverse_doppler(p.get("nu_s", required=True), gamma)
-        return {"gamma": gamma, "nu_m": nu_m}
-    if effect == "decay":
-        tau_m = alterations.decay_lifetime(p.get("tau_s", required=True), gamma)
-        return {"gamma": gamma, "tau_m": tau_m}
-    mass_m = alterations.mass_alteration(p.get("mass_s", required=True), gamma)
-    return {"gamma": gamma, "mass_m": mass_m}
+    return {"gamma": gamma, key: kernel(p.get(rest, required=True), gamma)}
+
+
+def _alter_total_doppler(p: Params) -> dict:
+    nu_s = p.get("nu_s", required=True)
+    received = alterations.total_doppler(nu_s, p.get("v", required=True), p.c)
+    return {"nu_received": received, "ratio": received / nu_s}
 
 
 def _cmd_dilation(p: Params) -> dict:
@@ -395,30 +434,37 @@ def _cmd_compare_frequency(p: Params) -> dict:
     return {"nu_p": alterations.frequency_compare(*p.require("g1_p", "g1_r", "nu_r"))}
 
 
-def _cmd_transition(p: Params) -> dict | tuple:
-    c = p.c
-    mode = p.get("mode")
+def _transition_H(p: Params) -> tuple:
     k = p.get("k", DEFAULT_TRANSITION_K)
-    if mode == "H":
-        x_min = p.get("x_min", -5.0 * k)
-        x_max = p.get("x_max", 5.0 * k)
-        n = p.get("n", 101)
-        grid = sorted(set(_parse_sweep(f"{x_min}:{x_max}:{n}") + [0.0, 2.0 * k]))
-        grid = [x for x in grid if x_min <= x <= x_max]
-        rows = [
-            (
-                x,
-                transition.transition_profile(x, k),
-                transition.transition_profile_prime(x, k),
-            )
-            for x in grid
-        ]
-        return ("x_dimensionless", "H_dimensionless", "H_prime_dimensionless"), rows
-    if mode == "interval":
-        return vars(transition.partial_interval(
-            p.get("lam", required=True), k, p.get("dt", 0.0), p.get("dR", 0.0), c
-        ))
-    # photons: one lambda as JSON, or a fan over [lambda_min, lambda_max] as CSV
+    x_min = p.get("x_min", -5.0 * k)
+    x_max = p.get("x_max", 5.0 * k)
+    n = p.get("n", 101)
+    if x_min > x_max:
+        raise ConfigError(f"'x_min' = {x_min!r} exceeds 'x_max' = {x_max!r}")
+    grid = sorted(set(_sweep(x_min, x_max, n, "n") + [0.0, 2.0 * k]))
+    grid = [x for x in grid if x_min <= x <= x_max]
+    rows = [
+        (
+            x,
+            transition.transition_profile(x, k),
+            transition.transition_profile_prime(x, k),
+        )
+        for x in grid
+    ]
+    return ("x_dimensionless", "H_dimensionless", "H_prime_dimensionless"), rows
+
+
+def _transition_interval(p: Params) -> dict:
+    k = p.get("k", DEFAULT_TRANSITION_K)
+    return vars(transition.partial_interval(
+        p.get("lam", required=True), k, p.get("dt", 0.0), p.get("dR", 0.0), p.c
+    ))
+
+
+def _transition_photons(p: Params) -> dict | tuple:
+    """One lambda as JSON, or a fan over [lambda_min, lambda_max] as CSV."""
+    c = p.c
+    k = p.get("k", DEFAULT_TRANSITION_K)
     lam = p.get("lam")
     if lam is not None:
         plus, minus = transition.photon_families(lam, k, c)
@@ -427,39 +473,43 @@ def _cmd_transition(p: Params) -> dict | tuple:
     lam_max = p.get("lambda_max", 2.0 * k)
     n = p.get("n", 101)
     rows = []
-    for lam_val in _parse_sweep(f"{lam_min}:{lam_max}:{n}"):
+    for lam_val in _sweep(lam_min, lam_max, n, "n"):
         plus, minus = transition.photon_families(lam_val, k, c)
         rows.append((lam_val, plus, minus))
     return ("lambda_dimensionless", "speed_plus_m_per_s", "speed_minus_m_per_s"), rows
 
 
-def _cmd_sim(p: Params) -> dict | tuple:
+def _sim_roundtrip(p: Params) -> dict:
+    t1, omega = p.require("t1", "omega")
+    rec = radar.record_from_rapidity(omega, p.c, t1)
+    return {**vars(rec), "geometric_mean_ok": radar.check_geometric_mean(rec, _tolerance())}
+
+
+def _sim_counts(p: Params) -> tuple:
+    spec = clocks.LightClockSpec(
+        round_trip_length_L=p.get("L", required=True), light_speed_c=p.c
+    )
+    trace = medium.count_trace(spec, *p.require("omega", "t1"), p.get("n_pulses", 3))
+    rows = [
+        (i + 1, row.tau1, row.tau2, row.tau3, row.t1, row.t2, row.t3)
+        for i, row in enumerate(trace)
+    ]
+    header = ("pulse_index", "tau1_ticks", "tau2_ticks", "tau3_ticks", "t1_s", "t2_s", "t3_s")
+    return header, rows
+
+
+def _sim_equilinear(p: Params) -> dict:
     c = p.c
-    mode = p.get("mode")
-    if mode == "roundtrip":
-        t1, omega = p.require("t1", "omega")
-        rec = radar.record_from_rapidity(omega, c, t1)
-        return {**vars(rec), "geometric_mean_ok": radar.check_geometric_mean(rec, _tolerance())}
-    if mode == "counts":
-        spec = clocks.LightClockSpec(
-            round_trip_length_L=p.get("L", required=True), light_speed_c=c
-        )
-        trace = medium.count_trace(spec, *p.require("omega", "t1"), p.get("n_pulses", 3))
-        rows = [
-            (i + 1, row.tau1, row.tau2, row.tau3, row.t1, row.t2, row.t3)
-            for i, row in enumerate(trace)
-        ]
-        header = ("pulse_index", "tau1_ticks", "tau2_ticks", "tau3_ticks", "t1_s", "t2_s", "t3_s")
-        return header, rows
-    if mode == "equilinear":
-        t1, t2, t3 = p.require("t1", "t2", "t3")
-        scenario = medium.PropagationScenario(
-            velocity_profile=lambda _t: c, t1=t1, a=t1, b=t3, c=c
-        )
-        return vars(medium.equilinear_check(scenario, t1, t2, t3))
-    # offset
+    t1, t2, t3 = p.require("t1", "t2", "t3")
+    scenario = medium.PropagationScenario(
+        velocity_profile=lambda _t: c, t1=t1, a=t1, b=t3, c=c
+    )
+    return vars(medium.equilinear_check(scenario, t1, t2, t3))
+
+
+def _sim_offset(p: Params) -> dict:
     u, omega, dt_emit = p.require("u", "omega", "dt_emit")
-    separation, classical = medium.parallel_photon_offset(u, omega, c, dt_emit)
+    separation, classical = medium.parallel_photon_offset(u, omega, p.c, dt_emit)
     return {
         "separation": separation,
         "classical": classical,
@@ -469,6 +519,10 @@ def _cmd_sim(p: Params) -> dict | tuple:
 
 def _cmd_hubble(p: Params) -> dict:
     model, t = p.require("model", "t")
+    # powerlaw reads exponent; the other models read rate
+    unread = "rate" if model == "powerlaw" else "exponent"
+    if p.get(unread) is not None:
+        raise ConfigError(f"hubble --model {model} does not read {unread!r}")
     if model == "linear":
         rate = p.get("rate", 1.0)
         scale = lambda tt: rate * tt
@@ -486,40 +540,74 @@ def _cmd_hubble(p: Params) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 
-# subcommand: (help, parameters, handler, positional (dest, choices) or
-# None); every subcommand also takes --config, --out, --c and --natural-units
-_COMMANDS: dict[str, tuple[str, str, Any, Any]] = {
-    "radar": ("Einstein measures of a radar record", "t1 t2 t3", _cmd_radar, None),
-    "compose": ("Einstein velocity composition", "v1 v2", _cmd_compose, None),
-    "lorentz": ("x-aligned boost of an event", "t x y z v3", _cmd_lorentz, None),
-    "triangle": ("solve a hyperbolic velocity triangle", "omega1 omega2 omega3",
-                 _cmd_triangle, None),
-    "metric": ("evaluate a line element",
-               "dt dx dy dz dr dR dtheta dphi theta v d a R r r0 mass G Lambda"
-               " mode lambda_unit sweep_R", _cmd_metric,
-               ("form", "minkowski linear schwarzschild modified desitter rw approx")),
-    "radar-distance": ("radial pulse coordinate flight time", "r0 mass G R1 R2",
-                       _cmd_radar_distance, None),
-    "horizon": ("horizon radii of the modified factor", "r0 mass G Lambda lambda_unit",
-                _cmd_horizon, None),
-    "alter": ("physical alteration ratios", "nu_s tau_s mass_s v gamma", _cmd_alter,
-              ("effect", "doppler total-doppler decay mass")),
-    "dilation": ("gravitational clock-rate comparison",
-                 "rs_over_rp rr_over_rp rp Lambda Lambda1 lambda_unit", _cmd_dilation, None),
-    "compare-frequency": ("two-position frequency comparison", "g1_p g1_r nu_r",
-                          _cmd_compare_frequency, None),
-    "transition": ("transition-zone machinery", "k lam x_min x_max lambda_min lambda_max dt dR n",
-                   _cmd_transition, ("mode", "H interval photons")),
-    "sim": ("medium-propagation simulator", "omega t1 t2 t3 L u dt_emit n_pulses", _cmd_sim,
-            ("mode", "roundtrip counts equilinear offset")),
-    "hubble": ("expansion rate and deceleration parameter", "model t rate exponent rho G",
-               _cmd_hubble, None),
+# subcommand: (help, dest of its positional mode or None, rows); a row maps a
+# mode (None when there are none) to (the parameters it reads, its handler).
+# "a|b" in a row lets a call give either side, not both; a side may be a
+# comma-joined group.  Every row also reads --out and --c; every subcommand
+# also takes --config and --natural-units.
+_POINT_OR_SWEEP = "R,theta,dt,dR,dtheta,dphi|sweep_R"
+_COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, Any]]]] = {
+    "radar": ("Einstein measures of a radar record", None, {None: ("t1 t2 t3", _cmd_radar)}),
+    "compose": ("Einstein velocity composition", None, {None: ("v1 v2", _cmd_compose)}),
+    "lorentz": ("x-aligned boost of an event", None, {None: ("t x y z v3", _cmd_lorentz)}),
+    "triangle": ("solve a hyperbolic velocity triangle", None,
+                 {None: ("omega1 omega2 omega3", _cmd_triangle)}),
+    "metric": ("evaluate a line element", "form", {
+        "minkowski": ("dt dx dy dz", _metric_minkowski),
+        "linear": ("v d mode dt dr", _metric_linear),
+        "schwarzschild": (f"r0|mass G {_POINT_OR_SWEEP}", lambda p: _radial_metric(
+            p, _source(p), line_elements.schwarzschild_lambda)),
+        "modified": (f"r0|mass G Lambda lambda_unit {_POINT_OR_SWEEP}", lambda p: _radial_metric(
+            p, _source(p, "Lambda", "lambda_unit"), line_elements.modified_schwarzschild_lambda)),
+        "desitter": (f"Lambda lambda_unit {_POINT_OR_SWEEP}", lambda p: _radial_metric(
+            p, line_elements.GravitySource(0.0, c=p.c, **p.given("Lambda", "lambda_unit")),
+            line_elements.modified_schwarzschild_lambda)),
+        "rw": ("a R theta dt dR dtheta dphi", _metric_rw),
+        "approx": ("r0|mass G r dt dr", _metric_approx),
+    }),
+    "radar-distance": ("radial pulse coordinate flight time", None,
+                       {None: ("r0|mass G R1 R2", _cmd_radar_distance)}),
+    "horizon": ("horizon radii of the modified factor", None,
+                {None: ("r0|mass G Lambda lambda_unit", _cmd_horizon)}),
+    "alter": ("physical alteration ratios", "effect", {
+        "doppler": ("nu_s gamma|v", lambda p: _alteration(
+            p, "nu_s", "nu_m", alterations.transverse_doppler)),
+        "total-doppler": ("nu_s v", _alter_total_doppler),
+        "decay": ("tau_s gamma|v", lambda p: _alteration(
+            p, "tau_s", "tau_m", alterations.decay_lifetime)),
+        "mass": ("mass_s gamma|v", lambda p: _alteration(
+            p, "mass_s", "mass_m", alterations.mass_alteration)),
+    }),
+    "dilation": ("gravitational clock-rate comparison", None,
+                 {None: ("rs_over_rp rr_over_rp rp Lambda Lambda1 lambda_unit", _cmd_dilation)}),
+    "compare-frequency": ("two-position frequency comparison", None,
+                          {None: ("g1_p g1_r nu_r", _cmd_compare_frequency)}),
+    "transition": ("transition-zone machinery", "mode", {
+        "H": ("k x_min x_max n", _transition_H),
+        "interval": ("k lam dt dR", _transition_interval),
+        "photons": ("k lam|lambda_min,lambda_max,n", _transition_photons),
+    }),
+    "sim": ("medium-propagation simulator", "mode", {
+        "roundtrip": ("t1 omega", _sim_roundtrip),
+        "counts": ("L omega t1 n_pulses", _sim_counts),
+        "equilinear": ("t1 t2 t3", _sim_equilinear),
+        "offset": ("u omega dt_emit", _sim_offset),
+    }),
+    "hubble": ("expansion rate and deceleration parameter", None,
+               {None: ("model t rate exponent rho G", _cmd_hubble)}),
 }
 
-# every config field: the parameters of all subcommands
-_DECLARED = {"out", "c"}.union(*(names.split() for _, names, _, _ in _COMMANDS.values()))
+# every config field: the parameters of all rows
+_DECLARED = {"out", "c"}.union(*(_flags(rows) for _, _, rows in _COMMANDS.values()))
 
 _HELP = {"sweep_R": "radial sweep start:stop:count emitting CSV"}
+
+
+def _epilog(dest: str | None, rows: dict) -> str:
+    """The parameters each mode reads, for --help."""
+    head = f"parameters read by each {dest}" if dest else "parameters read"
+    lines = [f"  {mode:14}{spec}" if mode else f"  {spec}" for mode, (spec, _) in rows.items()]
+    return f"{head} (a|b: a or b, not both; a,b: a group), plus --out and --c:\n" + "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,17 +616,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic light-clock kinematics engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names, handler, positional) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
-        if positional is not None:
-            sp.add_argument(positional[0], choices=positional[1].split())
+    for command, (help_text, dest, rows) in _COMMANDS.items():
+        sp = sub.add_parser(
+            command, help=help_text, epilog=_epilog(dest, rows),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        if dest is not None:
+            sp.add_argument(dest, choices=list(rows))
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--c", type=float, help="light speed in m/s")
         sp.add_argument(
             "--natural-units", action="store_true", help="set c = 1 unless --c is given"
         )
-        for name in names.split():
+        for name in _flags(rows):
             kind = _OTHER.get(name, float)
             choices = kind if isinstance(kind, tuple) else None
             sp.add_argument(
@@ -548,16 +639,33 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=choices,
                 help=_HELP.get(name),
             )
-        sp.set_defaults(func=handler)
     return parser
+
+
+def _check_finite(result: dict | tuple) -> None:
+    """Raise FloatingPointError naming the first output key or CSV column
+    with a value that is not finite; a sweep's gamma column is nan past a
+    horizon by design."""
+    if isinstance(result, dict):
+        cells = ((k, x) for k, v in result.items() for x in (v if isinstance(v, list) else [v]))
+    else:
+        header, rows = result
+        cells = ((k, x) for row in rows for k, x in zip(header, row) if not k.startswith("gamma"))
+    for key, x in cells:
+        if isinstance(x, float) and not math.isfinite(x):
+            raise FloatingPointError(f"output {key!r} is not finite: {x!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = Params(args)
-        result = args.func(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            params = Params(args)
+            result = params.handler(params)
+            _check_finite(result)
         if isinstance(result, dict):
             emit_json(result, params.get("out"))
         else:
@@ -567,7 +675,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+        # an ArithmeticError is where no kernel checks its domain first
+        print(f"domain error: {params.label}: {exc} (given {params.summary()})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

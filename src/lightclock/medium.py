@@ -27,7 +27,7 @@ from typing import Callable
 
 from . import SPEED_OF_LIGHT
 from .clocks import LightClockSpec
-from .radar import RadarRecord, record_from_rapidity
+from .radar import RadarRecord, _rapidity_factor, record_from_rapidity
 
 _QUAD_TOL = 1e-12
 _QUAD_LIMIT = 200  # subintervals
@@ -289,7 +289,7 @@ def parallel_photon_offset(
     classical u·dt_emit."""
     if dt_emit <= 0:
         raise ValueError("emission gap must be positive")
-    return (u * math.exp(omega / c) * dt_emit, u * dt_emit)
+    return (u * _rapidity_factor(omega, c) * dt_emit, u * dt_emit)
 
 
 def count_trace(
@@ -308,7 +308,7 @@ def count_trace(
     if t1 <= 0:
         raise ValueError("invalid medium time: t1 must be positive")
     u = spec.time_unit_u
-    q = math.exp(omega / spec.light_speed_c)
+    q = _rapidity_factor(omega, spec.light_speed_c)
     rows: list[PulseCounts] = []
     start = t1
     for _ in range(n_pulses):

@@ -8,6 +8,7 @@ rapidity through exp(omega/c) = sqrt(t3/t1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .clocks import EinsteinMeasures
@@ -78,10 +79,20 @@ def rapidity_from_vE(v_E: float, c: float) -> Rapidity:
     return Rapidity(omega=c * math.atanh(abs(v_E) / c), c=c)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows just past it
+
+
+def _rapidity_factor(omega: float, c: float) -> float:
+    """e^{omega/c}; a ValueError names omega and c where it overflows."""
+    if not omega / c <= _LOG_FLOAT_MAX:
+        raise ValueError(f"exp(omega/c) overflows for omega = {omega!r}, c = {c!r}")
+    return math.exp(omega / c)
+
+
 def record_from_rapidity(omega: float, c: float, t1: float) -> RadarRecord:
     """Record (t1, t1·e^{omega/c}, t1·e^{2omega/c}); satisfies the
     geometric-mean law by construction (RadarRecord checks t1)."""
     if omega < 0:
         raise ValueError("medium velocity must be non-negative")
-    q = math.exp(omega / c)
+    q = _rapidity_factor(omega, c)
     return RadarRecord(t1=t1, t2=t1 * q, t3=t1 * q * q)

@@ -11,6 +11,7 @@ transformation dU = dt + f·dR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .line_elements import (
@@ -53,7 +54,10 @@ def _bridge(x, k: float, inner, middle):
         if x <= 0.0:
             return inner(x)
         return middle(x) if x <= 2.0 * k else 0.0
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ImportError("array input needs numpy: install lightclock[array]") from exc
 
     arr = np.asarray(x, dtype=float)
     out = np.piecewise(
@@ -72,6 +76,8 @@ def transition_profile(x, k: float):
 def transition_profile_prime(x, k: float):
     """Branchwise derivative of the bridge profile; continuous everywhere
     (value −1/k² at the inner junction, 0 at the outer one)."""
+    if 0.0 < k and (k * k == 0.0 or 1.0 / (k * k) == math.inf):
+        raise ValueError(f"k = {k!r} is too small: 1/k² overflows")
 
     def middle(lam):
         s = lam / k

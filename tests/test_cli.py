@@ -403,11 +403,33 @@ class TestStartupImports:
 from lightclock import cli
 
 
+# each subcommand's parameters in the order they had when one list served all
+# its modes (the other subcommands' rows list them in that order): the first
+# case of each (command, parameter) keeps its place, and so its test id
+_ORDER_BEFORE_ROWS = {
+    "metric": "dt dx dy dz dr dR dtheta dphi theta v d a R r r0 mass G Lambda mode"
+              " lambda_unit sweep_R",
+    "alter": "nu_s tau_s mass_s v gamma",
+    "transition": "k lam x_min x_max lambda_min lambda_max dt dR n",
+    "sim": "omega t1 t2 t3 L u dt_emit n_pulses",
+}
+
+
 def _table_params():
-    for command, (_, names, _, positional) in cli._COMMANDS.items():
-        mode = [positional[1].split()[0]] if positional else []
-        for name in names.split() + ["out", "c"]:
-            yield command, mode, name
+    """Every (command, mode, parameter) of the table's rows: first each
+    (command, parameter) once, with the first mode that reads it, then the
+    pairs of the other modes."""
+    rest = []
+    for command, (_, _, rows) in cli._COMMANDS.items():
+        specs = {mode: cli._names(spec) + ["out", "c"] for mode, (spec, _) in rows.items()}
+        order = _ORDER_BEFORE_ROWS.get(command, " ".join(cli._flags(rows))).split()
+        for name in order + ["out", "c"]:
+            mode = next(mode for mode, names in specs.items() if name in names)
+            yield command, [mode] if mode else [], name
+            specs[mode].remove(name)
+        rest += [(command, [mode] if mode else [], name)
+                 for mode, names in specs.items() for name in names]
+    yield from rest
 
 
 TABLE_PARAMS = list(_table_params())

@@ -69,8 +69,7 @@ HALF_PI = repr(math.pi / 2.0)
     [
         (["metric", "schwarzschild", "--r0", "1e4", "--R", "3e4", "--dt", "1e-3",
           "--dR", "20", "--dphi", "1e-4"],
-         ["--G", "6.6743e-11", "--Lambda", "0", "--lambda-unit", "s^-2",
-          "--theta", HALF_PI, "--dtheta", "0"]),
+         ["--G", "6.6743e-11", "--theta", HALF_PI, "--dtheta", "0"]),
         (["metric", "linear", "--v", "0.3", "--dt", "1", "--dr", "0.5", "--natural-units"],
          ["--d", "0", "--mode", "real"]),
         (["lorentz", "--t", "1", "--x", "0.5", "--v3", "0.3", "--c", "1"],
@@ -79,6 +78,8 @@ HALF_PI = repr(math.pi / 2.0)
          ["--Lambda", "0", "--lambda-unit", "s^-2"]),
         (["hubble", "--model", "powerlaw", "--exponent", "0.5", "--t", "2", "--rho", "1e-26"],
          ["--G", "6.6743e-11"]),
+        (["metric", "modified", "--r0", "1e4", "--R", "3e4"],
+         ["--Lambda", "0", "--lambda-unit", "s^-2"]),
     ],
 )
 def test_omitted_parameter_takes_the_kernel_default(capsys, argv, spelt_out):
