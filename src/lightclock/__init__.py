@@ -22,6 +22,13 @@ GRAVITATIONAL_CONSTANT = 6.6743e-11  # m^3 kg^-1 s^-2
 #: supported unit tags for the cosmological constant
 LAMBDA_UNITS = ("s^-2", "m^-2", "cm^-2")
 
+
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """n points as numpy.linspace computes them: start + i·step, then stop."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
+
+
 # the names each submodule exports at package level
 _EXPORTS = {
     "infinitesimals": "Dual derivative dual_arith infinitely_close standard_part",

@@ -10,8 +10,8 @@ the two-position square-root-ratio laws.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from . import LAMBDA_UNITS, SPEED_OF_LIGHT
 from .line_elements import (

@@ -17,13 +17,14 @@ import math
 import os
 import sys
 import warnings
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 # each submodule's body runs only when a handler first uses it (see the
 # package docstring), so a call loads just the modules its subcommand needs
 from . import (
     LAMBDA_UNITS,
     SPEED_OF_LIGHT,
+    _linspace,
     alterations,
     clocks,
     line_elements,
@@ -71,7 +72,7 @@ _FLOATS_BY_UNIT: dict[str | tuple[str, ...] | None, str] = {
 _UNITS = {name: unit for unit, names in _FLOATS_BY_UNIT.items() for name in names.split()}
 
 # the other parameters: their type, or the tuple of strings they may take
-_OTHER: dict[str, Any] = {
+_OTHER: dict[str, object] = {
     "n": int, "n_pulses": int, "sweep_R": str, "out": str,
     "mode": ("real", "complex"),
     "lambda_unit": LAMBDA_UNITS,
@@ -79,7 +80,7 @@ _OTHER: dict[str, Any] = {
 }
 
 
-def _config_value(name: str, entry: Any, resolved: dict[str, Any]) -> Any:
+def _config_value(name: str, entry: object, resolved: dict[str, object]) -> object:
     """Check one config field against its declared unit or type and strip
     its unit tag."""
     kind, unit = _OTHER.get(name, float), _UNITS.get(name)
@@ -114,7 +115,7 @@ def _config_value(name: str, entry: Any, resolved: dict[str, Any]) -> Any:
         raise ConfigError(f"config field {name!r} is too large for a float") from None
 
 
-def _load_config(path: str | None, names: Sequence[str]) -> dict[str, Any]:
+def _load_config(path: str | None, names: Sequence[str]) -> dict[str, object]:
     """Read a config file and resolve the fields in ``names``.  A field that
     only other subcommands or modes take is ignored, since a config may be
     shared; one that none takes is an error."""
@@ -130,7 +131,7 @@ def _load_config(path: str | None, names: Sequence[str]) -> dict[str, Any]:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
 
-    resolved: dict[str, Any] = {}
+    resolved: dict[str, object] = {}
     for name, entry in raw.items():
         if name in names:
             resolved[name] = _config_value(name, entry, resolved)
@@ -188,7 +189,7 @@ class Params:
             raise ConfigError(f"parameter 'c' must be positive and finite, got {c!r}")
         self.c = c
 
-    def get(self, name: str, default: Any = None, required: bool = False) -> Any:
+    def get(self, name: str, default: object = None, required: bool = False) -> object:
         assert name in self.names, f"{self.label} reads {name!r} but its row does not declare it"
         value = self.args.get(name)
         if value is None:
@@ -201,7 +202,7 @@ class Params:
         """The values of ``names`` in order; each must be given."""
         return tuple(self.get(name, required=True) for name in names)
 
-    def given(self, *names: str) -> dict[str, Any]:
+    def given(self, *names: str) -> dict[str, object]:
         """The parameters among ``names`` that were given, as keyword
         arguments, so that the kernel's own defaults cover the rest."""
         return {name: value for name in names if (value := self.get(name)) is not None}
@@ -212,7 +213,7 @@ class Params:
         return " ".join(f"{name}={value!r}" for name, value in given.items())
 
 
-def _format_value(x: Any) -> str:
+def _format_value(x: object) -> str:
     # float() first: numpy.float64 is a float whose repr is "np.float64(...)"
     return repr(float(x)) if isinstance(x, float) else str(x)
 
@@ -225,13 +226,13 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def emit_json(obj: dict[str, Any], out: str | None) -> None:
+def emit_json(obj: dict[str, object], out: str | None) -> None:
     """Strict JSON: a non-finite value raises ValueError."""
     _write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def emit_plot_data(
-    header: Sequence[str], rows: Sequence[Sequence[Any]], out: str | None
+    header: Sequence[str], rows: Sequence[Sequence[object]], out: str | None
 ) -> None:
     """CSV with a header naming columns and units, LF endings, and floats
     printed at full round-trip precision."""
@@ -248,21 +249,27 @@ def _sweep(start: float, stop: float, count: int, name: str) -> list[float]:
     is the parameter that gave the count."""
     if count < 2:
         raise ConfigError(f"{name!r} must count at least 2 points, got {count}")
-    step = (stop - start) / (count - 1)
-    if not math.isfinite(step):
+    if not math.isfinite((stop - start) / (count - 1)):
         raise ConfigError(f"{name!r}: the step from {start!r} to {stop!r} overflows")
-    return [start + i * step for i in range(count)]
+    return _linspace(start, stop, count)
 
 
 def _parse_sweep(text: str) -> list[float]:
+    """start:stop:count[:log]: evenly spaced in R, or in ln R with :log."""
+    log = text.endswith(":log")
     try:
-        start_s, stop_s, count_s = text.split(":")
+        start_s, stop_s, count_s = text.removesuffix(":log").split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError as exc:
-        raise ConfigError(f"'sweep_R' must look like start:stop:count, got {text!r}") from exc
+        raise ConfigError(f"'sweep_R' must look like start:stop:count[:log], got {text!r}") from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"'sweep_R' start and stop must be finite, got {text!r}")
-    return _sweep(start, stop, count, "sweep_R")
+    if not log:
+        return _sweep(start, stop, count, "sweep_R")
+    if not (start > 0.0 and stop > 0.0):
+        raise ConfigError(f"'sweep_R' log spacing needs a positive start and stop, got {text!r}")
+    grid = [math.exp(x) for x in _sweep(math.log(start), math.log(stop), count, "sweep_R")]
+    return [start, *grid[1:-1], stop]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +365,7 @@ def _metric_approx(p: Params) -> dict:
     return {"ds2": ds2, "field_strength": src.schwarzschild_r0 / p.get("r")}
 
 
-def _radial_metric(p: Params, src: line_elements.GravitySource, lam_of: Any) -> dict | tuple:
+def _radial_metric(p: Params, src: line_elements.GravitySource, lam_of: object) -> dict | tuple:
     """The factor ``lam_of(src, R)`` at the point R, or over sweep_R as CSV."""
     c = p.c
 
@@ -398,7 +405,7 @@ def _cmd_horizon(p: Params) -> dict:
     return {"roots": line_elements.horizon_roots(_source(p, "Lambda", "lambda_unit"))}
 
 
-def _alteration(p: Params, rest: str, key: str, kernel: Any) -> dict:
+def _alteration(p: Params, rest: str, key: str, kernel: object) -> dict:
     """``kernel(rest value, gamma)`` under ``key``, gamma given or from v."""
     gamma = p.get("gamma")
     if gamma is None:
@@ -519,13 +526,13 @@ def _sim_offset(p: Params) -> dict:
 
 def _cmd_hubble(p: Params) -> dict:
     model, t = p.require("model", "t")
-    # powerlaw reads exponent; the other models read rate
-    unread = "rate" if model == "powerlaw" else "exponent"
-    if p.get(unread) is not None:
-        raise ConfigError(f"hubble --model {model} does not read {unread!r}")
+    # the names each model does not read: the rate of a = rate·t cancels out of H
+    unread = {"linear": ("rate", "exponent"), "exponential": ("exponent",), "powerlaw": ("rate",)}
+    for name in unread[model]:
+        if p.get(name) is not None:
+            raise ConfigError(f"hubble --model {model} does not read {name!r}")
     if model == "linear":
-        rate = p.get("rate", 1.0)
-        scale = lambda tt: rate * tt
+        scale = lambda tt: tt
     elif model == "exponential":
         rate = p.get("rate", required=True)
         scale = lambda tt: (tt * rate).exp()  # tt is a Dual
@@ -546,7 +553,7 @@ def _cmd_hubble(p: Params) -> dict:
 # comma-joined group.  Every row also reads --out and --c; every subcommand
 # also takes --config and --natural-units.
 _POINT_OR_SWEEP = "R,theta,dt,dR,dtheta,dphi|sweep_R"
-_COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, Any]]]] = {
+_COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, object]]]] = {
     "radar": ("Einstein measures of a radar record", None, {None: ("t1 t2 t3", _cmd_radar)}),
     "compose": ("Einstein velocity composition", None, {None: ("v1 v2", _cmd_compose)}),
     "lorentz": ("x-aligned boost of an event", None, {None: ("t x y z v3", _cmd_lorentz)}),
@@ -600,7 +607,7 @@ _COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, Any]]]] 
 # every config field: the parameters of all rows
 _DECLARED = {"out", "c"}.union(*(_flags(rows) for _, _, rows in _COMMANDS.values()))
 
-_HELP = {"sweep_R": "radial sweep start:stop:count emitting CSV"}
+_HELP = {"sweep_R": "radial sweep start:stop:count[:log] emitting CSV"}
 
 
 def _epilog(dest: str | None, rows: dict) -> str:

@@ -9,10 +9,8 @@ definition, not as an approximation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Union
-
-Number = Union[int, float]
 
 
 def _check_finite(x: float, what: str) -> None:
@@ -188,7 +186,7 @@ def dual_arith(a: Dual, b: Dual, op: str) -> Dual:
     raise ValueError(f"unknown dual operation {op!r}")
 
 
-def standard_part(a: Union[Dual, Number]) -> float:
+def standard_part(a: Dual | int | float) -> float:
     """Extract the real number infinitely close to a finite dual."""
     return _real_of(a)
 

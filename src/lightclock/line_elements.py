@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Union
 
 from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT
 from .infinitesimals import Dual
-
-VelocityTerm = Union[float, Callable[..., float]]
 
 
 @dataclass(frozen=True)
@@ -30,8 +28,8 @@ class LambdaFactor:
     reversed process) gives 1 + (v+d)²/c².
     """
 
-    v: VelocityTerm
-    d: VelocityTerm = 0.0
+    v: float | Callable[..., float]
+    d: float | Callable[..., float] = 0.0
     c: float = SPEED_OF_LIGHT
     mode: str = "real"
 
@@ -67,6 +65,9 @@ class GravitySource:
             raise ValueError(
                 f"lambda_unit must be one of {LAMBDA_UNITS}, got {self.lambda_unit!r}"
             )
+        if not math.isfinite(self.schwarzschild_r0):
+            raise ValueError(f"the Schwarzschild radius 2GM/c² of mass {self.mass_M!r} kg"
+                             f" with G = {self.G!r} is not finite")
 
     @property
     def schwarzschild_r0(self) -> float:

@@ -21,11 +21,11 @@ import heapq
 import math
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable
 
-from . import SPEED_OF_LIGHT
+from . import SPEED_OF_LIGHT, _linspace
 from .clocks import LightClockSpec
 from .radar import RadarRecord, _rapidity_factor, record_from_rapidity
 
@@ -220,13 +220,6 @@ def medium_velocity(
         if hi - lo <= 1e-15 * max(1.0, abs(mid)):
             break
     return MediumVelocity(omega=omega, witness=0.5 * (lo + hi))
-
-
-def _linspace(start: float, stop: float, n: int) -> list[float]:
-    """n points as numpy.linspace computes them: start + i·step, and stop
-    exactly at the end."""
-    step = (stop - start) / (n - 1)
-    return [i * step + start for i in range(n - 1)] + [stop]
 
 
 def _require_constant_profile(sc: PropagationScenario) -> None:

@@ -1,6 +1,5 @@
 """Smoke tests of the example scripts, run in-process with runpy."""
 
-import math
 import runpy
 import sys
 from pathlib import Path
@@ -11,17 +10,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 def run_script(monkeypatch, name, *args):
     monkeypatch.setattr(sys, "argv", [name, *args])
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-
-
-def test_schwarzschild_sweep(monkeypatch, tmp_path):
-    out = tmp_path / "sweep.csv"
-    run_script(monkeypatch, "schwarzschild_sweep.py", "--n", "5", "--out", str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "R_m,lambda_dimensionless,null_speed_m_per_s,gamma_dimensionless"
-    assert len(lines) == 6
-    _, lam, _, gamma = map(float, lines[-1].split(","))
-    assert 0.0 < lam < 1.0
-    assert gamma == math.sqrt(lam)
 
 
 def test_pulse_ladder_demo(monkeypatch, capsys):
