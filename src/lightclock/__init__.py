@@ -29,13 +29,36 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     return [i * step + start for i in range(n - 1)] + [stop]
 
 
+def _bisect(f, a: float, b: float) -> float:
+    """A root of f in [a, b], whose ends f must not give the same sign:
+    an end where f is zero, else the midpoint once the bracket is within
+    4e-16 of it relatively (or after 200 halvings)."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise ValueError("bisection bracket does not straddle a root")
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0 or (b - a) <= abs(m) * 4.0e-16:
+            return m
+        if fa * fm < 0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
 # the names each submodule exports at package level
 _EXPORTS = {
     "infinitesimals": "Dual derivative dual_arith infinitely_close standard_part",
-    "clocks": "CountDiagramMeasures CountPair EinsteinMeasures LightClockSpec"
+    "clocks": "CountDiagramMeasures CountPair LightClockSpec"
               " counts_for_length distance_from_counts einstein_from_count_diagram"
               " time_from_counts",
-    "radar": "RadarRecord Rapidity check_geometric_mean einstein_measures"
+    "radar": "EinsteinMeasures RadarRecord Rapidity check_geometric_mean einstein_measures"
              " rapidity_from_vE record_from_rapidity",
     "velocity_space": "BetaGamma Event4 TriangleEinstein VelocityTriangle beta_gamma"
                       " compose_einstein interval lorentz_transform solve_triangle"

@@ -22,6 +22,8 @@ from .line_elements import (
 )
 from .velocity_space import gamma_factor
 
+_STEP = 1e-6  # the central-difference step of separated_operator_check
+
 
 @dataclass(frozen=True)
 class AlterationReport:
@@ -140,14 +142,12 @@ def mass_alteration(M_s: float, gamma: float) -> float:
     return M_s / gamma
 
 
-def separated_operator_check(
-    f: Callable[[float], float], gamma: float, t_m: float, h: float = 1e-6
-) -> float:
+def separated_operator_check(f: Callable[[float], float], gamma: float, t_m: float) -> float:
     """Numeric check of the separated-solution chain rule.
 
     With F(t) = f(gamma*t), the logarithmic rates delta_m = F'/F at t_m and
     delta_s = f'/f at gamma*t_m must satisfy delta_s = delta_m/gamma; the
-    absolute difference (central differences, step h) is returned.
+    absolute difference (central differences, step _STEP) is returned.
     """
     _require_unit_interval("gamma", gamma)
 
@@ -155,7 +155,7 @@ def separated_operator_check(
         g0 = g(t)
         if g0 <= 0:
             raise ValueError("test function must be positive near the probe point")
-        return (g(t + h) - g(t - h)) / (2.0 * h * g0)
+        return (g(t + _STEP) - g(t - _STEP)) / (2.0 * _STEP * g0)
 
     delta_m = log_rate(lambda t: f(gamma * t), t_m)
     delta_s = log_rate(f, gamma * t_m)

@@ -17,7 +17,8 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 
 # each submodule's body runs only when a handler first uses it (see the
 # package docstring), so a call loads just the modules its subcommand needs
@@ -278,7 +279,9 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def _cmd_radar(p: Params) -> dict:
-    rec = radar.RadarRecord(*p.require("t1", "t2", "t3"))
+    t1, t2, t3 = p.require("t1", "t2", "t3")
+    tol = _tolerance()
+    rec = radar.RadarRecord(t1, t2, t3)
     m = radar.einstein_measures(rec, p.c)
     return {
         "t_E": m.t_E,
@@ -287,7 +290,7 @@ def _cmd_radar(p: Params) -> dict:
         "K": m.K,
         "t2_pred": m.t2_pred,
         "degenerate": m.degenerate,
-        "geometric_mean_ok": radar.check_geometric_mean(rec, _tolerance()),
+        "geometric_mean_ok": radar.check_geometric_mean(rec, tol),
         "omega": radar.rapidity_from_vE(m.v_E, p.c).omega,
     }
 
@@ -297,8 +300,9 @@ def _cmd_compose(p: Params) -> dict:
 
 
 def _cmd_lorentz(p: Params) -> dict:
-    event = velocity_space.Event4(*p.require("t", "x"), **p.given("y", "z"))
-    moved = velocity_space.lorentz_transform(event, p.get("v3", required=True), p.c)
+    t, x, v3 = p.require("t", "x", "v3")
+    event = velocity_space.Event4(t, x, **p.given("y", "z"))
+    moved = velocity_space.lorentz_transform(event, v3, p.c)
     return {
         **vars(moved),
         "interval_before": velocity_space.interval(event, p.c),
@@ -319,16 +323,18 @@ def _cmd_triangle(p: Params) -> dict:
     }
 
 
-def _source(p: Params, *names: str) -> line_elements.GravitySource:
-    """The source given by r0 or mass, and G, plus the parameters ``names``."""
+def _source(p: Params, *names: str) -> Callable[[], line_elements.GravitySource]:
+    """A factory for the source given by r0 or mass, and G, plus the
+    parameters ``names``: it reads them now and builds the source when
+    called, so that a handler reads all its parameters before a kernel runs."""
     common = dict(c=p.c, **p.given("G", *names))
     r0 = p.get("r0")
     if r0 is not None:
-        return line_elements.source_from_r0(r0, **common)
+        return partial(line_elements.source_from_r0, r0, **common)
     mass = p.get("mass")
     if mass is None:
         raise ConfigError("need either r0 or mass")
-    return line_elements.GravitySource(mass_M=mass, **common)
+    return partial(line_elements.GravitySource, mass_M=mass, **common)
 
 
 def _metric_point(p: Params) -> line_elements.MetricPoint:
@@ -358,16 +364,21 @@ def _metric_rw(p: Params) -> dict:
 
 
 def _metric_approx(p: Params) -> dict:
-    src = _source(p)
-    ds2 = line_elements.newtonian_first_approx(
-        src, p.get("r", required=True), p.get("dt", 0.0), p.get("dr", 0.0), p.c
-    )
-    return {"ds2": ds2, "field_strength": src.schwarzschild_r0 / p.get("r")}
+    source, r = _source(p), p.get("r", required=True)
+    src = source()
+    ds2 = line_elements.newtonian_first_approx(src, r, p.get("dt", 0.0), p.get("dr", 0.0), p.c)
+    return {"ds2": ds2, "field_strength": src.schwarzschild_r0 / r}
 
 
-def _radial_metric(p: Params, src: line_elements.GravitySource, lam_of: object) -> dict | tuple:
-    """The factor ``lam_of(src, R)`` at the point R, or over sweep_R as CSV."""
+def _radial_metric(p: Params, source: Callable, lam_of: Callable) -> dict | tuple:
+    """The factor ``lam_of(source(), R)`` at the point R, or over sweep_R as
+    CSV; the source is built once the point or the sweep is read."""
     c = p.c
+    sweep, R, point = p.get("sweep_R"), p.get("R"), _metric_point(p)
+    if sweep is None and R is None:
+        raise ConfigError("need either R or sweep_R")
+    grid = None if sweep is None else _parse_sweep(sweep)
+    src = source()
 
     def row(R: float) -> tuple:
         lam = lam_of(src, R)
@@ -379,41 +390,36 @@ def _radial_metric(p: Params, src: line_elements.GravitySource, lam_of: object) 
         gamma = math.sqrt(lam) if lam > 0 else math.nan  # nan past a horizon
         return R, lam, null_speed, gamma
 
-    sweep = p.get("sweep_R")
-    if sweep is not None:
+    if grid is not None:
         header = ("R_m", "lambda_dimensionless", "null_speed_m_per_s", "gamma_dimensionless")
-        return header, [row(R) for R in _parse_sweep(sweep)]
+        return header, [row(R) for R in grid]
 
-    R = p.get("R")
-    if R is None:
-        raise ConfigError("need either R or sweep_R")
     R, lam, null_speed, gamma = row(R)
     result = {"R": R, "lambda": lam, "null_speed": null_speed, "gamma": gamma if lam > 0 else None}
-    point = _metric_point(p)
     if point.dt or point.dR or point.dtheta or point.dphi:
         result["ds2"] = line_elements.radial_interval_value(lam, point, c)
     return result
 
 
 def _cmd_radar_distance(p: Params) -> dict:
-    src = _source(p)
-    delta_t = line_elements.radar_coordinate_time(src, *p.require("R1", "R2"), p.c)
+    source, radii = _source(p), p.require("R1", "R2")
+    delta_t = line_elements.radar_coordinate_time(source(), *radii, p.c)
     return {"delta_t": delta_t, "c_delta_t": p.c * delta_t}
 
 
 def _cmd_horizon(p: Params) -> dict:
-    return {"roots": line_elements.horizon_roots(_source(p, "Lambda", "lambda_unit"))}
+    return {"roots": line_elements.horizon_roots(_source(p, "Lambda", "lambda_unit")())}
 
 
 def _alteration(p: Params, rest: str, key: str, kernel: object) -> dict:
     """``kernel(rest value, gamma)`` under ``key``, gamma given or from v."""
-    gamma = p.get("gamma")
+    gamma, v = p.get("gamma"), p.get("v")
+    if gamma is None and v is None:
+        raise ConfigError("need either gamma or v")
+    value = p.get(rest, required=True)
     if gamma is None:
-        v = p.get("v")
-        if v is None:
-            raise ConfigError("need either gamma or v")
         gamma = alterations.gamma_special(v, p.c)
-    return {"gamma": gamma, key: kernel(p.get(rest, required=True), gamma)}
+    return {"gamma": gamma, key: kernel(value, gamma)}
 
 
 def _alter_total_doppler(p: Params) -> dict:
@@ -488,15 +494,15 @@ def _transition_photons(p: Params) -> dict | tuple:
 
 def _sim_roundtrip(p: Params) -> dict:
     t1, omega = p.require("t1", "omega")
+    tol = _tolerance()
     rec = radar.record_from_rapidity(omega, p.c, t1)
-    return {**vars(rec), "geometric_mean_ok": radar.check_geometric_mean(rec, _tolerance())}
+    return {**vars(rec), "geometric_mean_ok": radar.check_geometric_mean(rec, tol)}
 
 
 def _sim_counts(p: Params) -> tuple:
-    spec = clocks.LightClockSpec(
-        round_trip_length_L=p.get("L", required=True), light_speed_c=p.c
-    )
-    trace = medium.count_trace(spec, *p.require("omega", "t1"), p.get("n_pulses", 3))
+    L, omega, t1 = p.require("L", "omega", "t1")
+    spec = clocks.LightClockSpec(round_trip_length_L=L, light_speed_c=p.c)
+    trace = medium.count_trace(spec, omega, t1, p.get("n_pulses", 3))
     rows = [
         (i + 1, row.tau1, row.tau2, row.tau3, row.t1, row.t2, row.t3)
         for i, row in enumerate(trace)
@@ -567,7 +573,7 @@ _COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, object]]
         "modified": (f"r0|mass G Lambda lambda_unit {_POINT_OR_SWEEP}", lambda p: _radial_metric(
             p, _source(p, "Lambda", "lambda_unit"), line_elements.modified_schwarzschild_lambda)),
         "desitter": (f"Lambda lambda_unit {_POINT_OR_SWEEP}", lambda p: _radial_metric(
-            p, line_elements.GravitySource(0.0, c=p.c, **p.given("Lambda", "lambda_unit")),
+            p, partial(line_elements.GravitySource, 0.0, c=p.c, **p.given("Lambda", "lambda_unit")),
             line_elements.modified_schwarzschild_lambda)),
         "rw": ("a R theta dt dR dtheta dphi", _metric_rw),
         "approx": ("r0|mass G r dt dr", _metric_approx),

@@ -51,25 +51,6 @@ class CountPair:
 
 
 @dataclass(frozen=True)
-class EinsteinMeasures:
-    """Radar-method quantities: t_E, r_E, v_E and the ratio K = v_E/c.
-
-    The split fields and t2_pred are populated when the measures come from a
-    full radar record; ``degenerate`` marks the r_E = 0 case where t_E is a
-    plain coincidence time rather than an Einstein measure.
-    """
-
-    t_E: float  # s
-    r_E: float  # m
-    v_E: float  # m/s
-    K: float  # dimensionless, v_E/c
-    t1_split: float | None = None  # (1 − v_E/c)·t_E
-    t3_split: float | None = None  # (1 + v_E/c)·t_E
-    t2_pred: float | None = None  # √(1 − v_E²/c²)·t_E
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class CountDiagramMeasures:
     """Einstein measures read off a two-pulse count diagram."""
 

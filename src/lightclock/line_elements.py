@@ -15,7 +15,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT
+from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _bisect
 from .infinitesimals import Dual
 
 
@@ -191,26 +191,6 @@ def modified_lambda(r0: float, lambda_per_m2: float, R: float) -> float:
 def null_radial_speed(lambda_value: float, c: float) -> float:
     """Coordinate light speed |dR/dt| = c·lambda on a radial null ray."""
     return c * abs(lambda_value)
-
-
-def _bisect(f, a: float, b: float, iterations: int = 200) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("bisection bracket does not straddle a root")
-    for _ in range(iterations):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) <= abs(m) * 4.0e-16:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def horizon_roots(src: GravitySource) -> list[float]:

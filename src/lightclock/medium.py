@@ -25,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from operator import mul
 
-from . import SPEED_OF_LIGHT, _linspace
+from . import SPEED_OF_LIGHT, _bisect, _linspace
 from .clocks import LightClockSpec
 from .radar import RadarRecord, _rapidity_factor, record_from_rapidity
 
@@ -144,7 +144,10 @@ def _gk15(v: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 
 def _log_kernel_integral(v: Callable[[float], float], lo: float, hi: float) -> float:
-    """∫_lo^hi v(x)/x dx = ∫ v(e^s) ds over [ln lo, ln hi], by adaptive GK15."""
+    """∫_lo^hi v(x)/x dx = ∫ v(e^s) ds over [ln lo, ln hi], by adaptive GK15;
+    0.0 without calling v when lo == hi."""
+    if lo == hi:
+        return 0.0
     a, b = math.log(lo), math.log(hi)
     total, error = _gk15(v, a, b)
     heap = [(-error, a, b, total)]  # the largest error first
@@ -173,8 +176,6 @@ def distance_profile(sc: PropagationScenario, t: float) -> float:
     """s(t) = t·∫_{t1}^{t} v(x)/x dx, with s(t1) initialized to zero."""
     if not (sc.t1 <= t <= sc.b):
         raise ValueError("t must lie in [t1, b]")
-    if t == sc.t1:
-        return 0.0
     return t * _log_kernel_integral(sc.velocity_profile, sc.t1, t)
 
 
@@ -192,12 +193,8 @@ def medium_velocity(
     omega = _log_kernel_integral(sc.velocity_profile, t_start, t_end)
     log_span = math.log(t_end / t_start)
     v = sc.velocity_profile
-
-    def gap(t: float) -> float:
-        return v(t) * log_span - omega
-
     grid = _linspace(t_start, t_end, 257)
-    values = [v(t) * log_span - omega for t in grid]  # gap(t), without a call per point
+    values = [v(t) * log_span - omega for t in grid]  # the gap whose zero is t*
     scale = max(1.0, max(values), -min(values))
     smallest = min(map(abs, values))
     if smallest <= 1e-12 * scale:
@@ -208,18 +205,8 @@ def medium_velocity(
             break
     else:
         raise ValueError("no mean-value witness found; is the profile continuous?")
-    lo, hi = grid[idx], grid[idx + 1]
-    gap_lo = values[idx]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gap_mid = gap(mid)
-        if gap_lo * gap_mid <= 0.0:
-            hi = mid
-        else:
-            lo, gap_lo = mid, gap_mid
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-    return MediumVelocity(omega=omega, witness=0.5 * (lo + hi))
+    witness = _bisect(lambda t: v(t) * log_span - omega, grid[idx], grid[idx + 1])
+    return MediumVelocity(omega=omega, witness=witness)
 
 
 def _require_constant_profile(sc: PropagationScenario) -> None:
@@ -268,9 +255,9 @@ def equilinear_check(
             f"{name} = {t!r} lies outside the scenario's [a, b]"
             f" = [{scenario.a!r}, {scenario.b!r}]"
         )
-    w1 = 0.0 if t2 == t1 else _log_kernel_integral(sc.velocity_profile, t1, t2)
-    w2 = 0.0 if t3 == t2 else _log_kernel_integral(back.velocity_profile, t2, t3)
-    w3 = 0.0 if t3 == t1 else _log_kernel_integral(sc.velocity_profile, t1, t3)
+    w1 = _log_kernel_integral(sc.velocity_profile, t1, t2)
+    w2 = _log_kernel_integral(back.velocity_profile, t2, t3)
+    w3 = _log_kernel_integral(sc.velocity_profile, t1, t3)
     return EquilinearResult(w1=w1, w2=w2, w3=w3, residual=abs(w1 + w2 - w3))
 
 

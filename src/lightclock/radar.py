@@ -11,8 +11,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .clocks import EinsteinMeasures
-
 
 @dataclass(frozen=True)
 class RadarRecord:
@@ -41,6 +39,24 @@ class Rapidity:
             raise ValueError("medium velocity must be non-negative")
         if not self.c > 0:
             raise ValueError("c must be positive")
+
+
+@dataclass(frozen=True)
+class EinsteinMeasures:
+    """Radar-method quantities: t_E, r_E, v_E and the ratio K = v_E/c, with
+    the splits of the record's times they predict; ``degenerate`` marks the
+    r_E = 0 case where t_E is a plain coincidence time rather than an
+    Einstein measure.
+    """
+
+    t_E: float  # s
+    r_E: float  # m
+    v_E: float  # m/s
+    K: float  # dimensionless, v_E/c
+    t1_split: float  # (1 − v_E/c)·t_E
+    t3_split: float  # (1 + v_E/c)·t_E
+    t2_pred: float  # √(1 − v_E²/c²)·t_E
+    degenerate: bool = False
 
 
 def einstein_measures(rec: RadarRecord, c: float) -> EinsteinMeasures:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+_TOL = 1e-9  # how far a triangle may miss its relations and still be admissible
+
 
 @dataclass(frozen=True)
 class VelocityTriangle:
@@ -84,9 +86,7 @@ def compose_einstein(v1: float, v2: float, c: float) -> float:
     return (v1 + v2) / (1.0 + v1 * v2 / (c * c))
 
 
-def solve_triangle(
-    omega1: float, omega2: float, omega3: float, c: float, tol: float = 1e-9
-) -> VelocityTriangle:
+def solve_triangle(omega1: float, omega2: float, omega3: float, c: float) -> VelocityTriangle:
     """Solve the velocity triangle for the angles and projections.
 
     phi comes from the hyperbolic cosine law, theta from the sinh rule, and
@@ -102,7 +102,7 @@ def solve_triangle(
     if omega2 == 0.0 or omega3 == 0.0:
         # P rides with F2 (or F2 with F1): phi degenerates to a right angle.
         if not math.isclose(omega1, omega3 if omega2 == 0 else omega2,
-                            rel_tol=tol, abs_tol=tol):
+                            rel_tol=_TOL, abs_tol=_TOL):
             raise ValueError("degenerate velocity triangle")
         return VelocityTriangle(
             omega1=omega1, omega2=omega2, omega3=omega3,
@@ -112,13 +112,13 @@ def solve_triangle(
 
     denom = math.sinh(w2) * math.sinh(w3)
     cos_phi = (math.cosh(w1) - math.cosh(w2) * math.cosh(w3)) / denom
-    if cos_phi > tol or cos_phi < -1.0 - tol:
+    if cos_phi > _TOL or cos_phi < -1.0 - _TOL:
         raise ValueError("degenerate velocity triangle")
     cos_phi = min(0.0, max(-1.0, cos_phi))
     phi = math.acos(cos_phi)
     sin_phi = math.sin(phi)
 
-    if sin_phi <= tol:
+    if sin_phi <= _TOL:
         # Collinear limit: the sinh rule is singular, the projections are
         # the speeds themselves.
         theta, phi = 0.0, math.pi
@@ -128,14 +128,14 @@ def solve_triangle(
             theta = 0.0
         else:
             sin_theta = math.sinh(w2) * sin_phi / math.sinh(w1)
-            if sin_theta > 1.0 + tol:
+            if sin_theta > 1.0 + _TOL:
                 raise ValueError("degenerate velocity triangle")
             theta = math.asin(min(1.0, sin_theta))
         p1 = c * math.atanh(math.tanh(w1) * math.cos(theta))
         p2 = c * math.atanh(-math.tanh(w2) * cos_phi)
         n = c * math.asinh(math.sinh(w2) * sin_phi)
 
-    if abs((p1 + p2) - omega3) > tol * max(1.0, abs(omega3)):
+    if abs((p1 + p2) - omega3) > _TOL * max(1.0, abs(omega3)):
         raise ValueError("degenerate velocity triangle")
     return VelocityTriangle(
         omega1=omega1, omega2=omega2, omega3=omega3,
@@ -143,9 +143,7 @@ def solve_triangle(
     )
 
 
-def triangle_to_einstein(
-    tri: VelocityTriangle, tol: float = 1e-9
-) -> TriangleEinstein:
+def triangle_to_einstein(tri: VelocityTriangle) -> TriangleEinstein:
     """Map the triangle to Einstein velocities v_i = c·tanh(omega_i/c) and
     verify the three coupling identities, returning their residuals."""
     c = tri.c
@@ -163,7 +161,7 @@ def triangle_to_einstein(
     r_beta = b1 - b2 * b3 * (1.0 + alpha)
     r_norm = v1 * sin_t - v2 * sin_p / (b3 * (1.0 + alpha))
     scale = max(1.0, abs(v1), abs(b1))
-    if max(abs(r_proj), abs(r_beta), abs(r_norm)) > tol * scale:
+    if max(abs(r_proj), abs(r_beta), abs(r_norm)) > _TOL * scale:
         raise ValueError("triangle identity violation")
     return TriangleEinstein(
         v1=v1, v2=v2, v3=v3,

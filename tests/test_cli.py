@@ -368,6 +368,24 @@ class TestStartupImports:
         )
         assert ran == ["lightclock.cli", "lightclock.velocity_space"]
 
+    def test_radar_runs_only_radar(self):
+        ran = python_json(
+            "import json, sys, types; from lightclock import cli; "
+            "cli.main(['radar', '--t1', '1', '--t2', '2', '--t3', '4', '--c', '1']); "
+            f"print(json.dumps({RAN}))"
+        )
+        assert ran == ["lightclock.cli", "lightclock.radar"]
+
+    def test_medium_witness_runs_no_line_elements(self):
+        # the witness bisects with the package's root finder, not line_elements'
+        ran = python_json(
+            "import json, sys, types; from lightclock import medium; "
+            "sc = medium.PropagationScenario(lambda t: t, t1=1.0, a=1.0, b=2.0, c=1.0); "
+            "medium.medium_velocity(sc, 1.0, 2.0); "
+            f"print(json.dumps({RAN}))"
+        )
+        assert ran == ["lightclock.clocks", "lightclock.medium", "lightclock.radar"]
+
     def test_exports_resolve_to_their_modules(self):
         missing = python_json(
             "import importlib, json, lightclock; print(json.dumps(["
@@ -609,3 +627,33 @@ class TestConfigAndOutputDefects:
         code, out, _ = run_main(capsys, "transition", "H", "--config", cfg)
         assert code == 0
         assert out.splitlines()[1].startswith("-2.5,")
+
+
+class TestInProcessOutput:
+    """Whole stdout of calls that tier-1 otherwise runs only in a subprocess."""
+
+    def test_radar_distance(self, capsys):
+        code, out, err = run_main(capsys, "radar-distance", "--r0", "1", "--R1", "2", "--R2", "4",
+                                  "--c", "1")
+        assert (code, err) == (0, "")
+        delta_t = ((4.0 - 2.0) + 1.0 * math.log((4.0 - 1.0) / (2.0 - 1.0))) / 1.0
+        assert json.loads(out) == {"delta_t": delta_t, "c_delta_t": delta_t}
+
+    def test_sim_equilinear(self, capsys):
+        code, out, err = run_main(capsys, "sim", "equilinear", "--t1", "1", "--t2", "2",
+                                  "--t3", "4", "--c", "1")
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert list(result) == ["residual", "w1", "w2", "w3"]
+        for key, want in (("w1", math.log(2.0)), ("w2", math.log(2.0)), ("w3", math.log(4.0))):
+            assert result[key] == pytest.approx(want, rel=1e-15)
+        assert result["residual"] <= 1e-15
+
+    def test_sim_equilinear_empty_interval(self, capsys):
+        # w1 spans [2, 2]; w2 and w3 are the same integral over [2, 4]
+        code, out, err = run_main(capsys, "sim", "equilinear", "--t1", "2", "--t2", "2",
+                                  "--t3", "4", "--c", "1")
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert (result["w1"], result["residual"]) == (0.0, 0.0)
+        assert result["w2"] == result["w3"] == pytest.approx(math.log(2.0), rel=1e-15)

@@ -57,3 +57,30 @@ class TestHubbleLinear:
                                   "--config", str(cfg))
         assert (code, out) == (2, "")
         assert "'rate'" in err
+
+
+class TestConfigBeforeKernel:
+    """A handler reads every parameter before it runs a kernel, so a config
+    error exits 2 and names its parameter even when another value given is
+    out of a kernel's domain."""
+
+    @pytest.mark.parametrize(
+        "argv,tol,named",
+        [
+            ("metric schwarzschild --r0 2.45 --G 1e-320 --sweep-R 14.86:39.49:26:lin", None,
+             "'sweep_R'"),
+            ("metric schwarzschild --mass 1e300 --G 1e300 --c 1", None, "R or sweep_R"),
+            ("metric approx --mass 1e300 --G 1e300 --c 1", None, "'r'"),
+            ("radar-distance --mass 1e300 --G 1e300 --c 1", None, "'R1'"),
+            ("sim counts --L -1 --c 1", None, "'omega'"),
+            ("alter doppler --v 2 --c 1", None, "'nu_s'"),
+            ("radar --t1 -1 --t2 1 --t3 2 --c 1", "x", "LIGHTCLOCK_TOL"),
+            ("sim roundtrip --t1 1 --omega -1 --c 1", "x", "LIGHTCLOCK_TOL"),
+        ],
+    )
+    def test_exits_two_naming_the_parameter(self, capsys, monkeypatch, argv, tol, named):
+        if tol is not None:
+            monkeypatch.setenv("LIGHTCLOCK_TOL", tol)
+        code, out, err = run_main(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and named in err

@@ -115,3 +115,39 @@ class TestStandardPartHomomorphism:
         x, y = Dual(a, da), Dual(b, db)
         q = x / y
         assert standard_part(q) == a / b
+
+
+class TestDualOperations:
+    def test_negation(self):
+        assert -Dual(1.5, -2.0) == Dual(-1.5, 2.0)
+
+    def test_abs_flips_both_parts_of_a_negative(self):
+        assert abs(Dual(-2.0, 3.0)) == Dual(2.0, -3.0)
+        assert abs(Dual(2.0, 3.0)) == Dual(2.0, 3.0)
+
+    def test_integer_powers(self):
+        assert Dual(2.0, 1.0) ** 0 == Dual(1.0, 0.0)
+        assert Dual(0.0, 1.0) ** 0 == Dual(1.0, 0.0)
+        assert Dual(2.0, 1.0) ** -1 == Dual(0.5, -0.25)
+        assert Dual(2.0, 1.0) ** 3.0 == Dual(8.0, 12.0)
+        assert Dual(0.0, 1.0) ** 2 == Dual(0.0, 0.0)
+        with pytest.raises(ZeroDivisionError, match="zero standard part"):
+            Dual(0.0, 1.0) ** -2
+
+    @pytest.mark.parametrize("base", [Dual(0.0, 1.0), Dual(-1.0, 1.0)])
+    def test_fractional_power_of_non_positive(self, base):
+        with pytest.raises(ValueError, match="fractional power of a non-positive dual"):
+            base**0.5
+
+    @pytest.mark.parametrize(
+        "method,fn",
+        [(Dual.tanh, math.tanh), (Dual.arctan, math.atan)],
+    )
+    def test_tanh_and_arctan(self, method, fn):
+        x, h = 0.7, 1e-6
+        y = method(Dual(x, 2.0))
+        assert y.real == fn(x)
+        assert y.eps == pytest.approx(2.0 * (fn(x + h) - fn(x - h)) / (2 * h), rel=1e-9)
+
+    def test_repr(self):
+        assert repr(Dual(1.5, -2.0)) == "1.5 + -2.0ε"

@@ -1,0 +1,88 @@
+"""The package's one root finder and the integrator's empty interval.
+
+``lightclock._bisect`` finds the horizon radii and the mean-value witness of
+a medium velocity; ``_log_kernel_integral`` returns 0 over an empty interval
+without evaluating the profile, so no caller special-cases it.
+"""
+
+import inspect
+import math
+
+import pytest
+
+import lightclock
+from lightclock import (
+    PropagationScenario,
+    _bisect,
+    distance_profile,
+    equilinear_check,
+    horizon_roots,
+    separated_operator_check,
+    solve_triangle,
+    source_from_r0,
+    triangle_to_einstein,
+)
+from lightclock.medium import _log_kernel_integral
+
+
+def boom(t):
+    raise AssertionError(f"profile evaluated at {t!r}")
+
+
+class TestBisect:
+    def test_root_at_either_end(self):
+        assert _bisect(lambda x: x, 0.0, 1.0) == 0.0
+        assert _bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_bracket_without_sign_change(self):
+        with pytest.raises(ValueError, match="does not straddle a root"):
+            _bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_interior_root_to_relative_4e_16(self):
+        root = _bisect(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= 4e-16 * math.sqrt(2.0)
+
+    def test_one_home(self):
+        from lightclock import line_elements, medium
+
+        assert line_elements._bisect is medium._bisect is lightclock._bisect
+        assert list(inspect.signature(_bisect).parameters) == ["f", "a", "b"]
+
+
+class TestHorizonBracketDoubling:
+    def test_bracket_grows_until_the_cubic_changes_sign(self):
+        # the cubic (Λ/3)r³ − r + r0 is positive at 3r* in exact arithmetic;
+        # here r³ underflows to 0 there, so the evaluated cubic is r0 − r < 0
+        # and the outer bracket doubles until r³ is representable again
+        Lambda, r0 = 1.6e273, 3.19e-142
+        src = source_from_r0(r0, c=1.0, G=1.0, Lambda=Lambda, lambda_unit="m^-2")
+        r_star = 1.0 / math.sqrt(Lambda)
+        assert (3.0 * r_star) ** 3 == 0.0
+        inner, outer = horizon_roots(src)
+        assert inner == pytest.approx(r0, rel=1e-12)
+        assert outer > 3.0 * r_star
+
+        def f(r):
+            return Lambda / 3.0 * r**3 - r + r0
+
+        assert f(outer * (1.0 - 1e-15)) <= 0.0 <= f(outer * (1.0 + 1e-15))
+
+
+class TestEmptyInterval:
+    def test_integral_is_zero_without_evaluating(self):
+        assert _log_kernel_integral(boom, 2.0, 2.0) == 0.0
+
+    def test_callers_need_no_special_case(self):
+        sc = PropagationScenario(velocity_profile=boom, t1=2.0, a=1.0, b=4.0, c=1.0)
+        assert distance_profile(sc, 2.0) == 0.0
+        result = equilinear_check(sc, 2.0, 2.0, 2.0)
+        assert (result.w1, result.w2, result.w3, result.residual) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_solver_tolerances_are_not_parameters():
+    for fn, fixed in (
+        (solve_triangle, ["omega1", "omega2", "omega3", "c"]),
+        (triangle_to_einstein, ["tri"]),
+        (separated_operator_check, ["f", "gamma", "t_m"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == fixed

@@ -249,3 +249,27 @@ class TestPhotonFamilies:
             photon_families(0.5, 0.2, 1.0)
         with pytest.raises(ValueError):
             photon_families(0.0, 0.2, 1.0)
+
+
+class TestTransformedIntervalInterior:
+    """On and inside r0 the interior form applies, with p.dt read as dU."""
+
+    @staticmethod
+    def interior(lam, p, c):
+        angular = (p.R * p.R) * (math.sin(p.theta) ** 2 * p.dphi * p.dphi + p.dtheta * p.dtheta)
+        return lam * (c * p.dt) * (c * p.dt) - 2.0 * c * p.dt * p.dR - angular
+
+    @pytest.mark.parametrize("R", [0.25, 0.5, 0.999])
+    def test_inside(self, R):
+        src = source_from_r0(1.0, c=2.0)
+        p = MetricPoint(R=R, theta=1.1, dt=0.3, dR=-0.7, dtheta=0.2, dphi=0.4)
+        lam = 1.0 - 1.0 / R
+        assert lam < 0.0
+        assert transformed_radial_interval(src, p) == self.interior(lam, p, 2.0)
+
+    def test_on_the_surface(self):
+        # lambda = 0: only the cross term and the angular term remain
+        src = source_from_r0(1.0, c=2.0)
+        p = MetricPoint(R=1.0, dt=0.3, dR=-0.7, dphi=0.4)
+        assert transformed_radial_interval(src, p) == self.interior(0.0, p, 2.0)
+        assert transformed_radial_interval(src, p) == -2.0 * 2.0 * 0.3 * -0.7 - 1.0 * 0.4 * 0.4
