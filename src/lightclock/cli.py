@@ -15,10 +15,10 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from collections.abc import Callable, Sequence
-from functools import partial
 
 # each submodule's body runs only when a handler first uses it (see the
 # package docstring), so a call loads just the modules its subcommand needs
@@ -142,8 +142,8 @@ def _load_config(path: str | None, names: Sequence[str]) -> dict[str, object]:
 
 
 def _names(spec: str) -> list[str]:
-    """The parameter names of a row's spec, alternatives and groups split."""
-    return spec.replace("|", " ").replace(",", " ").split()
+    """The parameter names of a row's spec, without its marks."""
+    return re.findall(r"\w+", spec)
 
 
 def _flags(rows: dict) -> list[str]:
@@ -155,10 +155,11 @@ class Params:
     """The row of a call's (command, mode) and its flag/config merge: flags
     win, then config, then defaults.
 
-    A flag the row does not read is a config error, and so is giving a
-    parameter from each side of one of its alternatives ``a|b`` (flag and
-    config merged).  The light speed ``c`` is resolved on construction:
-    --c, then --natural-units (c = 1), then the config, then SI.
+    Before any handler runs, these are config errors, in this order: a flag
+    the row does not read, a value that is not finite, both sides of an
+    alternative (flag and config merged), a bad light speed ``c``, and a name
+    the row requires (see _COMMANDS) that the call leaves out.  ``c`` is --c,
+    then --natural-units (c = 1), then the config, then SI.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -172,7 +173,8 @@ class Params:
         unread = [n for n in _flags(rows) if n not in self.names and self.args.get(n) is not None]
         if unread:
             raise ConfigError(
-                f"{self.label} does not read {', '.join(map(repr, unread))}; it reads {spec}"
+                f"{self.label} does not read {', '.join(map(repr, unread))}; "
+                f"it reads {re.sub(r'[][]', '', spec)}"
             )
         # argparse's float() and json.load both accept nan and inf
         for name in self.names:
@@ -180,28 +182,36 @@ class Params:
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"parameter {name!r} must be finite, got {value!r}")
         for pair in (token.split("|") for token in spec.split() if "|" in token):
-            a, b = ([n for n in side.split(",") if self.get(n) is not None] for side in pair)
+            a, b = ([n for n in _names(side) if self.get(n) is not None] for side in pair)
             if a and b:
                 raise ConfigError(f"give {a[0]!r} or {b[0]!r}, not both")
         c = self.args.get("c")
         if c is None:
             c = 1.0 if self.args.get("natural_units") else self.config.get("c", SPEED_OF_LIGHT)
-        if not 0.0 < c < math.inf:
-            raise ConfigError(f"parameter 'c' must be positive and finite, got {c!r}")
+        if not (0.0 < c < math.inf and c * c > 0.0):
+            raise ConfigError(f"parameter 'c' must be positive and finite, with a square "
+                              f"that is not 0, got {c!r}")
         self.c = c
+        # one side of each alternative, then the names outside them
+        for token in sorted(spec.split(), key=lambda token: "|" not in token):
+            sides = token.split("|")
+            sides = [s for s in sides if any(self.get(n) is not None for n in _names(s))] or sides
+            need = [[n for n in side.split(",") if not n.startswith("[")] for side in sides]
+            if len(sides) > 1 and all(need):
+                raise ConfigError(f"need either {need[0][0]} or {need[1][0]}")
+            if len(sides) == 1 and (missing := [n for n in need[0] if self.get(n) is None]):
+                raise ConfigError(f"missing required parameter {missing[0]!r}")
+        sweep = self.get("sweep_R") if "sweep_R" in self.names else None
+        self.grid = None if sweep is None else _parse_sweep(sweep)
 
-    def get(self, name: str, default: object = None, required: bool = False) -> object:
+    def get(self, name: str, default: object = None) -> object:
         assert name in self.names, f"{self.label} reads {name!r} but its row does not declare it"
         value = self.args.get(name)
-        if value is None:
-            value = self.config.get(name, default)
-        if value is None and required:
-            raise ConfigError(f"missing required parameter {name!r}")
-        return value
+        return self.config.get(name, default) if value is None else value
 
     def require(self, *names: str) -> tuple:
-        """The values of ``names`` in order; each must be given."""
-        return tuple(self.get(name, required=True) for name in names)
+        """The values of ``names`` in order, which the row requires."""
+        return tuple(map(self.get, names))
 
     def given(self, *names: str) -> dict[str, object]:
         """The parameters among ``names`` that were given, as keyword
@@ -323,18 +333,13 @@ def _cmd_triangle(p: Params) -> dict:
     }
 
 
-def _source(p: Params, *names: str) -> Callable[[], line_elements.GravitySource]:
-    """A factory for the source given by r0 or mass, and G, plus the
-    parameters ``names``: it reads them now and builds the source when
-    called, so that a handler reads all its parameters before a kernel runs."""
+def _source(p: Params, *names: str) -> line_elements.GravitySource:
+    """The source given by r0 or mass, and G, plus the parameters ``names``."""
     common = dict(c=p.c, **p.given("G", *names))
     r0 = p.get("r0")
     if r0 is not None:
-        return partial(line_elements.source_from_r0, r0, **common)
-    mass = p.get("mass")
-    if mass is None:
-        raise ConfigError("need either r0 or mass")
-    return partial(line_elements.GravitySource, mass_M=mass, **common)
+        return line_elements.source_from_r0(r0, **common)
+    return line_elements.GravitySource(mass_M=p.get("mass"), **common)
 
 
 def _metric_point(p: Params) -> line_elements.MetricPoint:
@@ -351,34 +356,24 @@ def _metric_minkowski(p: Params) -> dict:
 
 
 def _metric_linear(p: Params) -> dict:
-    lam = line_elements.LambdaFactor(v=p.get("v", required=True), c=p.c, **p.given("d", "mode"))
+    lam = line_elements.LambdaFactor(v=p.get("v"), c=p.c, **p.given("d", "mode"))
     ds2 = line_elements.linear_interval(lam, p.get("dt", 0.0), p.get("dr", 0.0), p.c)
     return {"lambda": lam.value(), "ds2": ds2}
 
 
 def _metric_rw(p: Params) -> dict:
-    ds2 = line_elements.robertson_walker_interval(
-        p.get("a", required=True), _metric_point(p), p.c
-    )
-    return {"ds2": ds2}
+    return {"ds2": line_elements.robertson_walker_interval(p.get("a"), _metric_point(p), p.c)}
 
 
 def _metric_approx(p: Params) -> dict:
-    source, r = _source(p), p.get("r", required=True)
-    src = source()
+    src, r = _source(p), p.get("r")
     ds2 = line_elements.newtonian_first_approx(src, r, p.get("dt", 0.0), p.get("dr", 0.0), p.c)
     return {"ds2": ds2, "field_strength": src.schwarzschild_r0 / r}
 
 
-def _radial_metric(p: Params, source: Callable, lam_of: Callable) -> dict | tuple:
-    """The factor ``lam_of(source(), R)`` at the point R, or over sweep_R as
-    CSV; the source is built once the point or the sweep is read."""
+def _radial_metric(p: Params, src: line_elements.GravitySource, lam_of: Callable) -> dict | tuple:
+    """The factor ``lam_of(src, R)`` at the point R, or over sweep_R as CSV."""
     c = p.c
-    sweep, R, point = p.get("sweep_R"), p.get("R"), _metric_point(p)
-    if sweep is None and R is None:
-        raise ConfigError("need either R or sweep_R")
-    grid = None if sweep is None else _parse_sweep(sweep)
-    src = source()
 
     def row(R: float) -> tuple:
         lam = lam_of(src, R)
@@ -390,11 +385,12 @@ def _radial_metric(p: Params, source: Callable, lam_of: Callable) -> dict | tupl
         gamma = math.sqrt(lam) if lam > 0 else math.nan  # nan past a horizon
         return R, lam, null_speed, gamma
 
-    if grid is not None:
+    if p.grid is not None:
         header = ("R_m", "lambda_dimensionless", "null_speed_m_per_s", "gamma_dimensionless")
-        return header, [row(R) for R in grid]
+        return header, [row(R) for R in p.grid]
 
-    R, lam, null_speed, gamma = row(R)
+    point = _metric_point(p)
+    R, lam, null_speed, gamma = row(point.R)
     result = {"R": R, "lambda": lam, "null_speed": null_speed, "gamma": gamma if lam > 0 else None}
     if point.dt or point.dR or point.dtheta or point.dphi:
         result["ds2"] = line_elements.radial_interval_value(lam, point, c)
@@ -402,29 +398,25 @@ def _radial_metric(p: Params, source: Callable, lam_of: Callable) -> dict | tupl
 
 
 def _cmd_radar_distance(p: Params) -> dict:
-    source, radii = _source(p), p.require("R1", "R2")
-    delta_t = line_elements.radar_coordinate_time(source(), *radii, p.c)
+    delta_t = line_elements.radar_coordinate_time(_source(p), *p.require("R1", "R2"), p.c)
     return {"delta_t": delta_t, "c_delta_t": p.c * delta_t}
 
 
 def _cmd_horizon(p: Params) -> dict:
-    return {"roots": line_elements.horizon_roots(_source(p, "Lambda", "lambda_unit")())}
+    return {"roots": line_elements.horizon_roots(_source(p, "Lambda", "lambda_unit"))}
 
 
 def _alteration(p: Params, rest: str, key: str, kernel: object) -> dict:
     """``kernel(rest value, gamma)`` under ``key``, gamma given or from v."""
-    gamma, v = p.get("gamma"), p.get("v")
-    if gamma is None and v is None:
-        raise ConfigError("need either gamma or v")
-    value = p.get(rest, required=True)
+    gamma = p.get("gamma")
     if gamma is None:
-        gamma = alterations.gamma_special(v, p.c)
-    return {"gamma": gamma, key: kernel(value, gamma)}
+        gamma = alterations.gamma_special(p.get("v"), p.c)
+    return {"gamma": gamma, key: kernel(p.get(rest), gamma)}
 
 
 def _alter_total_doppler(p: Params) -> dict:
-    nu_s = p.get("nu_s", required=True)
-    received = alterations.total_doppler(nu_s, p.get("v", required=True), p.c)
+    nu_s, v = p.require("nu_s", "v")
+    received = alterations.total_doppler(nu_s, v, p.c)
     return {"nu_received": received, "ratio": received / nu_s}
 
 
@@ -470,7 +462,7 @@ def _transition_H(p: Params) -> tuple:
 def _transition_interval(p: Params) -> dict:
     k = p.get("k", DEFAULT_TRANSITION_K)
     return vars(transition.partial_interval(
-        p.get("lam", required=True), k, p.get("dt", 0.0), p.get("dR", 0.0), p.c
+        p.get("lam"), k, p.get("dt", 0.0), p.get("dR", 0.0), p.c
     ))
 
 
@@ -532,19 +524,16 @@ def _sim_offset(p: Params) -> dict:
 
 def _cmd_hubble(p: Params) -> dict:
     model, t = p.require("model", "t")
-    # the names each model does not read: the rate of a = rate·t cancels out of H
-    unread = {"linear": ("rate", "exponent"), "exponential": ("exponent",), "powerlaw": ("rate",)}
-    for name in unread[model]:
-        if p.get(name) is not None:
+    # the name each model reads: the rate of a = rate·t cancels out of H
+    reads = {"linear": None, "exponential": "rate", "powerlaw": "exponent"}[model]
+    for name in ("rate", "exponent"):
+        if name != reads and p.get(name) is not None:
             raise ConfigError(f"hubble --model {model} does not read {name!r}")
-    if model == "linear":
-        scale = lambda tt: tt
-    elif model == "exponential":
-        rate = p.get("rate", required=True)
-        scale = lambda tt: (tt * rate).exp()  # tt is a Dual
-    else:  # powerlaw
-        exponent = p.get("exponent", required=True)
-        scale = lambda tt: tt**exponent
+    x = p.get(reads) if reads else None
+    if reads and x is None:
+        raise ConfigError(f"missing required parameter {reads!r}")
+    scale = {"linear": lambda tt: tt, "exponential": lambda tt: (tt * x).exp(),  # tt is a Dual
+             "powerlaw": lambda tt: tt**x}[model]
     rates = line_elements.hubble_deceleration(scale, t, **p.given("rho", "G"))
     # friedmann_residual is reported only when a density was given
     return {key: value for key, value in vars(rates).items() if value is not None}
@@ -555,33 +544,35 @@ def _cmd_hubble(p: Params) -> dict:
 
 # subcommand: (help, dest of its positional mode or None, rows); a row maps a
 # mode (None when there are none) to (the parameters it reads, its handler).
-# "a|b" in a row lets a call give either side, not both; a side may be a
-# comma-joined group.  Every row also reads --out and --c; every subcommand
-# also takes --config and --natural-units.
-_POINT_OR_SWEEP = "R,theta,dt,dR,dtheta,dphi|sweep_R"
+# A call must give each unmarked name; "[name]" is optional.  "a|b" in a row
+# lets a call give either side, not both, and it must give one when each side
+# has an unmarked name; a side may be a comma-joined group.  Every row also
+# reads --out and --c; every subcommand also takes --config and --natural-units.
+_POINT_OR_SWEEP = "R,[theta],[dt],[dR],[dtheta],[dphi]|sweep_R"
 _COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, object]]]] = {
     "radar": ("Einstein measures of a radar record", None, {None: ("t1 t2 t3", _cmd_radar)}),
     "compose": ("Einstein velocity composition", None, {None: ("v1 v2", _cmd_compose)}),
-    "lorentz": ("x-aligned boost of an event", None, {None: ("t x y z v3", _cmd_lorentz)}),
+    "lorentz": ("x-aligned boost of an event", None, {None: ("t x [y] [z] v3", _cmd_lorentz)}),
     "triangle": ("solve a hyperbolic velocity triangle", None,
                  {None: ("omega1 omega2 omega3", _cmd_triangle)}),
     "metric": ("evaluate a line element", "form", {
-        "minkowski": ("dt dx dy dz", _metric_minkowski),
-        "linear": ("v d mode dt dr", _metric_linear),
-        "schwarzschild": (f"r0|mass G {_POINT_OR_SWEEP}", lambda p: _radial_metric(
+        "minkowski": ("[dt] [dx] [dy] [dz]", _metric_minkowski),
+        "linear": ("v [d] [mode] [dt] [dr]", _metric_linear),
+        "schwarzschild": (f"r0|mass [G] {_POINT_OR_SWEEP}", lambda p: _radial_metric(
             p, _source(p), line_elements.schwarzschild_lambda)),
-        "modified": (f"r0|mass G Lambda lambda_unit {_POINT_OR_SWEEP}", lambda p: _radial_metric(
-            p, _source(p, "Lambda", "lambda_unit"), line_elements.modified_schwarzschild_lambda)),
-        "desitter": (f"Lambda lambda_unit {_POINT_OR_SWEEP}", lambda p: _radial_metric(
-            p, partial(line_elements.GravitySource, 0.0, c=p.c, **p.given("Lambda", "lambda_unit")),
+        "modified": (f"r0|mass [G] [Lambda] [lambda_unit] {_POINT_OR_SWEEP}",
+                     lambda p: _radial_metric(p, _source(p, "Lambda", "lambda_unit"),
+                                              line_elements.modified_schwarzschild_lambda)),
+        "desitter": (f"[Lambda] [lambda_unit] {_POINT_OR_SWEEP}", lambda p: _radial_metric(
+            p, line_elements.GravitySource(0.0, c=p.c, **p.given("Lambda", "lambda_unit")),
             line_elements.modified_schwarzschild_lambda)),
-        "rw": ("a R theta dt dR dtheta dphi", _metric_rw),
-        "approx": ("r0|mass G r dt dr", _metric_approx),
+        "rw": ("a [R] [theta] [dt] [dR] [dtheta] [dphi]", _metric_rw),
+        "approx": ("r0|mass [G] r [dt] [dr]", _metric_approx),
     }),
     "radar-distance": ("radial pulse coordinate flight time", None,
-                       {None: ("r0|mass G R1 R2", _cmd_radar_distance)}),
+                       {None: ("r0|mass [G] R1 R2", _cmd_radar_distance)}),
     "horizon": ("horizon radii of the modified factor", None,
-                {None: ("r0|mass G Lambda lambda_unit", _cmd_horizon)}),
+                {None: ("r0|mass [G] [Lambda] [lambda_unit]", _cmd_horizon)}),
     "alter": ("physical alteration ratios", "effect", {
         "doppler": ("nu_s gamma|v", lambda p: _alteration(
             p, "nu_s", "nu_m", alterations.transverse_doppler)),
@@ -592,22 +583,23 @@ _COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, object]]
             p, "mass_s", "mass_m", alterations.mass_alteration)),
     }),
     "dilation": ("gravitational clock-rate comparison", None,
-                 {None: ("rs_over_rp rr_over_rp rp Lambda Lambda1 lambda_unit", _cmd_dilation)}),
+                 {None: ("rs_over_rp rr_over_rp [rp] [Lambda] [Lambda1] [lambda_unit]",
+                         _cmd_dilation)}),
     "compare-frequency": ("two-position frequency comparison", None,
                           {None: ("g1_p g1_r nu_r", _cmd_compare_frequency)}),
     "transition": ("transition-zone machinery", "mode", {
-        "H": ("k x_min x_max n", _transition_H),
-        "interval": ("k lam dt dR", _transition_interval),
-        "photons": ("k lam|lambda_min,lambda_max,n", _transition_photons),
+        "H": ("[k] [x_min] [x_max] [n]", _transition_H),
+        "interval": ("[k] lam [dt] [dR]", _transition_interval),
+        "photons": ("[k] [lam]|[lambda_min],[lambda_max],[n]", _transition_photons),
     }),
     "sim": ("medium-propagation simulator", "mode", {
         "roundtrip": ("t1 omega", _sim_roundtrip),
-        "counts": ("L omega t1 n_pulses", _sim_counts),
+        "counts": ("L omega t1 [n_pulses]", _sim_counts),
         "equilinear": ("t1 t2 t3", _sim_equilinear),
         "offset": ("u omega dt_emit", _sim_offset),
     }),
     "hubble": ("expansion rate and deceleration parameter", None,
-               {None: ("model t rate exponent rho G", _cmd_hubble)}),
+               {None: ("model t [rate] [exponent] [rho] [G]", _cmd_hubble)}),
 }
 
 # every config field: the parameters of all rows
@@ -620,7 +612,8 @@ def _epilog(dest: str | None, rows: dict) -> str:
     """The parameters each mode reads, for --help."""
     head = f"parameters read by each {dest}" if dest else "parameters read"
     lines = [f"  {mode:14}{spec}" if mode else f"  {spec}" for mode, (spec, _) in rows.items()]
-    return f"{head} (a|b: a or b, not both; a,b: a group), plus --out and --c:\n" + "\n".join(lines)
+    legend = "a|b: a or b, not both; a,b: a group; [a]: optional"
+    return "\n".join([f"{head}, plus --out and --c:", *lines, legend])
 
 
 def build_parser() -> argparse.ArgumentParser:

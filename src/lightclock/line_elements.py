@@ -98,10 +98,11 @@ def source_from_r0(
     lambda_unit: str = "s^-2",
 ) -> GravitySource:
     """Build a source directly from its Schwarzschild radius."""
-    return GravitySource(
-        mass_M=r0 * c * c / (2.0 * G), G=G, c=c,
-        Lambda=Lambda, lambda_unit=lambda_unit,
-    )
+    mass = r0 * c * c / (2.0 * G)
+    if not math.isfinite(mass):
+        raise ValueError(f"the Schwarzschild radius r0 = {r0!r} m implies a mass r0·c²/(2G)"
+                         f" with G = {G!r} that is not finite")
+    return GravitySource(mass_M=mass, G=G, c=c, Lambda=Lambda, lambda_unit=lambda_unit)
 
 
 @dataclass(frozen=True)
@@ -196,36 +197,35 @@ def null_radial_speed(lambda_value: float, c: float) -> float:
 def horizon_roots(src: GravitySource) -> list[float]:
     """Positive radii where the modified lambda vanishes, ascending.
 
-    The zeros of 1 − r0/r − (1/3)Λr² are the positive roots of the cubic
-    (1/3)Λr³ − r + r0; brackets are located from the cubic's single interior
-    minimum before bisecting, so nearly-double roots stay resolved.  An empty
-    list means no horizon exists.
+    The zeros of 1 − r0/r − (1/3)Λr² are r = x/√Λ for the positive roots x of
+    x³/3 − x + a with a = r0·√Λ, solved in x so that no power of a raw radius
+    under- or overflows.  The cubic's minimum, a − 2/3 at x = 1, is negative
+    when there are two roots, and they lie in the fixed brackets [a, 1.5a]
+    and [1, 2].  An empty list means no horizon exists.
     """
-    r0 = src.schwarzschild_r0
-    lam3 = src.lambda_per_m2 / 3.0
-    if src.lambda_per_m2 < 0:
+    r0, lam = src.schwarzschild_r0, src.lambda_per_m2
+    if lam < 0:
         raise ValueError("horizon scan requires Lambda >= 0")
-
-    def f(r: float) -> float:
-        return lam3 * r**3 - r + r0
-
-    if lam3 == 0.0:
+    if lam == math.inf:
+        raise ValueError("horizon scan requires a finite Lambda, got inf in m^-2")
+    if lam == 0.0:
         return [r0] if r0 > 0 else []
+    s = math.sqrt(lam)
+    a = r0 * s
 
-    r_star = 1.0 / math.sqrt(3.0 * lam3)  # f'(r_star) = 0
-    f_star = f(r_star)
-    roots: list[float] = []
-    if f_star > 0.0:
-        return roots  # cubic never crosses: no horizon
-    if f_star == 0.0:
-        return [r_star]
-    if f(0.0) > 0.0:
-        roots.append(_bisect(f, 0.0, r_star))
-    hi = 3.0 * r_star
-    while f(hi) <= 0.0:
-        hi *= 2.0
-    roots.append(_bisect(f, r_star, hi))
-    return roots
+    def f(x: float) -> float:
+        return x * x * x / 3.0 - x + a
+
+    f_min = f(1.0)
+    if f_min > 0.0:
+        return []  # cubic never crosses: no horizon
+    if f_min == 0.0:
+        return [1.0 / s]
+    outer = _bisect(f, 1.0, 2.0) / s
+    if r0 == 0.0:
+        return [outer]
+    # an a that underflows leaves the inner root at r0 itself
+    return [_bisect(f, a, 1.5 * a) / s if a > 0.0 else r0, outer]
 
 
 def cosmological_constant_for_horizon(r0: float, R: float) -> float:

@@ -60,7 +60,7 @@ def config_entry(name, text):
 
 
 def pairs(spec):
-    return [[side.split(",") for side in token.split("|")] for token in spec.split()
+    return [[cli._names(side) for side in token.split("|")] for token in spec.split()
             if "|" in token]
 
 
@@ -126,7 +126,9 @@ def names_a_parameter(message):
                for name in cli._DECLARED)
 
 
-@pytest.mark.parametrize("command,mode,spec", ROWS)
+# an id spells a row without its optional marks, so that ids do not move with them
+@pytest.mark.parametrize("command,mode,spec", ROWS,
+                         ids=[f"{c}-{m}-{re.sub(r'[][]', '', s)}" for c, m, s in ROWS])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_main_exits_cleanly(command, mode, spec, tmp_path_factory, data):

@@ -2,6 +2,8 @@
 its row in ``cli._COMMANDS`` declares, and every failure names its cause."""
 
 import json
+import math
+import re
 import sys
 
 import pytest
@@ -171,6 +173,141 @@ class TestFailuresNameTheirCause:
         assert err == (
             "warning: 2GM/(rc^2) = 1e+300 exceeds 0.1; first approximation is unreliable\n"
         )
+
+
+# a call that exits 0 for each row, giving one side of each alternative and
+# every optional name that does not make another one required (dilation's rp
+# with a Λ, hubble's rate or exponent with the --model that reads it)
+GOOD = {
+    ("radar", None): "--t1 1 --t2 2 --t3 4 --c 1",
+    ("compose", None): "--v1 0.3 --v2 0.4 --c 1",
+    ("lorentz", None): "--t 1 --x 0.5 --y 1 --z 2 --v3 0.3 --c 1",
+    ("triangle", None): "--omega1 0.5 --omega2 0.5 --omega3 1.0 --c 1",
+    ("metric", "minkowski"): "--dt 1 --dx 0.5 --dy 0.1 --dz 0.1 --c 1",
+    ("metric", "linear"): "--v 0.3 --d 0.1 --mode real --dt 1 --dr 0.5 --c 1",
+    ("metric", "schwarzschild"):
+        "--r0 1 --G 1 --R 2 --theta 1 --dt 1 --dR 0.5 --dtheta 0.1 --dphi 0.1 --c 1",
+    ("metric", "modified"): "--mass 1 --G 0.5 --Lambda 0.01 --lambda-unit m^-2 --R 2 --theta 1"
+                            " --dt 1 --dR 0.5 --dtheta 0.1 --dphi 0.1 --c 1",
+    ("metric", "desitter"): "--Lambda 0.01 --lambda-unit m^-2 --sweep-R 1:2:3 --c 1",
+    ("metric", "rw"): "--a 10 --R 1 --theta 1 --dt 1 --dR 0.5 --dtheta 0.1 --dphi 0.1 --c 1",
+    ("metric", "approx"): "--r0 0.01 --G 1 --r 1 --dt 1 --dr 0.5 --c 1",
+    ("radar-distance", None): "--mass 0.5 --G 1 --R1 2 --R2 3 --c 1",
+    ("horizon", None): "--r0 1 --G 1 --Lambda 0.1 --lambda-unit m^-2 --c 1",
+    ("alter", "doppler"): "--nu-s 1e9 --v 0.5 --c 1",
+    ("alter", "total-doppler"): "--nu-s 1e9 --v 0.5 --c 1",
+    ("alter", "decay"): "--tau-s 1 --gamma 0.5",
+    ("alter", "mass"): "--mass-s 1 --v 0.5 --c 1",
+    ("dilation", None): "--rs-over-rp 0.5 --rr-over-rp 4 --rp 2 --lambda-unit m^-2",
+    ("compare-frequency", None): "--g1-p 0.9 --g1-r 0.8 --nu-r 1e9",
+    ("transition", "H"): "--k 1e-3 --x-min -0.01 --x-max 0.01 --n 11",
+    ("transition", "interval"): "--k 0.1 --lam 0.5 --dt 1 --dR 0.1 --c 1",
+    ("transition", "photons"): "--k 1e-3 --lambda-min 1e-4 --lambda-max 2e-3 --n 5 --c 1",
+    ("sim", "roundtrip"): "--t1 1 --omega 0.5 --c 1",
+    ("sim", "counts"): "--L 1 --omega 0.6931471805599453 --t1 1 --n-pulses 3 --c 1",
+    ("sim", "equilinear"): "--t1 1 --t2 2 --t3 4 --c 1",
+    ("sim", "offset"): "--u 0.5 --omega 0.5 --dt-emit 1 --c 1",
+    ("hubble", None): "--model linear --t 2 --rho 1e-26 --G 6.6743e-11",
+}
+
+
+def call(command, mode, given):
+    """The argv of a row's call with the flags ``given`` (name: text)."""
+    flags = [x for name, text in given.items() for x in (f"--{name.replace('_', '-')}", text)]
+    return [command, *([mode] if mode else []), *flags]
+
+
+class TestMarks:
+    """Each unmarked name of a row is required and each ``[name]`` optional."""
+
+    def test_every_row_has_a_good_call(self):
+        assert set(GOOD) == {(command, mode) for command, mode, _, _ in ROWS}
+
+    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS])
+    def test_marks_tell_the_truth(self, capsys, command, mode, spec):
+        words = GOOD[command, mode].split()
+        given = {flag[2:].replace("-", "_"): text for flag, text in zip(words[::2], words[1::2])}
+        assert run_main(capsys, *call(command, mode, given))[0] == 0
+        for token in spec.split():
+            sides = token.split("|")
+            side = next((s for s in sides if set(cli._names(s)) & set(given)), None)
+            if side is None:  # an optional name the call leaves out
+                continue
+            drops = [[name] for name in cli._names(side)]
+            if len(sides) > 1:  # the side that was given, all of it
+                drops.append(cli._names(side))
+            for drop in drops:
+                code, _, err = run_main(
+                    capsys, *call(command, mode, {n: t for n, t in given.items() if n not in drop})
+                )
+                required = [n for n in drop if n in side.split(",")]  # not "[n]"
+                if not required:
+                    assert code != 2, (drop, err)
+                    continue
+                assert code == 2, (drop, err)
+                # a missing name is quoted; a missing side is "need either a or b"
+                assert re.search(rf"(?<!\w){required[0]}(?!\w)", err), (drop, err)
+
+
+def horizon_closed_forms(r0, Lambda):
+    """The horizons of a source whose a = r0·√Λ is small: r0(1 + a²/3), to
+    O(a⁴) relatively, and (√3 − a/2)/√Λ, to O(a²)."""
+    a = r0 * math.sqrt(Lambda)
+    return r0 * (1.0 + a * a / 3.0), (math.sqrt(3.0) - a / 2.0) / math.sqrt(Lambda), a
+
+
+class TestScaleTraps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # an electron with the observed Λ
+            ("--mass", "9.109e-31", "--Lambda", "1.1e-52", "--lambda-unit", "m^-2"),
+            ("--r0", "1", "--Lambda", "1e-100", "--lambda-unit", "m^-2", "--c", "1"),
+            # (3/√Λ)³ underflows to 0
+            ("--r0", "3.19e-142", "--Lambda", "1.6e273", "--lambda-unit", "m^-2"),
+            # r³ overflows near the outer horizon
+            ("--r0", "1", "--Lambda", "1e-300", "--lambda-unit", "m^-2"),
+            # a = r0·√Λ underflows to 0, so the inner horizon is r0 itself
+            ("--mass", "1e-300", "--Lambda", "1e-52", "--lambda-unit", "s^-2", "--c", "1"),
+        ],
+    )
+    def test_horizons_at_any_scale(self, capsys, argv):
+        code, out, err = run_main(capsys, "horizon", *argv)
+        assert (code, err) == (0, "")
+        params = cli.Params(cli.build_parser().parse_args(["horizon", *argv]))
+        src = cli._source(params, "Lambda", "lambda_unit")
+        inner, outer, a = horizon_closed_forms(src.schwarzschild_r0, src.lambda_per_m2)
+        assert json.loads(out)["roots"] == [
+            pytest.approx(inner, rel=1e-14), pytest.approx(outer, rel=max(a * a, 1e-14))
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("metric", "modified", "--mass", "800", "--G", "13869239967844.592", "--R", "2"),
+            ("metric", "desitter", "--Lambda", "1", "--R", "2"),
+            ("dilation", "--rs-over-rp", ".5", "--rr-over-rp", "2", "--rp", "1", "--Lambda", "1"),
+            ("compose", "--v1", "1e-301", "--v2", "1e-301"),
+            ("lorentz", "--t", "1", "--x", "1", "--v3", "1e-301"),
+        ],
+    )
+    def test_a_light_speed_whose_square_is_zero_is_two(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv, "--c", "1e-300")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: parameter 'c'")
+
+    def test_a_radius_whose_mass_overflows_names_r0(self, capsys):
+        code, out, err = run_main(
+            capsys, "metric", "schwarzschild", "--r0", "1e295", "--R", "2e295"
+        )
+        assert (code, out) == (1, "")
+        assert "r0 = 1e+295 m" in err and "mass inf" not in err
+
+    @pytest.mark.parametrize("model,name", [("exponential", "rate"), ("powerlaw", "exponent")])
+    def test_the_model_rule_requires_what_the_model_reads(self, capsys, model, name):
+        code, out, err = run_main(capsys, "hubble", "--model", model, "--t", "1")
+        assert (code, out) == (2, "")
+        assert f"missing required parameter {name!r}" in err
 
 
 class TestNumpyIsOptional:

@@ -49,23 +49,23 @@ class TestBisect:
         assert list(inspect.signature(_bisect).parameters) == ["f", "a", "b"]
 
 
-class TestHorizonBracketDoubling:
-    def test_bracket_grows_until_the_cubic_changes_sign(self):
-        # the cubic (Λ/3)r³ − r + r0 is positive at 3r* in exact arithmetic;
-        # here r³ underflows to 0 there, so the evaluated cubic is r0 − r < 0
-        # and the outer bracket doubles until r³ is representable again
+class TestHorizonScaledSolve:
+    def test_roots_where_raw_radii_cube_to_zero(self):
+        # (3r*)³ underflows to 0 (r* = 1/√Λ), which once sent the outer bracket
+        # doubling past the root; in x = r·√Λ every bracket is fixed
         Lambda, r0 = 1.6e273, 3.19e-142
         src = source_from_r0(r0, c=1.0, G=1.0, Lambda=Lambda, lambda_unit="m^-2")
-        r_star = 1.0 / math.sqrt(Lambda)
-        assert (3.0 * r_star) ** 3 == 0.0
+        assert (3.0 / math.sqrt(Lambda)) ** 3 == 0.0
+        a = r0 * math.sqrt(Lambda)
         inner, outer = horizon_roots(src)
-        assert inner == pytest.approx(r0, rel=1e-12)
-        assert outer > 3.0 * r_star
+        assert inner == pytest.approx(r0 * (1.0 + a * a / 3.0), rel=1e-14)
+        assert outer == pytest.approx((math.sqrt(3.0) - a / 2.0) / math.sqrt(Lambda), rel=a * a)
 
-        def f(r):
-            return Lambda / 3.0 * r**3 - r + r0
+        def f(x):
+            return x**3 / 3.0 - x + a
 
-        assert f(outer * (1.0 - 1e-15)) <= 0.0 <= f(outer * (1.0 + 1e-15))
+        x = outer * math.sqrt(Lambda)
+        assert f(x * (1.0 - 1e-15)) <= 0.0 <= f(x * (1.0 + 1e-15))
 
 
 class TestEmptyInterval:
