@@ -29,11 +29,10 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     return [i * step + start for i in range(n - 1)] + [stop]
 
 
-def _bisect(f, a: float, b: float) -> float:
-    """A root of f in [a, b], whose ends f must not give the same sign:
-    an end where f is zero, else the midpoint once the bracket is within
-    4e-16 of it relatively (or after 200 halvings)."""
-    fa, fb = f(a), f(b)
+def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in [a, b], given fa = f(a) and fb = f(b), which must not
+    have the same sign: an end where f is zero, else the midpoint once the
+    bracket is within 4e-16 of it relatively (or after 200 halvings)."""
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -68,7 +67,8 @@ _EXPORTS = {
                      " infinitesimal_transform linear_interval minkowski_interval"
                      " modified_schwarzschild_lambda newtonian_first_approx null_radial_speed"
                      " potential_velocity radar_coordinate_time radial_interval"
-                     " robertson_walker_interval schwarzschild_lambda source_from_r0",
+                     " robertson_walker_interval schwarzschild_lambda source_from_mass"
+                     " source_from_r0",
     "alterations": "AlterationReport GravCompareInput alteration_report altered_light_speed"
                    " decay_lifetime frequency_compare gamma_gravitational gamma_special"
                    " gravitational_clock_compare mass_alteration rate_of_change_compare"

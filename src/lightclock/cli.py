@@ -334,12 +334,10 @@ def _cmd_triangle(p: Params) -> dict:
 
 
 def _source(p: Params, *names: str) -> line_elements.GravitySource:
-    """The source given by r0 or mass, and G, plus the parameters ``names``."""
-    common = dict(c=p.c, **p.given("G", *names))
-    r0 = p.get("r0")
-    if r0 is not None:
-        return line_elements.source_from_r0(r0, **common)
-    return line_elements.GravitySource(mass_M=p.get("mass"), **common)
+    """The source given by r0, or by mass and G, plus the parameters ``names``."""
+    if p.get("r0") is not None:
+        return line_elements.source_from_r0(p.get("r0"), p.c, **p.given(*names))
+    return line_elements.source_from_mass(p.get("mass"), c=p.c, **p.given("G", *names))
 
 
 def _metric_point(p: Params) -> line_elements.MetricPoint:
@@ -558,21 +556,21 @@ _COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, object]]
     "metric": ("evaluate a line element", "form", {
         "minkowski": ("[dt] [dx] [dy] [dz]", _metric_minkowski),
         "linear": ("v [d] [mode] [dt] [dr]", _metric_linear),
-        "schwarzschild": (f"r0|mass [G] {_POINT_OR_SWEEP}", lambda p: _radial_metric(
+        "schwarzschild": (f"r0|mass,[G] {_POINT_OR_SWEEP}", lambda p: _radial_metric(
             p, _source(p), line_elements.schwarzschild_lambda)),
-        "modified": (f"r0|mass [G] [Lambda] [lambda_unit] {_POINT_OR_SWEEP}",
+        "modified": (f"r0|mass,[G] [Lambda] [lambda_unit] {_POINT_OR_SWEEP}",
                      lambda p: _radial_metric(p, _source(p, "Lambda", "lambda_unit"),
                                               line_elements.modified_schwarzschild_lambda)),
         "desitter": (f"[Lambda] [lambda_unit] {_POINT_OR_SWEEP}", lambda p: _radial_metric(
-            p, line_elements.GravitySource(0.0, c=p.c, **p.given("Lambda", "lambda_unit")),
+            p, line_elements.source_from_r0(0.0, p.c, **p.given("Lambda", "lambda_unit")),
             line_elements.modified_schwarzschild_lambda)),
         "rw": ("a [R] [theta] [dt] [dR] [dtheta] [dphi]", _metric_rw),
-        "approx": ("r0|mass [G] r [dt] [dr]", _metric_approx),
+        "approx": ("r0|mass,[G] r [dt] [dr]", _metric_approx),
     }),
     "radar-distance": ("radial pulse coordinate flight time", None,
-                       {None: ("r0|mass [G] R1 R2", _cmd_radar_distance)}),
+                       {None: ("r0|mass,[G] R1 R2", _cmd_radar_distance)}),
     "horizon": ("horizon radii of the modified factor", None,
-                {None: ("r0|mass [G] [Lambda] [lambda_unit]", _cmd_horizon)}),
+                {None: ("r0|mass,[G] [Lambda] [lambda_unit]", _cmd_horizon)}),
     "alter": ("physical alteration ratios", "effect", {
         "doppler": ("nu_s gamma|v", lambda p: _alteration(
             p, "nu_s", "nu_m", alterations.transverse_doppler)),

@@ -49,35 +49,18 @@ class LambdaFactor:
 
 @dataclass(frozen=True)
 class GravitySource:
-    """Spherical mass with its derived Schwarzschild radius and an optional
-    cosmological constant whose unit must be declared explicitly."""
+    """Spherical source as the formulas read it: its Schwarzschild radius
+    r0 = 2GM/c², the light speed and a cosmological constant in m^-2.  Build
+    one from r0 with source_from_r0 or from a mass with source_from_mass."""
 
-    mass_M: float  # kg
-    G: float = GRAVITATIONAL_CONSTANT  # m^3 kg^-1 s^-2
+    schwarzschild_r0: float  # m
     c: float = SPEED_OF_LIGHT  # m/s
-    Lambda: float = 0.0
-    lambda_unit: str = "s^-2"
+    lambda_per_m2: float = 0.0  # m^-2
 
     def __post_init__(self):
-        if not self.mass_M >= 0:
-            raise ValueError("mass must be non-negative")
-        if self.lambda_unit not in LAMBDA_UNITS:
-            raise ValueError(
-                f"lambda_unit must be one of {LAMBDA_UNITS}, got {self.lambda_unit!r}"
-            )
-        if not math.isfinite(self.schwarzschild_r0):
-            raise ValueError(f"the Schwarzschild radius 2GM/c² of mass {self.mass_M!r} kg"
-                             f" with G = {self.G!r} is not finite")
-
-    @property
-    def schwarzschild_r0(self) -> float:
-        """2GM/c² in meters."""
-        return 2.0 * self.G * self.mass_M / (self.c * self.c)
-
-    @property
-    def lambda_per_m2(self) -> float:
-        """Cosmological constant converted to m^-2."""
-        return convert_lambda(self.Lambda, self.lambda_unit, self.c)
+        if not (0.0 <= self.schwarzschild_r0 < math.inf and 0.0 < self.c < math.inf):
+            raise ValueError(f"a source needs a finite r0 >= 0 and c > 0, got r0 ="
+                             f" {self.schwarzschild_r0!r} m and c = {self.c!r} m/s")
 
 
 def convert_lambda(value: float, unit: str, c: float) -> float:
@@ -93,16 +76,30 @@ def convert_lambda(value: float, unit: str, c: float) -> float:
 def source_from_r0(
     r0: float,
     c: float = SPEED_OF_LIGHT,
-    G: float = GRAVITATIONAL_CONSTANT,
     Lambda: float = 0.0,
     lambda_unit: str = "s^-2",
 ) -> GravitySource:
-    """Build a source directly from its Schwarzschild radius."""
-    mass = r0 * c * c / (2.0 * G)
-    if not math.isfinite(mass):
-        raise ValueError(f"the Schwarzschild radius r0 = {r0!r} m implies a mass r0·c²/(2G)"
-                         f" with G = {G!r} that is not finite")
-    return GravitySource(mass_M=mass, G=G, c=c, Lambda=Lambda, lambda_unit=lambda_unit)
+    """A source of Schwarzschild radius r0 (m), with Lambda in ``lambda_unit``."""
+    if lambda_unit not in LAMBDA_UNITS:
+        raise ValueError(f"lambda_unit must be one of {LAMBDA_UNITS}, got {lambda_unit!r}")
+    return GravitySource(r0, c, convert_lambda(Lambda, lambda_unit, c))
+
+
+def source_from_mass(
+    mass: float,
+    G: float = GRAVITATIONAL_CONSTANT,
+    c: float = SPEED_OF_LIGHT,
+    Lambda: float = 0.0,
+    lambda_unit: str = "s^-2",
+) -> GravitySource:
+    """A source of mass ``mass`` (kg), whose Schwarzschild radius is 2GM/c²."""
+    if not mass >= 0:
+        raise ValueError("mass must be non-negative")
+    r0 = 2.0 * G * mass / (c * c)
+    if not 0.0 <= r0 < math.inf:
+        raise ValueError(f"the Schwarzschild radius 2GM/c² of mass {mass!r} kg with G = {G!r}"
+                         f" is not finite and non-negative ({r0!r} m)")
+    return source_from_r0(r0, c, Lambda, lambda_unit)
 
 
 @dataclass(frozen=True)
@@ -169,15 +166,14 @@ def schwarzschild_lambda(src: GravitySource, R: float) -> float:
 
 
 def potential_velocity(src: GravitySource, R: float) -> float:
-    """Newtonian escape velocity sqrt(2GM/R)."""
+    """Newtonian escape velocity sqrt(2GM/R) = c·sqrt(r0/R)."""
     if R <= 0:
         raise ValueError("R must be positive")
-    return math.sqrt(2.0 * src.G * src.mass_M / R)
+    return src.c * math.sqrt(src.schwarzschild_r0 / R)
 
 
 def modified_schwarzschild_lambda(src: GravitySource, R: float) -> float:
-    """1 − r0/R − (1/3)·Lambda·R² (Lambda taken in m^-2 after unit
-    conversion).  With M = 0 this is the de Sitter factor."""
+    """1 − r0/R − (1/3)·Lambda·R², Lambda in m^-2; the de Sitter factor at r0 = 0."""
     if R <= 0:
         raise ValueError("R must be positive")
     return modified_lambda(src.schwarzschild_r0, src.lambda_per_m2, R)
@@ -221,11 +217,11 @@ def horizon_roots(src: GravitySource) -> list[float]:
         return []  # cubic never crosses: no horizon
     if f_min == 0.0:
         return [1.0 / s]
-    outer = _bisect(f, 1.0, 2.0) / s
+    outer = _bisect(f, 1.0, 2.0, f_min, f(2.0)) / s
     if r0 == 0.0:
         return [outer]
     # an a that underflows leaves the inner root at r0 itself
-    return [_bisect(f, a, 1.5 * a) / s if a > 0.0 else r0, outer]
+    return [_bisect(f, a, 1.5 * a, f(a), f(1.5 * a)) / s if a > 0.0 else r0, outer]
 
 
 def cosmological_constant_for_horizon(r0: float, R: float) -> float:

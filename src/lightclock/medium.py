@@ -205,7 +205,8 @@ def medium_velocity(
             break
     else:
         raise ValueError("no mean-value witness found; is the profile continuous?")
-    witness = _bisect(lambda t: v(t) * log_span - omega, grid[idx], grid[idx + 1])
+    witness = _bisect(lambda t: v(t) * log_span - omega, grid[idx], grid[idx + 1],
+                      values[idx], values[idx + 1])
     return MediumVelocity(omega=omega, witness=witness)
 
 

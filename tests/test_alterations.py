@@ -16,6 +16,7 @@ from lightclock import (
     mass_alteration,
     rate_of_change_compare,
     separated_operator_check,
+    source_from_mass,
     source_from_r0,
     total_doppler,
     transverse_doppler,
@@ -227,7 +228,7 @@ class TestLightSpeedAndRates:
 
 class TestUnification:
     def test_special_equals_gravitational(self):
-        src = source_from_r0(0.3, c=1.0)
+        src = source_from_mass(0.15, G=1.0, c=1.0)
         for R in (0.5, 1.0, 4.0):
-            v_p = math.sqrt(2 * src.G * src.mass_M / R)
+            v_p = math.sqrt(2 * 1.0 * 0.15 / R)
             assert gamma_gravitational(src, R) == gamma_special(v_p, 1.0)

@@ -186,14 +186,14 @@ GOOD = {
     ("metric", "minkowski"): "--dt 1 --dx 0.5 --dy 0.1 --dz 0.1 --c 1",
     ("metric", "linear"): "--v 0.3 --d 0.1 --mode real --dt 1 --dr 0.5 --c 1",
     ("metric", "schwarzschild"):
-        "--r0 1 --G 1 --R 2 --theta 1 --dt 1 --dR 0.5 --dtheta 0.1 --dphi 0.1 --c 1",
+        "--mass 0.5 --G 1 --R 2 --theta 1 --dt 1 --dR 0.5 --dtheta 0.1 --dphi 0.1 --c 1",
     ("metric", "modified"): "--mass 1 --G 0.5 --Lambda 0.01 --lambda-unit m^-2 --R 2 --theta 1"
                             " --dt 1 --dR 0.5 --dtheta 0.1 --dphi 0.1 --c 1",
     ("metric", "desitter"): "--Lambda 0.01 --lambda-unit m^-2 --sweep-R 1:2:3 --c 1",
     ("metric", "rw"): "--a 10 --R 1 --theta 1 --dt 1 --dR 0.5 --dtheta 0.1 --dphi 0.1 --c 1",
-    ("metric", "approx"): "--r0 0.01 --G 1 --r 1 --dt 1 --dr 0.5 --c 1",
+    ("metric", "approx"): "--mass 0.005 --G 1 --r 1 --dt 1 --dr 0.5 --c 1",
     ("radar-distance", None): "--mass 0.5 --G 1 --R1 2 --R2 3 --c 1",
-    ("horizon", None): "--r0 1 --G 1 --Lambda 0.1 --lambda-unit m^-2 --c 1",
+    ("horizon", None): "--mass 0.5 --G 1 --Lambda 0.1 --lambda-unit m^-2 --c 1",
     ("alter", "doppler"): "--nu-s 1e9 --v 0.5 --c 1",
     ("alter", "total-doppler"): "--nu-s 1e9 --v 0.5 --c 1",
     ("alter", "decay"): "--tau-s 1 --gamma 0.5",
@@ -296,12 +296,13 @@ class TestScaleTraps:
         assert (code, out) == (2, "")
         assert err.startswith("config error: parameter 'c'")
 
-    def test_a_radius_whose_mass_overflows_names_r0(self, capsys):
+    def test_a_radius_whose_mass_would_overflow_is_a_source(self, capsys):
+        # r0·c²/(2G) overflows, but a source holds r0 itself
         code, out, err = run_main(
             capsys, "metric", "schwarzschild", "--r0", "1e295", "--R", "2e295"
         )
-        assert (code, out) == (1, "")
-        assert "r0 = 1e+295 m" in err and "mass inf" not in err
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lambda"] == 0.5
 
     @pytest.mark.parametrize("model,name", [("exponential", "rate"), ("powerlaw", "exponent")])
     def test_the_model_rule_requires_what_the_model_reads(self, capsys, model, name):

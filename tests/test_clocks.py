@@ -12,6 +12,7 @@ from lightclock import (
     counts_for_length,
     distance_from_counts,
     einstein_from_count_diagram,
+    source_from_mass,
     time_from_counts,
 )
 
@@ -46,7 +47,8 @@ NAN = math.nan
         (lambda: CountPair(NAN, NAN), "counter readings must be non-negative"),
         (lambda: CountPair(1.0, NAN), "counter readings must be non-negative"),
         (lambda: CountPair(NAN, 1.0), "counter readings must be non-negative"),
-        (lambda: GravitySource(mass_M=NAN), "mass must be non-negative"),
+        (lambda: source_from_mass(NAN), "mass must be non-negative"),
+        (lambda: GravitySource(NAN), "a source needs a finite r0 >= 0"),
         (lambda: Rapidity(omega=NAN, c=1.0), "medium velocity must be non-negative"),
         (lambda: Rapidity(omega=1.0, c=NAN), "c must be positive"),
         (lambda: GravCompareInput(r_s=NAN, r_P=1.0, r_R=2.0), "r_s must be non-negative"),

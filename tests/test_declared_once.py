@@ -17,6 +17,7 @@ from lightclock import (
     PropagationScenario,
     cli,
     hubble_deceleration,
+    source_from_mass,
     source_from_r0,
 )
 
@@ -32,6 +33,7 @@ def _default(obj, name):
         (LambdaFactor, "c"),
         (GravitySource, "c"),
         (source_from_r0, "c"),
+        (source_from_mass, "c"),
         (PropagationScenario, "c"),
         (GravCompareInput, "c"),
     ],
@@ -41,7 +43,7 @@ def test_light_speed_defaults_are_the_package_constant(obj, name):
 
 
 @pytest.mark.parametrize(
-    "obj", [GravitySource, source_from_r0, hubble_deceleration]
+    "obj", [source_from_mass, hubble_deceleration]
 )
 def test_gravitational_constant_defaults_are_the_package_constant(obj):
     assert _default(obj, "G") is lightclock.GRAVITATIONAL_CONSTANT
@@ -67,7 +69,7 @@ HALF_PI = repr(math.pi / 2.0)
 @pytest.mark.parametrize(
     "argv,spelt_out",
     [
-        (["metric", "schwarzschild", "--r0", "1e4", "--R", "3e4", "--dt", "1e-3",
+        (["metric", "schwarzschild", "--mass", "1e30", "--R", "3e4", "--dt", "1e-3",
           "--dR", "20", "--dphi", "1e-4"],
          ["--G", "6.6743e-11", "--theta", HALF_PI, "--dtheta", "0"]),
         (["metric", "linear", "--v", "0.3", "--dt", "1", "--dr", "0.5", "--natural-units"],

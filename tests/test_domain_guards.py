@@ -3,7 +3,7 @@ overflows, and a ``hubble`` model given a parameter it cannot use."""
 
 import pytest
 
-from lightclock import GravitySource, cli, source_from_r0
+from lightclock import cli, source_from_mass
 
 
 def run_main(capsys, *argv):
@@ -16,9 +16,9 @@ class TestOverflowingSchwarzschildRadius:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: GravitySource(mass_M=1e300, G=1e300, c=1.0),
-            # r0 = 1 is finite, but the mass r0·c²/(2G) it implies is not
-            lambda: source_from_r0(1.0, c=1.0, G=1e-320),
+            lambda: source_from_mass(1e300, G=1e300, c=1.0),
+            # the mass and G are finite, but c² is small enough for 2GM/c² to overflow
+            lambda: source_from_mass(1.0, G=1.0, c=1e-160),
         ],
     )
     def test_refused_when_built(self, build):
@@ -29,7 +29,7 @@ class TestOverflowingSchwarzschildRadius:
         "argv,given",
         [
             (("--mass", "1e300", "--G", "1e300"), "mass=1e+300 G=1e+300"),
-            (("--r0", "1", "--G", "1e-320"), "r0=1.0 G=1e-320"),
+            (("--mass", "1e300", "--G", "1e10"), "mass=1e+300 G=10000000000.0"),
         ],
     )
     def test_cli_names_the_cause(self, capsys, argv, given):
@@ -67,7 +67,7 @@ class TestConfigBeforeKernel:
     @pytest.mark.parametrize(
         "argv,tol,named",
         [
-            ("metric schwarzschild --r0 2.45 --G 1e-320 --sweep-R 14.86:39.49:26:lin", None,
+            ("metric schwarzschild --mass 2.45e300 --G 1e300 --sweep-R 14.86:39.49:26:lin", None,
              "'sweep_R'"),
             ("metric schwarzschild --mass 1e300 --G 1e300 --c 1", None, "R or sweep_R"),
             ("metric approx --mass 1e300 --G 1e300 --c 1", None, "'r'"),

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from lightclock import (
     Dual,
-    GravitySource,
     LambdaFactor,
     MetricPoint,
     cosmological_constant_for_horizon,
@@ -25,6 +24,7 @@ from lightclock import (
     radial_interval,
     robertson_walker_interval,
     schwarzschild_lambda,
+    source_from_mass,
     source_from_r0,
 )
 
@@ -127,14 +127,14 @@ class TestSchwarzschildLambda:
             schwarzschild_lambda(src, 0.5)
 
     def test_massless_reduction(self):
-        src = GravitySource(mass_M=0.0, c=1.0)
+        src = source_from_mass(0.0, c=1.0)
         for R in (1e-6, 1.0, 1e12):
             assert schwarzschild_lambda(src, R) == 1.0
 
 
 class TestModifiedLambda:
     def test_massless_uncharged(self):
-        src = GravitySource(mass_M=0.0, c=1.0)
+        src = source_from_mass(0.0, c=1.0)
         assert modified_schwarzschild_lambda(src, 7.3) == 1.0
 
     def test_reduces_to_schwarzschild(self):
@@ -216,7 +216,7 @@ class TestRobertsonWalker:
 
 class TestNewtonianApprox:
     def test_massless(self):
-        src = GravitySource(mass_M=0.0, c=1.0)
+        src = source_from_mass(0.0, c=1.0)
         assert newtonian_first_approx(src, 1.0, 1.0, 0.5, 1.0) == 0.75
 
     def test_weak_field_time_term(self):

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from lightclock import GravitySource, cli
+from lightclock import cli, source_from_mass
 
 TRANSITION_K = 0.5
 PHOTON_K = 1.0
@@ -112,7 +112,7 @@ def test_earth_log_sweep_matches_the_r0_relative_grid(run):
     assert len(rows) == n
     assert (rows[0][0], rows[-1][0]) == (start, stop)
 
-    r0 = GravitySource(mass_M=5.972e24).schwarzschild_r0
+    r0 = source_from_mass(5.972e24).schwarzschild_r0
     lo, hi = math.log(1.000001), math.log(1e6)
     for i, (R, lam, _, gamma) in enumerate(rows):
         R_ref = r0 * math.exp(lo + i * (hi - lo) / (n - 1))
