@@ -51,6 +51,43 @@ def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
     return 0.5 * (a + b)
 
 
+def _refuse(self, name: str, *_) -> None:
+    raise AttributeError(f"cannot set or delete field {name!r} of a frozen record")
+
+
+def _repr(self) -> str:
+    return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+def _record(cls):
+    """``cls`` as a frozen record, as ``@dataclass(frozen=True)`` makes one:
+    its annotated names are its fields, in order, and a class attribute of
+    the same name is a field's default.  ``__init__`` takes the fields by
+    position or keyword, then runs ``__post_init__`` if the class has one;
+    ``repr``, ``==`` (a record of the same class) and ``hash`` read the
+    fields; setting or deleting an attribute raises AttributeError.  A method
+    the class defines itself is kept."""
+    names, body = list(cls.__annotations__), vars(cls)
+    params = ", ".join(f"{n}=_body[{n!r}]" if n in body else n for n in names)
+    mine, theirs = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
+    # flat methods on the fields, as dataclasses writes them: records are built
+    # and compared on hot paths (a Dual per arithmetic operation)
+    source = [f"def __init__(self, {params}):", *(f" _set(self, {n!r}, {n})" for n in names),
+              " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+              "def __eq__(self, other):",
+              f" return ({mine}) == ({theirs}) if other.__class__ is self.__class__"
+              " else NotImplemented",
+              f"def __hash__(self): return hash(({mine}))"]
+    scope = {"__name__": cls.__module__, "_set": object.__setattr__, "_body": body}
+    exec("\n".join(source), scope)
+    scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    scope.update(__repr__=_repr, __setattr__=_refuse, __delattr__=_refuse)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        if name not in body:
+            setattr(cls, name, scope[name])
+    return cls
+
+
 # the names each submodule exports at package level
 _EXPORTS = {
     "infinitesimals": "Dual derivative dual_arith infinitely_close standard_part",

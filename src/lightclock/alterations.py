@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
-from . import LAMBDA_UNITS, SPEED_OF_LIGHT
+from . import LAMBDA_UNITS, SPEED_OF_LIGHT, _record
 from .line_elements import (
     GravitySource,
     convert_lambda,
@@ -25,7 +24,7 @@ from .velocity_space import gamma_factor
 _STEP = 1e-6  # the central-difference step of separated_operator_check
 
 
-@dataclass(frozen=True)
+@_record
 class AlterationReport:
     """The ratios induced by a single gamma factor.
 
@@ -59,7 +58,7 @@ def alteration_report(gamma: float) -> AlterationReport:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class GravCompareInput:
     """Two radial positions to compare, with the shared Schwarzschild radius
     and optional per-position cosmological constants (unit tag required)."""

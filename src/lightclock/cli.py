@@ -614,17 +614,25 @@ def _epilog(dest: str | None, rows: dict) -> str:
     return "\n".join([f"{head}, plus --out and --c:", *lines, legend])
 
 
-def build_parser() -> argparse.ArgumentParser:
+# a negative number, in exponent form too (argparse's pattern reads "-1e-3" as a flag)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone if it names one."""
     parser = argparse.ArgumentParser(
-        prog="lightclock",
-        description="Deterministic light-clock kinematics engine",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, dest, rows) in _COMMANDS.items():
+        prog="lightclock", description="Deterministic light-clock kinematics engine")
+    one = command in _COMMANDS
+    # one subparser's usage line still lists all; the full parser's errors name "command"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for command in [command] if one else _COMMANDS:
+        help_text, dest, rows = _COMMANDS[command]
         sp = sub.add_parser(
             command, help=help_text, epilog=_epilog(dest, rows),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         if dest is not None:
             sp.add_argument(dest, choices=list(rows))
         sp.add_argument("--config", help="JSON config file; flags override it")
@@ -661,8 +669,8 @@ def _check_finite(result: dict | tuple) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")

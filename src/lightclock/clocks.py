@@ -8,12 +8,10 @@ allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import SPEED_OF_LIGHT
+from . import SPEED_OF_LIGHT, _record
 
 
-@dataclass(frozen=True)
+@_record
 class LightClockSpec:
     """Round-trip path length and local light speed of one clock."""
 
@@ -36,7 +34,7 @@ class LightClockSpec:
         return self.round_trip_length_L / 2.0
 
 
-@dataclass(frozen=True)
+@_record
 class CountPair:
     """Two counter readings with count_b taken after count_a."""
 
@@ -50,7 +48,7 @@ class CountPair:
             raise ValueError("count_b must not precede count_a")
 
 
-@dataclass(frozen=True)
+@_record
 class CountDiagramMeasures:
     """Einstein measures read off a two-pulse count diagram."""
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+
+from . import _record
 
 
 def _check_finite(x: float, what: str) -> None:
@@ -18,7 +19,7 @@ def _check_finite(x: float, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {x!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class Dual:
     """Number of the form real + eps·ε with ε² = 0.
 

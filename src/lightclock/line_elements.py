@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 
-from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _bisect
+from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _bisect, _record
 from .infinitesimals import Dual
 
 
-@dataclass(frozen=True)
+@_record
 class LambdaFactor:
     """Metric coefficient lambda built from a velocity pair (v, d).
 
@@ -47,7 +46,7 @@ class LambdaFactor:
         return 1.0 + w * w if self.mode == "complex" else 1.0 - w * w
 
 
-@dataclass(frozen=True)
+@_record
 class GravitySource:
     """Spherical source as the formulas read it: its Schwarzschild radius
     r0 = 2GM/c², the light speed and a cosmological constant in m^-2.  Build
@@ -102,7 +101,7 @@ def source_from_mass(
     return source_from_r0(r0, c, Lambda, lambda_unit)
 
 
-@dataclass(frozen=True)
+@_record
 class MetricPoint:
     """Radial coordinate, polar angle and the four coordinate differentials
     (plain floats or Dual numbers)."""
@@ -285,7 +284,7 @@ def infinitesimal_transform(eta: float, dRm, dTm):
     return dRs, dTs
 
 
-@dataclass(frozen=True)
+@_record
 class ExpansionRates:
     """Hubble rate, deceleration parameter and the optional density check."""
 

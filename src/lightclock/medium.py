@@ -22,10 +22,9 @@ import math
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 from operator import mul
 
-from . import SPEED_OF_LIGHT, _bisect, _linspace
+from . import SPEED_OF_LIGHT, _bisect, _linspace, _record
 from .clocks import LightClockSpec
 from .radar import RadarRecord, _rapidity_factor, record_from_rapidity
 
@@ -74,7 +73,7 @@ class IntegrationWarning(UserWarning):
     """The log-kernel integral did not reach its tolerance."""
 
 
-@dataclass(frozen=True)
+@_record
 class PropagationScenario:
     """Velocity profile v(t) ≥ 0 on [a, b] with emission time t1 and the
     local to-and-fro speed c."""
@@ -92,7 +91,7 @@ class PropagationScenario:
             raise ValueError("t1 must lie inside [a, b]")
 
 
-@dataclass(frozen=True)
+@_record
 class MediumVelocity:
     """Integral value with the mean-value witness t* where
     v(t*)·ln(t_end/t_start) equals it."""
@@ -101,7 +100,7 @@ class MediumVelocity:
     witness: float
 
 
-@dataclass(frozen=True)
+@_record
 class PulseCounts:
     """One radar pulse: counter readings and the underlying medium times."""
 
@@ -113,7 +112,7 @@ class PulseCounts:
     t3: float
 
 
-@dataclass(frozen=True)
+@_record
 class EquilinearResult:
     w1: float
     w2: float

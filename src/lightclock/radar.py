@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+
+from . import _record
 
 
-@dataclass(frozen=True)
+@_record
 class RadarRecord:
     """Emission, reflection and return times, all in medium time (s)."""
 
@@ -27,7 +28,7 @@ class RadarRecord:
             raise ValueError("radar record requires t1 <= t2 <= t3")
 
 
-@dataclass(frozen=True)
+@_record
 class Rapidity:
     """Unsigned medium scalar velocity (additive for collinear motion)."""
 
@@ -41,7 +42,7 @@ class Rapidity:
             raise ValueError("c must be positive")
 
 
-@dataclass(frozen=True)
+@_record
 class EinsteinMeasures:
     """Radar-method quantities: t_E, r_E, v_E and the ratio K = v_E/c, with
     the splits of the record's times they predict; ``degenerate`` marks the

@@ -12,8 +12,8 @@ transformation dU = dt + f·dR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from . import _record
 from .line_elements import (
     GravitySource,
     MetricPoint,
@@ -132,7 +132,7 @@ def transformed_radial_interval(src: GravitySource, p: MetricPoint):
     return black_hole_interval(lam, p.dt, p.dR, p.R, p.theta, p.dtheta, p.dphi, c)
 
 
-@dataclass(frozen=True)
+@_record
 class PartialInterval:
     value: float
     branch: str  # "interior", "transition", "exterior"

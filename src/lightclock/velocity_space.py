@@ -9,12 +9,13 @@ composition and the x-aligned Lorentz transformation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from . import _record
 
 _TOL = 1e-9  # how far a triangle may miss its relations and still be admissible
 
 
-@dataclass(frozen=True)
+@_record
 class VelocityTriangle:
     """Three medium speeds with the interior angle theta at the observer and
     exterior angle phi at the second position; p1 + p2 = omega3."""
@@ -30,7 +31,7 @@ class VelocityTriangle:
     c: float
 
 
-@dataclass(frozen=True)
+@_record
 class Event4:
     """Einstein-measure coordinates of an event."""
 
@@ -40,7 +41,7 @@ class Event4:
     z: float = 0.0
 
 
-@dataclass(frozen=True)
+@_record
 class BetaGamma:
     """beta = (1−v²/c²)^(−1/2), gamma = 1/beta; beta·gamma = 1."""
 
@@ -49,7 +50,7 @@ class BetaGamma:
     gamma: float
 
 
-@dataclass(frozen=True)
+@_record
 class TriangleEinstein:
     """Einstein velocities of a triangle with the three identity residuals.
 

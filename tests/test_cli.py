@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -328,6 +329,23 @@ def python_json(code):
     return json.loads(res.stdout.splitlines()[-1])
 
 
+# argvs that print argparse's help or errors, whose bytes must not depend on
+# whether a call builds one subparser or all of them
+PARSER_ARGVS = [
+    ["--help"], [], ["foo"], ["radar", "--help"], ["metric", "--help"],
+    ["metric", "bogus", "--r0", "1"], ["compose", "--v1", "0.1", "--v2", "0.2", "--bad", "1"],
+]
+
+
+def main_output(capsys, argv):
+    """The exit code, stdout and stderr of ``cli.main(argv)``."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
 class TestStartupImports:
     """The CLI runs without numpy or scipy: numpy serves only array input to
     the transition profiles, and scipy only the tests' oracles.  Neither
@@ -354,6 +372,40 @@ class TestStartupImports:
         modules = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()]
         assert "lightclock.cli" in modules
         assert not [m for m in modules if m.split(".")[0] in ("numpy", "scipy")]
+
+    def test_no_module_loads_dataclasses(self):
+        # the records are plain frozen classes: neither a compose call nor
+        # every kernel module loads dataclasses, or inspect, which it imports
+        src = str(Path(__file__).parent.parent / "src")
+        check = "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        res = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys; from lightclock import cli; "
+             "cli.main(['compose', '--v1', '0.1', '--v2', '0.2', '--c', '1']); "
+             f"{check}; import lightclock; [getattr(lightclock, n) for n in lightclock.__all__]; "
+             f"{check}"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+    def test_a_call_builds_only_its_subparser(self):
+        def choices(parser):
+            return list(parser._subparsers._group_actions[0].choices)
+
+        assert choices(cli.build_parser("compose")) == ["compose"]
+        assert len(cli._COMMANDS) == 13
+        assert choices(cli.build_parser()) == list(cli._COMMANDS)
+        assert choices(cli.build_parser("foo")) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "bare")
+    def test_output_does_not_depend_on_the_subparsers_built(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        one = main_output(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *_: full())
+        assert main_output(capsys, argv) == one
+        assert one[0] == (0 if "--help" in argv else 2)
 
     @pytest.mark.parametrize("module", ["lightclock", "lightclock.cli"])
     def test_import_runs_no_kernel_module(self, module):

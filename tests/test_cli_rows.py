@@ -249,6 +249,30 @@ class TestMarks:
                 assert re.search(rf"(?<!\w){required[0]}(?!\w)", err), (drop, err)
 
 
+class TestNegativeExponentForm:
+    """A float flag takes a negative value in exponent form as its value,
+    not as a flag, whether the parser has one subcommand or all of them."""
+
+    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS],
+                             ids=[f"{c}-{m}" if m else c for c, m, *_ in ROWS])
+    @pytest.mark.parametrize("text", ["-1e-3", "-1E5", "-2.5e+10"])
+    def test_first_float_flag(self, capsys, command, mode, spec, text):
+        name = next(n for n in cli._names(spec) if cli._OTHER.get(n, float) is float)
+        argv = call(command, mode, {name: text})
+        for parser in (cli.build_parser(command), cli.build_parser()):
+            assert getattr(parser.parse_args(argv), name) == float(text)
+        _, _, err = run_main(capsys, *argv)
+        assert "expected one argument" not in err, err
+
+    @pytest.mark.parametrize("text", ["-inf", "-nan"])
+    def test_non_finite_is_two_naming_the_flag(self, capsys, text):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["compose", "--v1", text, "--v2", "0.1", "--c", "1"])
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, out) == (2, "")
+        assert "--v1" in err
+
+
 def horizon_closed_forms(r0, Lambda):
     """The horizons of a source whose a = r0·√Λ is small: r0(1 + a²/3), to
     O(a⁴) relatively, and (√3 − a/2)/√Λ, to O(a²)."""

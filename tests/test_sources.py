@@ -5,7 +5,6 @@ mass and G enter, as r0 = 2GM/c².  On the CLI, G goes with a mass: a row reads
 ``r0|mass,[G]``.
 """
 
-import dataclasses
 import json
 import math
 
@@ -28,9 +27,8 @@ def run_main(capsys, *argv):
 
 class TestRecord:
     def test_fields_are_what_the_formulas_read(self):
-        names = [field.name for field in dataclasses.fields(GravitySource)]
-        assert names == ["schwarzschild_r0", "c", "lambda_per_m2"]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert list(vars(GravitySource(1.0))) == ["schwarzschild_r0", "c", "lambda_per_m2"]
+        with pytest.raises(AttributeError):
             GravitySource(1.0).schwarzschild_r0 = 2.0
 
     @pytest.mark.parametrize("r0,c", [(-1.0, 1.0), (-1e-300, 1.0), (math.inf, 1.0),

@@ -22,7 +22,7 @@ def run(monkeypatch):
     """``cli.main`` in-process with one parser for every call; returns the
     exit code, stdout and stderr."""
     parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda *_: parser)
 
     def call(*argv):
         out, err = io.StringIO(), io.StringIO()
