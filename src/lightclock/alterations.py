@@ -12,13 +12,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from . import LAMBDA_UNITS, SPEED_OF_LIGHT, _record
-from .line_elements import (
-    GravitySource,
-    convert_lambda,
-    modified_lambda,
-    potential_velocity,
-)
+from . import _record
+from .line_elements import GravitySource, modified_lambda, potential_velocity
 from .velocity_space import gamma_factor
 
 _STEP = 1e-6  # the central-difference step of separated_operator_check
@@ -61,36 +56,26 @@ def alteration_report(gamma: float) -> AlterationReport:
 @_record
 class GravCompareInput:
     """Two radial positions to compare, with the shared Schwarzschild radius
-    and optional per-position cosmological constants (unit tag required)."""
+    and optional per-position cosmological constants in m^-2."""
 
     r_s: float  # Schwarzschild radius, m
     r_P: float  # m
     r_R: float  # m, may be math.inf
-    Lambda: float = 0.0  # attached to the P-side factor
-    Lambda1: float | None = None  # R-side; defaults to Lambda
-    lambda_unit: str = "s^-2"
-    c: float = SPEED_OF_LIGHT
+    lambda_P_per_m2: float = 0.0  # attached to the P-side factor
+    lambda_R_per_m2: float = 0.0  # attached to the R-side factor
 
     def __post_init__(self):
         if not self.r_s >= 0:
             raise ValueError("r_s must be non-negative")
         if not (self.r_P >= self.r_s and self.r_R >= self.r_s):
             raise ValueError("both radii must lie at or outside r_s")
-        if self.lambda_unit not in LAMBDA_UNITS:
-            raise ValueError(
-                f"lambda_unit must be one of {LAMBDA_UNITS}, got {self.lambda_unit!r}"
-            )
 
-    def g1(self, r: float, side: str = "P") -> float:
-        lam = self.Lambda if side == "P" else (
-            self.Lambda1 if self.Lambda1 is not None else self.Lambda
-        )
-        lam = convert_lambda(lam, self.lambda_unit, self.c)
+    def g1(self, r: float, lambda_per_m2: float) -> float:
         if math.isinf(r):
-            if lam != 0.0:
+            if lambda_per_m2 != 0.0:
                 raise ValueError("infinite radius needs Lambda = 0 on that side")
             return 1.0
-        return modified_lambda(self.r_s, lam, r)
+        return modified_lambda(self.r_s, lambda_per_m2, r)
 
 
 def gamma_special(v_E: float, c: float) -> float:
@@ -168,8 +153,8 @@ def gravitational_clock_compare(inp: GravCompareInput) -> float:
     deeper clock; with Lambda supplied the modified factors are used, with
     independent values allowed per side.
     """
-    gP = inp.g1(inp.r_P, side="P")
-    gR = inp.g1(inp.r_R, side="R")
+    gP = inp.g1(inp.r_P, inp.lambda_P_per_m2)
+    gR = inp.g1(inp.r_R, inp.lambda_R_per_m2)
     if gP <= 0 or gR <= 0:
         raise ValueError("comparison factors must be positive outside r_s")
     return math.sqrt(gR) / math.sqrt(gP)

@@ -420,15 +420,15 @@ def _alter_total_doppler(p: Params) -> dict:
 
 def _cmd_dilation(p: Params) -> dict:
     rs_over_rp, rr_over_rp = p.require("rs_over_rp", "rr_over_rp")
-    if (p.get("Lambda") or p.get("Lambda1")) and p.get("rp") is None:
+    lam = p.get("Lambda", 0.0)
+    lam1 = p.get("Lambda1", lam)  # the R side takes the P side's by default
+    if (lam or lam1) and p.get("rp") is None:
         raise ConfigError("rp is required when a cosmological constant is supplied")
     rp = p.get("rp", 1.0)
+    unit = p.get("lambda_unit", "s^-2")
     inp = alterations.GravCompareInput(
-        r_s=rs_over_rp * rp,
-        r_P=rp,
-        r_R=rr_over_rp * rp,
-        c=p.c,
-        **p.given("Lambda", "Lambda1", "lambda_unit"),
+        rs_over_rp * rp, rp, rr_over_rp * rp,
+        *(line_elements.convert_lambda(x, unit, p.c) for x in (lam, lam1)),
     )
     return {"ratio": alterations.gravitational_clock_compare(inp)}
 

@@ -3,7 +3,9 @@ standard-part operator.
 
 A ``Dual`` carries a finite real part plus the coefficient of a first-order
 infinitesimal; products of two infinitesimal parts are discarded by
-definition, not as an approximation.
+definition, not as an approximation.  Either part may itself be a ``Dual``:
+``Dual(Dual(t, 1), Dual(1, 0))`` is a hyper-dual number t + ε1 + ε2, with
+ε1² = ε2² = 0 but ε1ε2 ≠ 0, and f of it carries f'' as the ε1ε2 coefficient.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ from collections.abc import Callable
 
 from . import _record
 
-
-def _check_finite(x: float, what: str) -> None:
-    if not math.isfinite(x):
-        raise ValueError(f"{what} must be finite, got {x!r}")
+_isfinite = math.isfinite
+_ZERO_DIVISOR = "infinitesimal division: divisor has zero standard part"
 
 
 @_record
@@ -31,9 +31,16 @@ class Dual:
     real: float
     eps: float = 0.0
 
-    def __post_init__(self):
-        _check_finite(self.real, "real part")
-        _check_finite(self.eps, "infinitesimal coefficient")
+    def __init__(self, real, eps=0.0):
+        # flat, since arithmetic builds a Dual per operation: a Dual part was
+        # checked when built, and the fields go past the frozen __setattr__
+        if real.__class__ is not Dual and not _isfinite(real):
+            raise ValueError(f"real part must be finite, got {real!r}")
+        if eps.__class__ is not Dual and not _isfinite(eps):
+            raise ValueError(f"infinitesimal coefficient must be finite, got {eps!r}")
+        fields = self.__dict__
+        fields["real"] = real
+        fields["eps"] = eps
 
     # -- ring operations, truncated at first order -------------------------
 
@@ -58,13 +65,14 @@ class Dual:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dual(
-            self.real * other.real,
-            self.real * other.eps + self.eps * other.real,
-        )
+        if other.__class__ is Dual:
+            return Dual(
+                self.real * other.real,
+                self.real * other.eps + self.eps * other.real,
+            )
+        if isinstance(other, (int, float)):
+            return Dual(self.real * other, self.eps * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -72,15 +80,10 @@ class Dual:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.real == 0.0:
-            raise ZeroDivisionError(
-                "infinitesimal division: divisor has zero standard part"
-            )
-        real = self.real / other.real
-        eps = (self.eps * other.real - self.real * other.eps) / (
-            other.real * other.real
-        )
-        return Dual(real, eps)
+        if _real_of(other) == 0.0:
+            raise ZeroDivisionError(_ZERO_DIVISOR)
+        c = other.real
+        return Dual(self.real / c, (self.eps * c - self.real * other.eps) / (c * c))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -96,70 +99,73 @@ class Dual:
             n = int(n)
             if n == 0:
                 return Dual(1.0, 0.0)
-            if self.real == 0.0 and n < 0:
-                raise ZeroDivisionError(
-                    "infinitesimal division: divisor has zero standard part"
-                )
-        elif self.real <= 0.0:
+            if n < 0 and _real_of(self) == 0.0:
+                raise ZeroDivisionError(_ZERO_DIVISOR)
+        elif self.real <= 0.0:  # a Dual part compares its standard part
             raise ValueError("fractional power of a non-positive dual")
-        return Dual(
-            self.real**n, n * self.real ** (n - 1) * self.eps
-        )
+        return Dual(self.real**n, n * self.real ** (n - 1) * self.eps)
 
     def __abs__(self):
-        s = math.copysign(1.0, self.real)
+        s = math.copysign(1.0, _real_of(self))
         return Dual(abs(self.real), s * self.eps)
 
     # -- comparisons act on the standard part ------------------------------
 
     def __lt__(self, other):
-        return self.real < _real_of(other)
+        return _real_of(self) < _real_of(other)
 
     def __le__(self, other):
-        return self.real <= _real_of(other)
+        return _real_of(self) <= _real_of(other)
 
     def __gt__(self, other):
-        return self.real > _real_of(other)
+        return _real_of(self) > _real_of(other)
 
     def __ge__(self, other):
-        return self.real >= _real_of(other)
+        return _real_of(self) >= _real_of(other)
 
     # -- elementary functions (named so numpy ufuncs dispatch) -------------
 
     def sqrt(self):
-        r = math.sqrt(self.real)
+        r = _fn("sqrt", self.real)
         return Dual(r, self.eps / (2.0 * r))
 
     def exp(self):
-        e = math.exp(self.real)
+        e = _fn("exp", self.real)
         return Dual(e, e * self.eps)
 
     def log(self):
-        return Dual(math.log(self.real), self.eps / self.real)
+        return Dual(_fn("log", self.real), self.eps / self.real)
 
     def sin(self):
-        return Dual(math.sin(self.real), math.cos(self.real) * self.eps)
+        return Dual(_fn("sin", self.real), _fn("cos", self.real) * self.eps)
 
     def cos(self):
-        return Dual(math.cos(self.real), -math.sin(self.real) * self.eps)
+        return Dual(_fn("cos", self.real), -_fn("sin", self.real) * self.eps)
 
     def tan(self):
-        return Dual(
-            math.tan(self.real), self.eps / math.cos(self.real) ** 2
-        )
+        return Dual(_fn("tan", self.real), self.eps / _fn("cos", self.real) ** 2)
+
+    def sinh(self):
+        return Dual(_fn("sinh", self.real), _fn("cosh", self.real) * self.eps)
+
+    def cosh(self):
+        return Dual(_fn("cosh", self.real), _fn("sinh", self.real) * self.eps)
 
     def tanh(self):
-        return Dual(
-            math.tanh(self.real), self.eps / math.cosh(self.real) ** 2
-        )
+        return Dual(_fn("tanh", self.real), self.eps / _fn("cosh", self.real) ** 2)
 
     def arctan(self):
-        return Dual(
-            math.atan(self.real), self.eps / (1.0 + self.real**2)
-        )
+        x = self.real
+        atan = x.arctan() if x.__class__ is Dual else math.atan(x)
+        return Dual(atan, self.eps / (1.0 + x**2))
 
     def __repr__(self):
         return f"{self.real} + {self.eps}ε"
+
+
+def _fn(name: str, x):
+    """math.<name>(x) for a float part x, the Dual method for a Dual part."""
+    return getattr(x, name)() if x.__class__ is Dual else getattr(math, name)(x)
 
 
 def _coerce(x):
@@ -171,7 +177,9 @@ def _coerce(x):
 
 
 def _real_of(x) -> float:
-    return x.real if isinstance(x, Dual) else float(x)
+    while x.__class__ is Dual:
+        x = x.real
+    return float(x)
 
 
 def dual_arith(a: Dual, b: Dual, op: str) -> Dual:
@@ -188,7 +196,8 @@ def dual_arith(a: Dual, b: Dual, op: str) -> Dual:
 
 
 def standard_part(a: Dual | int | float) -> float:
-    """Extract the real number infinitely close to a finite dual."""
+    """Extract the real number infinitely close to a finite dual, through
+    every level of a dual whose parts are duals."""
     return _real_of(a)
 
 

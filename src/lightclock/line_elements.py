@@ -299,27 +299,25 @@ def hubble_deceleration(
     rho: float | None = None,
     G: float = GRAVITATIONAL_CONSTANT,
 ) -> ExpansionRates:
-    """H = a'/a and q = −(1 + H'/H²) for a scale function a(t).
+    """H = a'/a and q = −a·a''/a'² for a scale function a(t).
 
-    a must accept Dual arguments; a' comes from the dual ε-channel, H' from a
-    central difference of the dual-computed H.  When a density rho is given
-    the residual of q·H² = 4πGρ/3 is reported too.
+    a must accept Dual arguments.  One evaluation at the hyper-dual
+    t + ε1 + ε2 (a Dual whose parts are Duals) gives a, a' and a'' with no
+    difference step: a' is the ε1 coefficient and a'' the ε1ε2 one.  When a
+    density rho is given the residual of q·H² = 4πGρ/3 is reported too.
     """
-
-    def rate(at: float) -> float:
-        y = a(Dual(at, 1.0))
-        if not isinstance(y, Dual):
-            y = Dual(float(y), 0.0)
-        if y.real == 0.0:
-            raise ValueError(f"scale function vanishes at t={at}")
-        return y.eps / y.real
-
-    H = rate(t)
-    h = 1e-6 * max(abs(t), 1.0)
-    dH_dt = (rate(t + h) - rate(t - h)) / (2.0 * h)
+    y = a(Dual(Dual(t, 1.0), Dual(1.0, 0.0)))
+    # y = (a + a'ε1) + (a' + a''ε1)ε2; a scale function that ignores its
+    # argument may return a float, or a Dual with float parts
+    lo, hi = (y.real, y.eps) if isinstance(y, Dual) else (y, 0.0)
+    value, slope = (lo.real, lo.eps) if isinstance(lo, Dual) else (lo, 0.0)
+    if value == 0.0:
+        raise ValueError(f"scale function vanishes at t={t}")
+    H = slope / value
     if H == 0.0:
         raise ValueError("Hubble rate vanishes; q undefined")
-    q = -(1.0 + dH_dt / (H * H))
+    curvature = hi.eps if isinstance(hi, Dual) else 0.0
+    q = -value * curvature / (slope * slope) + 0.0  # + 0.0: 0.0, not -0.0, for a linear a
     residual = None
     if rho is not None:
         residual = q * H * H - 4.0 * math.pi * G * rho / 3.0

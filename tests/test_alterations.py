@@ -157,10 +157,9 @@ class TestClockCompare:
         assert gravitational_clock_compare(inp) == 2.0
 
     def test_modified_factors(self):
-        # with Lambda the two sides use their own tagged constants
+        # with Lambda the two sides use their own constants, in m^-2
         inp = GravCompareInput(
-            r_s=0.1, r_P=1.0, r_R=10.0,
-            Lambda=3e-4, Lambda1=6e-4, lambda_unit="m^-2", c=1.0,
+            r_s=0.1, r_P=1.0, r_R=10.0, lambda_P_per_m2=3e-4, lambda_R_per_m2=6e-4,
         )
         gP = 1.0 - 0.1 - 3e-4 / 3.0
         gR = 1.0 - 0.01 - 6e-4 * 100.0 / 3.0
@@ -221,7 +220,7 @@ class TestLightSpeedAndRates:
         # original rate
         r_s, r_P, r_R = 0.4, 1.0, 3.0
         inp = GravCompareInput(r_s=r_s, r_P=r_P, r_R=r_R)
-        gP, gR = inp.g1(r_P, "P"), inp.g1(r_R, "R")
+        gP, gR = inp.g1(r_P, 0.0), inp.g1(r_R, 0.0)
         rate_R = rate_of_change_compare(gP, gR, 1.0)
         assert rate_R * gravitational_clock_compare(inp) == pytest.approx(1.0, rel=1e-14)
 

@@ -460,10 +460,9 @@ class TestStartupImports:
 
     def test_lambda_units_declared_once(self):
         import lightclock
-        from lightclock import alterations, cli, line_elements
+        from lightclock import cli, line_elements
 
         assert line_elements.LAMBDA_UNITS is lightclock.LAMBDA_UNITS
-        assert alterations.LAMBDA_UNITS is lightclock.LAMBDA_UNITS
         assert cli._OTHER["lambda_unit"] is lightclock.LAMBDA_UNITS
 
 

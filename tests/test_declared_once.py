@@ -10,7 +10,6 @@ import pytest
 
 import lightclock
 from lightclock import (
-    GravCompareInput,
     GravitySource,
     LambdaFactor,
     LightClockSpec,
@@ -35,7 +34,6 @@ def _default(obj, name):
         (source_from_r0, "c"),
         (source_from_mass, "c"),
         (PropagationScenario, "c"),
-        (GravCompareInput, "c"),
     ],
 )
 def test_light_speed_defaults_are_the_package_constant(obj, name):

@@ -42,10 +42,11 @@ class TestOverflowingSchwarzschildRadius:
 
 class TestHubbleLinear:
     def test_scale_is_t(self, capsys):
-        # a = rate·t gives H = 1/t whatever the rate, so the model reads none
+        # a = rate·t gives H = 1/t whatever the rate, so the model reads none;
+        # a'' = 0 exactly, so q is 0.0 (not -0.0)
         code, out, err = run_main(capsys, "hubble", "--model", "linear", "--t", "2")
         assert (code, err) == (0, "")
-        assert out == '{\n  "H": 0.5,\n  "q": -2.6755486715046572e-11\n}\n'
+        assert out == '{\n  "H": 0.5,\n  "q": 0.0\n}\n'
 
     def test_rate_is_a_config_error(self, capsys, tmp_path):
         code, out, err = run_main(capsys, "hubble", "--model", "linear", "--t", "2", "--rate", "5")

@@ -151,3 +151,101 @@ class TestDualOperations:
 
     def test_repr(self):
         assert repr(Dual(1.5, -2.0)) == "1.5 + -2.0ε"
+
+
+def hyper(x):
+    """x + ε1 + ε2: a Dual whose parts are Duals, with ε1ε2 ≠ 0."""
+    return Dual(Dual(x, 1.0), Dual(1.0, 0.0))
+
+
+class TestDualsOverDuals:
+    """f(x + ε1 + ε2) = (f + f'ε1) + (f' + f''ε1)ε2, read level by level."""
+
+    @pytest.mark.parametrize(
+        "f,f1,f2",
+        [
+            (lambda d: d * d * d - 2 * d + 1, lambda x: 3 * x * x - 2, lambda x: 6 * x),
+            (lambda d: (d * 0.7).exp(), lambda x: 0.7 * math.exp(0.7 * x),
+             lambda x: 0.49 * math.exp(0.7 * x)),
+            (lambda d: d**2.5, lambda x: 2.5 * x**1.5, lambda x: 3.75 * x**0.5),
+            (lambda d: d**-0.5, lambda x: -0.5 * x**-1.5, lambda x: 0.75 * x**-2.5),
+            (Dual.sin, math.cos, lambda x: -math.sin(x)),
+            (Dual.tanh, lambda x: 1.0 / math.cosh(x) ** 2,
+             lambda x: -2.0 * math.tanh(x) / math.cosh(x) ** 2),
+            (Dual.log, lambda x: 1.0 / x, lambda x: -1.0 / (x * x)),
+            (Dual.sqrt, lambda x: 0.5 / math.sqrt(x), lambda x: -0.25 * x**-1.5),
+            (Dual.arctan, lambda x: 1.0 / (1.0 + x * x),
+             lambda x: -2.0 * x / (1.0 + x * x) ** 2),
+        ],
+        ids=["cubic", "exp", "t^2.5", "t^-0.5", "sin", "tanh", "log", "sqrt", "arctan"],
+    )
+    def test_second_derivative_matches_closed_form(self, f, f1, f2):
+        for x in (0.3, 1.1, 2.7):
+            y = f(hyper(x))
+            assert y.real.eps == pytest.approx(f1(x), rel=1e-14)
+            assert y.eps.real == pytest.approx(f1(x), rel=1e-14)
+            assert y.eps.eps == pytest.approx(f2(x), rel=1e-13)
+
+    def test_a_polynomial_is_exact(self):
+        y = (lambda d: d * d * d)(hyper(3.0))
+        assert y == Dual(Dual(27.0, 27.0), Dual(27.0, 18.0))
+
+    def test_standard_part_reads_every_level(self):
+        assert standard_part(Dual(Dual(2.5, 1.0), Dual(3.0, 4.0))) == 2.5
+        assert standard_part(Dual(Dual(Dual(-1.0, 2.0), 0.0), 5.0)) == -1.0
+
+    def test_guards_read_the_standard_part(self):
+        zero = Dual(Dual(0.0, 1.0), Dual(1.0, 0.0))
+        with pytest.raises(ZeroDivisionError, match="zero standard part"):
+            1.0 / zero
+        with pytest.raises(ZeroDivisionError, match="zero standard part"):
+            zero**-1
+        with pytest.raises(ValueError, match="non-positive"):
+            zero**0.5
+        assert abs(-hyper(2.0)) == hyper(2.0)
+        assert hyper(1.0) < 2.0 and hyper(1.0) <= Dual(1.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Dual(Dual(float("nan"), 0.0), Dual(1.0, 0.0)),
+            lambda: Dual(Dual(1.0, 0.0), Dual(1.0, float("inf"))),
+            lambda: Dual(Dual(1.0, 0.0), float("-inf")),
+            lambda: Dual(float("nan"), Dual(1.0, 0.0)),
+        ],
+    )
+    def test_non_finite_refused_at_either_level(self, build):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
+
+# the first-order formulas: (real, eps) of each operation on a + bε (and c + dε)
+_FIRST_ORDER = {
+    "add": (lambda x, y: x + y, lambda a, b, c, d: (a + c, b + d)),
+    "sub": (lambda x, y: x - y, lambda a, b, c, d: (a - c, b - d)),
+    "mul": (lambda x, y: x * y, lambda a, b, c, d: (a * c, a * d + b * c)),
+    "mul_float": (lambda x, y: x * y.real, lambda a, b, c, d: (a * c, a * 0.0 + b * c)),
+    "rmul_float": (lambda x, y: y.real * x, lambda a, b, c, d: (a * c, a * 0.0 + b * c)),
+    "div": (lambda x, y: x / y, lambda a, b, c, d: (a / c, (b * c - a * d) / (c * c))),
+    "pow": (lambda x, y: abs(x) ** y.real,
+            lambda a, b, c, d: (abs(a) ** c, c * abs(a) ** (c - 1) * (math.copysign(1.0, a) * b))),
+    "sqrt": (lambda x, y: abs(x).sqrt(),
+             lambda a, b, c, d: (math.sqrt(abs(a)), math.copysign(1.0, a) * b / (2.0 * math.sqrt(abs(a))))),
+    "exp": (lambda x, y: x.exp(), lambda a, b, c, d: (math.exp(a), math.exp(a) * b)),
+    "log": (lambda x, y: abs(x).log(),
+            lambda a, b, c, d: (math.log(abs(a)), math.copysign(1.0, a) * b / abs(a))),
+    "sin": (lambda x, y: x.sin(), lambda a, b, c, d: (math.sin(a), math.cos(a) * b)),
+    "cos": (lambda x, y: x.cos(), lambda a, b, c, d: (math.cos(a), -math.sin(a) * b)),
+    "tan": (lambda x, y: x.tan(), lambda a, b, c, d: (math.tan(a), b / math.cos(a) ** 2)),
+    "tanh": (lambda x, y: x.tanh(), lambda a, b, c, d: (math.tanh(a), b / math.cosh(a) ** 2)),
+    "arctan": (lambda x, y: x.arctan(), lambda a, b, c, d: (math.atan(a), b / (1.0 + a**2))),
+}
+_nonzero = st.floats(min_value=0.01, max_value=20.0) | st.floats(min_value=-20.0, max_value=-0.01)
+
+
+@pytest.mark.parametrize("op", list(_FIRST_ORDER))
+@given(a=_nonzero, b=st.floats(-1e3, 1e3), c=_nonzero, d=st.floats(-1e3, 1e3))
+def test_first_order_parts_are_the_first_order_formulas(op, a, b, c, d):
+    apply, formula = _FIRST_ORDER[op]
+    y = apply(Dual(a, b), Dual(c, d))
+    assert (y.real, y.eps) == formula(a, b, c, d)

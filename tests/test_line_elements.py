@@ -8,6 +8,7 @@ from lightclock import (
     Dual,
     LambdaFactor,
     MetricPoint,
+    cli,
     cosmological_constant_for_horizon,
     gamma_gravitational,
     gamma_special,
@@ -347,3 +348,25 @@ class TestHubble:
     def test_vanishing_scale(self):
         with pytest.raises(ValueError, match="vanishes"):
             hubble_deceleration(lambda t: t - 2.0, 2.0)
+
+    @pytest.mark.parametrize("a", [lambda t: 2.0, lambda t: t**0, lambda t: t * 0.0 + 1.0])
+    def test_constant_scale_has_no_rate(self, a):
+        with pytest.raises(ValueError, match="Hubble rate vanishes"):
+            hubble_deceleration(a, 2.0)
+
+    def test_scale_evaluated_once(self):
+        seen = []
+        hubble_deceleration(lambda t: seen.append(t) or t**0.5, 3.0)
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize(
+        "argv,printed",
+        [
+            ("--model linear --t 2", '"H": 0.5,\n  "q": 0.0\n'),
+            ("--model powerlaw --exponent 0.5 --t 3", '"q": 1.0\n'),
+            ("--model exponential --rate 0.7 --t 3", '"H": 0.7,\n  "q": -1.0\n'),
+        ],
+    )
+    def test_cli_prints_the_exact_q(self, capsys, argv, printed):
+        assert cli.main(["hubble", *argv.split()]) == 0
+        assert printed in capsys.readouterr().out
