@@ -126,46 +126,49 @@ class Dual:
     # -- elementary functions (named so numpy ufuncs dispatch) -------------
 
     def sqrt(self):
-        r = _fn("sqrt", self.real)
+        r = _fn(self.real, "sqrt", math.sqrt)
         return Dual(r, self.eps / (2.0 * r))
 
     def exp(self):
-        e = _fn("exp", self.real)
+        e = _fn(self.real, "exp", math.exp)
         return Dual(e, e * self.eps)
 
     def log(self):
-        return Dual(_fn("log", self.real), self.eps / self.real)
+        return Dual(_fn(self.real, "log", math.log), self.eps / self.real)
 
     def sin(self):
-        return Dual(_fn("sin", self.real), _fn("cos", self.real) * self.eps)
+        return Dual(_fn(self.real, "sin", math.sin), _fn(self.real, "cos", math.cos) * self.eps)
 
     def cos(self):
-        return Dual(_fn("cos", self.real), -_fn("sin", self.real) * self.eps)
+        return Dual(_fn(self.real, "cos", math.cos), -_fn(self.real, "sin", math.sin) * self.eps)
 
     def tan(self):
-        return Dual(_fn("tan", self.real), self.eps / _fn("cos", self.real) ** 2)
+        x = self.real
+        return Dual(_fn(x, "tan", math.tan), self.eps / _fn(x, "cos", math.cos) ** 2)
 
     def sinh(self):
-        return Dual(_fn("sinh", self.real), _fn("cosh", self.real) * self.eps)
+        x = self.real
+        return Dual(_fn(x, "sinh", math.sinh), _fn(x, "cosh", math.cosh) * self.eps)
 
     def cosh(self):
-        return Dual(_fn("cosh", self.real), _fn("sinh", self.real) * self.eps)
+        x = self.real
+        return Dual(_fn(x, "cosh", math.cosh), _fn(x, "sinh", math.sinh) * self.eps)
 
     def tanh(self):
-        return Dual(_fn("tanh", self.real), self.eps / _fn("cosh", self.real) ** 2)
+        x = self.real
+        return Dual(_fn(x, "tanh", math.tanh), self.eps / _fn(x, "cosh", math.cosh) ** 2)
 
     def arctan(self):
         x = self.real
-        atan = x.arctan() if x.__class__ is Dual else math.atan(x)
-        return Dual(atan, self.eps / (1.0 + x**2))
+        return Dual(_fn(x, "arctan", math.atan), self.eps / (1.0 + x**2))
 
     def __repr__(self):
         return f"{self.real} + {self.eps}ε"
 
 
-def _fn(name: str, x):
-    """math.<name>(x) for a float part x, the Dual method for a Dual part."""
-    return getattr(x, name)() if x.__class__ is Dual else getattr(math, name)(x)
+def _fn(x, name: str, f: Callable[[float], float]):
+    """f(x) for a float part x, the Dual method ``name`` for a Dual part."""
+    return getattr(x, name)() if x.__class__ is Dual else f(x)
 
 
 def _coerce(x):

@@ -303,8 +303,9 @@ def hubble_deceleration(
 
     a must accept Dual arguments.  One evaluation at the hyper-dual
     t + ε1 + ε2 (a Dual whose parts are Duals) gives a, a' and a'' with no
-    difference step: a' is the ε1 coefficient and a'' the ε1ε2 one.  When a
-    density rho is given the residual of q·H² = 4πGρ/3 is reported too.
+    difference step: a' is the ε1 coefficient and a'' the ε1ε2 one.  a and a'
+    must be normal floats, and a'' finite and normal where a'²/a is not.  When
+    a density rho is given the residual of q·H² = 4πGρ/3 is reported too.
     """
     y = a(Dual(Dual(t, 1.0), Dual(1.0, 0.0)))
     # y = (a + a'ε1) + (a' + a''ε1)ε2; a scale function that ignores its
@@ -317,7 +318,11 @@ def hubble_deceleration(
     if H == 0.0:
         raise ValueError("Hubble rate vanishes; q undefined")
     curvature = hi.eps if isinstance(hi, Dual) else 0.0
-    q = -value * curvature / (slope * slope) + 0.0  # + 0.0: 0.0, not -0.0, for a linear a
+    tiny = 2.2250738585072014e-308  # the least normal float; a part below it has lost digits
+    if abs(value) < tiny or abs(slope) < tiny or abs(curvature) < tiny > abs(slope * H):
+        raise ValueError(f"a, a' or a'' is below the normal float range at t={t}")
+    # a/a' and a''/a' stay in range where a·a'' and a'^2 overflow or underflow
+    q = -(value / slope) * (curvature / slope) + 0.0  # 0.0, not -0.0, for a linear a
     residual = None
     if rho is not None:
         residual = q * H * H - 4.0 * math.pi * G * rho / 3.0

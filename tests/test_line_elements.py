@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -370,3 +371,59 @@ class TestHubble:
     def test_cli_prints_the_exact_q(self, capsys, argv, printed):
         assert cli.main(["hubble", *argv.split()]) == 0
         assert printed in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t", [-700.0, -400.0, -370.0, -360.0, 360.0, 700.0])
+    def test_q_stays_finite_where_a_times_a2_leaves_the_float_range(self, t):
+        # a = a' = a'' = e^t: a·a'' and a'^2 overflow (or underflow) here
+        rates = hubble_deceleration(lambda tt: tt.exp(), t)
+        assert (rates.H, rates.q) == (1.0, -1.0)
+
+    def test_q_of_a_power_law_past_t_to_the_2p_minus_2_overflowing(self):
+        rates = hubble_deceleration(lambda tt: tt**3.0, 1e80)  # t^4 = 1e320
+        assert rates.H == pytest.approx(3e-80, rel=1e-15)
+        assert rates.q == pytest.approx(-2.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "argv,H,q",
+        [
+            # a central difference for H' printed H = 1.0, q = -1.0 for both,
+            # and q = -0.6666666665919018 for the power law
+            ("--model exponential --rate 1 --t 360", 1.0, -1.0),
+            ("--model exponential --rate 1 --t -400", 1.0, -1.0),
+            ("--model powerlaw --exponent 3 --t 1e80", 2.9999999999999997e-80, -2.0 / 3.0),
+        ],
+    )
+    def test_cli_q_far_from_t_equal_one(self, capsys, argv, H, q):
+        assert cli.main(["hubble", *argv.split()]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["H"] == pytest.approx(H, rel=1e-15)
+        assert out["q"] == pytest.approx(q, rel=1e-15)
+
+    def test_a_second_derivative_past_the_float_range_is_refused(self):
+        # a = e^700 and a' = 1e3·a are finite, a'' = 1e6·a is not
+        with pytest.raises(ValueError, match="must be finite"):
+            hubble_deceleration(lambda tt: (tt * 1e3).exp(), 0.7)
+
+    @pytest.mark.parametrize(
+        "a,t",
+        [
+            (lambda tt: tt**0.5, 1e250),  # a'' = -t^-1.5/4 underflows to 0; q is 1
+            (lambda tt: tt**-0.9, 1e125),  # a'' underflows; q is -2.11
+            (lambda tt: (tt * 1e-160).exp(), 1.0),  # a'' = 1e-320 keeps 4 digits
+            (lambda tt: tt**-2.5, 1e92),  # a' is subnormal
+            (lambda tt: tt.exp(), -720.0),  # a itself is subnormal
+        ],
+    )
+    def test_a_part_below_the_normal_floats_is_refused_not_read_as_zero(self, a, t):
+        with pytest.raises(ValueError, match="below the normal float range"):
+            hubble_deceleration(a, t)
+
+    def test_a_zero_second_derivative_is_read_where_a2_over_a_is_normal(self):
+        rates = hubble_deceleration(lambda tt: tt, 1e300)
+        assert (rates.H, rates.q) == (1e-300, 0.0)
+
+    def test_cli_names_t_when_a_second_derivative_underflows(self, capsys):
+        assert cli.main(["hubble", "--model", "powerlaw", "--exponent", "0.5", "--t", "1e250"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("domain error: hubble: ") and "t=1e+250" in err
