@@ -112,8 +112,7 @@ def decay_lifetime(tau_s: float, gamma: float) -> float:
     """tau_m = tau_s / gamma."""
     if tau_s <= 0:
         raise ValueError("lifetime must be positive")
-    if gamma == 0:
-        raise ValueError("gamma must be nonzero")
+    _require_unit_interval("gamma", gamma)
     return tau_s / gamma
 
 
@@ -121,8 +120,7 @@ def mass_alteration(M_s: float, gamma: float) -> float:
     """M_m = M_s / gamma."""
     if M_s <= 0:
         raise ValueError("mass must be positive")
-    if gamma == 0:
-        raise ValueError("gamma must be nonzero")
+    _require_unit_interval("gamma", gamma)
     return M_s / gamma
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -42,17 +41,6 @@ class ConfigError(Exception):
     pass
 
 
-def _tolerance() -> float:
-    text = os.environ.get("LIGHTCLOCK_TOL", "1e-12")
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"LIGHTCLOCK_TOL must be a non-negative number, got {text!r}")
-    return tol
-
-
 # Every parameter a subcommand takes is declared once, here or in _OTHER.
 # Float parameters are listed under the unit tag their config value must
 # carry; None means dimensionless (a plain number), and LAMBDA_UNITS means the
@@ -68,7 +56,8 @@ _FLOATS_BY_UNIT: dict[str | tuple[str, ...] | None, str] = {
     "m^3/(kg s^2)": "G",
     "1/s": "rate",
     LAMBDA_UNITS: "Lambda Lambda1",
-    None: "gamma g1_p g1_r rs_over_rp rr_over_rp k lam x_min x_max lambda_min lambda_max exponent",
+    None: "gamma g1_p g1_r rs_over_rp rr_over_rp k lam x_min x_max lambda_min lambda_max exponent"
+          " tol",
 }
 _UNITS = {name: unit for unit, names in _FLOATS_BY_UNIT.items() for name in names.split()}
 
@@ -77,7 +66,6 @@ _OTHER: dict[str, object] = {
     "n": int, "n_pulses": int, "sweep_R": str, "out": str,
     "mode": ("real", "complex"),
     "lambda_unit": LAMBDA_UNITS,
-    "model": ("linear", "exponential", "powerlaw"),
 }
 
 
@@ -156,16 +144,18 @@ class Params:
     win, then config, then defaults.
 
     Before any handler runs, these are config errors, in this order: a flag
-    the row does not read, a value that is not finite, both sides of an
-    alternative (flag and config merged), a bad light speed ``c``, and a name
-    the row requires (see _COMMANDS) that the call leaves out.  ``c`` is --c,
-    then --natural-units (c = 1), then the config, then SI.
+    mode left out, a flag the row does not read, a value that is not finite,
+    both sides of an alternative (flag and config merged), a bad light speed
+    ``c``, and a name the row requires that the call leaves out.  ``c`` is
+    --c, then --natural-units (c = 1), then the config, then SI.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
         _, dest, rows = _COMMANDS[args.command]
-        mode = self.args.get(dest)  # None for a command without modes
+        mode = self.args.get(dest and dest.lstrip("-"))  # None for a command without modes
+        if mode not in rows:  # only a flag mode can be left out
+            raise ConfigError(f"missing required parameter {dest.lstrip('-')!r}")
         spec, self.handler = rows[mode]
         self.label = f"{args.command} {mode}" if mode else args.command
         self.names = _names(spec) + ["out", "c"]
@@ -290,7 +280,6 @@ def _parse_sweep(text: str) -> list[float]:
 
 def _cmd_radar(p: Params) -> dict:
     t1, t2, t3 = p.require("t1", "t2", "t3")
-    tol = _tolerance()
     rec = radar.RadarRecord(t1, t2, t3)
     m = radar.einstein_measures(rec, p.c)
     return {
@@ -300,7 +289,7 @@ def _cmd_radar(p: Params) -> dict:
         "K": m.K,
         "t2_pred": m.t2_pred,
         "degenerate": m.degenerate,
-        "geometric_mean_ok": radar.check_geometric_mean(rec, tol),
+        "geometric_mean_ok": radar.check_geometric_mean(rec, **p.given("tol")),
         "omega": radar.rapidity_from_vE(m.v_E, p.c).omega,
     }
 
@@ -484,9 +473,8 @@ def _transition_photons(p: Params) -> dict | tuple:
 
 def _sim_roundtrip(p: Params) -> dict:
     t1, omega = p.require("t1", "omega")
-    tol = _tolerance()
     rec = radar.record_from_rapidity(omega, p.c, t1)
-    return {**vars(rec), "geometric_mean_ok": radar.check_geometric_mean(rec, tol)}
+    return {**vars(rec), "geometric_mean_ok": radar.check_geometric_mean(rec, **p.given("tol"))}
 
 
 def _sim_counts(p: Params) -> tuple:
@@ -520,19 +508,9 @@ def _sim_offset(p: Params) -> dict:
     }
 
 
-def _cmd_hubble(p: Params) -> dict:
-    model, t = p.require("model", "t")
-    # the name each model reads: the rate of a = rate·t cancels out of H
-    reads = {"linear": None, "exponential": "rate", "powerlaw": "exponent"}[model]
-    for name in ("rate", "exponent"):
-        if name != reads and p.get(name) is not None:
-            raise ConfigError(f"hubble --model {model} does not read {name!r}")
-    x = p.get(reads) if reads else None
-    if reads and x is None:
-        raise ConfigError(f"missing required parameter {reads!r}")
-    scale = {"linear": lambda tt: tt, "exponential": lambda tt: (tt * x).exp(),  # tt is a Dual
-             "powerlaw": lambda tt: tt**x}[model]
-    rates = line_elements.hubble_deceleration(scale, t, **p.given("rho", "G"))
+def _hubble(p: Params, scale: Callable) -> dict:
+    """H and q of the scale factor ``scale``, which takes a Dual time."""
+    rates = line_elements.hubble_deceleration(scale, p.get("t"), **p.given("rho", "G"))
     # friedmann_residual is reported only when a density was given
     return {key: value for key, value in vars(rates).items() if value is not None}
 
@@ -540,7 +518,8 @@ def _cmd_hubble(p: Params) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 
-# subcommand: (help, dest of its positional mode or None, rows); a row maps a
+# subcommand: (help, dest of its mode or None, rows); the mode is positional,
+# or a flag with choices when its dest is spelled "--model".  A row maps a
 # mode (None when there are none) to (the parameters it reads, its handler).
 # A call must give each unmarked name; "[name]" is optional.  "a|b" in a row
 # lets a call give either side, not both, and it must give one when each side
@@ -548,7 +527,8 @@ def _cmd_hubble(p: Params) -> dict:
 # reads --out and --c; every subcommand also takes --config and --natural-units.
 _POINT_OR_SWEEP = "R,[theta],[dt],[dR],[dtheta],[dphi]|sweep_R"
 _COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, object]]]] = {
-    "radar": ("Einstein measures of a radar record", None, {None: ("t1 t2 t3", _cmd_radar)}),
+    "radar": ("Einstein measures of a radar record", None,
+              {None: ("t1 t2 t3 [tol]", _cmd_radar)}),
     "compose": ("Einstein velocity composition", None, {None: ("v1 v2", _cmd_compose)}),
     "lorentz": ("x-aligned boost of an event", None, {None: ("t x [y] [z] v3", _cmd_lorentz)}),
     "triangle": ("solve a hyperbolic velocity triangle", None,
@@ -591,13 +571,19 @@ _COMMANDS: dict[str, tuple[str, str | None, dict[str | None, tuple[str, object]]
         "photons": ("[k] [lam]|[lambda_min],[lambda_max],[n]", _transition_photons),
     }),
     "sim": ("medium-propagation simulator", "mode", {
-        "roundtrip": ("t1 omega", _sim_roundtrip),
+        "roundtrip": ("t1 omega [tol]", _sim_roundtrip),
         "counts": ("L omega t1 [n_pulses]", _sim_counts),
         "equilinear": ("t1 t2 t3", _sim_equilinear),
         "offset": ("u omega dt_emit", _sim_offset),
     }),
-    "hubble": ("expansion rate and deceleration parameter", None,
-               {None: ("model t [rate] [exponent] [rho] [G]", _cmd_hubble)}),
+    # a = rate·t gives H = 1/t whatever the rate, so linear reads none
+    "hubble": ("expansion rate and deceleration parameter", "--model", {
+        "linear": ("t [rho] [G]", lambda p: _hubble(p, lambda tt: tt)),
+        "exponential": ("rate t [rho] [G]",
+                        lambda p: _hubble(p, lambda tt: (tt * p.get("rate")).exp())),
+        "powerlaw": ("exponent t [rho] [G]",
+                     lambda p: _hubble(p, lambda tt: tt ** p.get("exponent"))),
+    }),
 }
 
 # every config field: the parameters of all rows
@@ -646,7 +632,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             choices = kind if isinstance(kind, tuple) else None
             sp.add_argument(
                 f"--{name.replace('_', '-')}",
-                dest=name,
                 type=None if choices else kind,
                 choices=choices,
                 help=_HELP.get(name),

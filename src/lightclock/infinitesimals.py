@@ -163,7 +163,9 @@ class Dual:
         return Dual(_fn(x, "arctan", math.atan), self.eps / (1.0 + x**2))
 
     def __repr__(self):
-        return f"{self.real} + {self.eps}ε"
+        # a Dual part is parenthesised, so each level of a hyper-dual shows
+        real, eps = (f"({x})" if x.__class__ is Dual else x for x in (self.real, self.eps))
+        return f"{real} + {eps}ε"
 
 
 def _fn(x, name: str, f: Callable[[float], float]):

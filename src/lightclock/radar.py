@@ -85,7 +85,9 @@ def einstein_measures(rec: RadarRecord, c: float) -> EinsteinMeasures:
 
 
 def check_geometric_mean(rec: RadarRecord, tol: float = 1e-12) -> bool:
-    """True iff |t2 − sqrt(t1·t3)| ≤ tol·t2."""
+    """True iff |t2 − sqrt(t1·t3)| ≤ tol·t2; a negative tol is refused."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol!r}")
     return abs(rec.t2 - math.sqrt(rec.t1 * rec.t3)) <= tol * rec.t2
 
 

@@ -124,6 +124,8 @@ def transformed_radial_interval(src: GravitySource, p: MetricPoint):
     with p.dt read as dU; the surface's unbounded damping contributes nothing
     because its product with dR standardizes to zero.
     """
+    if p.R <= 0:
+        raise ValueError("R must be positive")
     c = src.c
     r0 = src.schwarzschild_r0
     if p.R > r0:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from lightclock import (
     GravCompareInput,
+    cli,
     alteration_report,
     altered_light_speed,
     decay_lifetime,
@@ -107,6 +108,21 @@ class TestDecayAndMass:
 
     def test_electron(self):
         assert mass_alteration(9.109e-31, 0.6) == pytest.approx(1.5182e-30, rel=1e-4)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 5.0])
+    @pytest.mark.parametrize("kernel", [decay_lifetime, mass_alteration])
+    def test_gamma_outside_the_unit_interval(self, kernel, gamma):
+        # the rule transverse_doppler and alteration_report keep
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            kernel(1.0, gamma)
+
+    @pytest.mark.parametrize("gamma", ["-0.5", "0", "5"])
+    @pytest.mark.parametrize("effect,rest", [("decay", "--tau-s"), ("mass", "--mass-s")])
+    def test_gamma_outside_the_unit_interval_is_one(self, capsys, effect, rest, gamma):
+        code = cli.main(["alter", effect, rest, "1", "--gamma", gamma])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"domain error: alter {effect}: gamma must lie in (0, 1]")
 
 
 class TestReport:

@@ -6,16 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import row_argv, run_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "lightclock", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -118,16 +118,18 @@ class TestTransitionGrid:
 
 
 class TestToleranceEnv:
-    def test_geometric_mean_tolerance_override(self, tmp_path):
-        import os
+    """The geometric-mean tolerance is the row parameter ``tol``, a flag or a
+    config field."""
 
-        env = dict(os.environ, LIGHTCLOCK_TOL="1e-3")
-        loose = run_cli(
-            "radar", "--t1", "1", "--t2", "2.0001", "--t3", "4", "--c", "1", env=env
-        )
-        assert json.loads(loose.stdout)["geometric_mean_ok"] is True
-        strict = run_cli("radar", "--t1", "1", "--t2", "2.0001", "--t3", "4", "--c", "1")
-        assert json.loads(strict.stdout)["geometric_mean_ok"] is False
+    def test_geometric_mean_tolerance_override(self, capsys, tmp_path):
+        argv = ("radar", "--t1", "1", "--t2", "2.0001", "--t3", "4", "--c", "1")
+        for loose in (("--tol", "1e-3"), ("--config", write_config(tmp_path, {"tol": 1e-3}))):
+            code, out, _ = run_main(capsys, *argv, *loose)
+            assert code == 0
+            assert json.loads(out)["geometric_mean_ok"] is True
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["geometric_mean_ok"] is False
 
 
 class TestNaturalUnits:
@@ -473,40 +475,51 @@ from lightclock import cli
 
 
 # each subcommand's parameters in the order they had when one list served all
-# its modes (the other subcommands' rows list them in that order): the first
-# case of each (command, parameter) keeps its place, and so its test id
+# its modes (the other subcommands' rows list them in that order), hubble's
+# flag mode among them: the first case of each (command, parameter) keeps its
+# place, and so its test id, and a parameter added since comes last
 _ORDER_BEFORE_ROWS = {
+    "radar": "t1 t2 t3",
     "metric": "dt dx dy dz dr dR dtheta dphi theta v d a R r r0 mass G Lambda mode"
               " lambda_unit sweep_R",
     "alter": "nu_s tau_s mass_s v gamma",
     "transition": "k lam x_min x_max lambda_min lambda_max dt dR n",
     "sim": "omega t1 t2 t3 L u dt_emit n_pulses",
+    "hubble": "model t rate exponent rho G",
 }
 
 
 def _table_params():
-    """Every (command, mode, parameter) of the table's rows: first each
-    (command, parameter) once, with the first mode that reads it, then the
-    pairs of the other modes."""
-    rest = []
-    for command, (_, _, rows) in cli._COMMANDS.items():
+    """Every (command, [mode], parameter) of the table's rows, and each flag
+    mode as a parameter of its command: first each (command, parameter) once,
+    with the first mode that reads it, then the pairs of the other modes, then
+    the pairs of parameters added since.  The mode sits in a list, so a case's
+    id counts cases (mode0, mode1, ...) and does not spell the mode."""
+    rest, added = [], []
+    for command, (_, dest, rows) in cli._COMMANDS.items():
         specs = {mode: cli._names(spec) + ["out", "c"] for mode, (spec, _) in rows.items()}
         order = _ORDER_BEFORE_ROWS.get(command, " ".join(cli._flags(rows))).split()
-        for name in order + ["out", "c"]:
+        order += ["out", "c"]
+        for name in order:
+            if dest == f"--{name}":  # the flag mode: a call gives it as a flag
+                yield command, [None], name
+                continue
             mode = next(mode for mode, names in specs.items() if name in names)
-            yield command, [mode] if mode else [], name
+            yield command, [mode], name
             specs[mode].remove(name)
-        rest += [(command, [mode] if mode else [], name)
-                 for mode, names in specs.items() for name in names]
-    yield from rest
+        for mode, names in specs.items():
+            for name in names:
+                (rest if name in order else added).append((command, [mode], name))
+    yield from rest + added
 
 
 TABLE_PARAMS = list(_table_params())
 
 
-def _flag_value(name):
+def _flag_value(command, name):
     """A valid flag text for the parameter and the value it parses to."""
-    kind = cli._OTHER.get(name, float)
+    _, dest, rows = cli._COMMANDS[command]
+    kind = tuple(rows) if dest == f"--{name}" else cli._OTHER.get(name, float)
     if isinstance(kind, tuple):
         return kind[-1], kind[-1]
     if kind is int:
@@ -514,12 +527,6 @@ def _flag_value(name):
     if kind is str:
         return "1:2:3", "1:2:3"
     return "1.5", 1.5
-
-
-def run_main(capsys, *argv):
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 def write_config(tmp_path, payload):
@@ -534,15 +541,15 @@ class TestParameterTable:
 
     @pytest.mark.parametrize("command,mode,name", TABLE_PARAMS)
     def test_flag_parses(self, command, mode, name):
-        text, value = _flag_value(name)
+        text, value = _flag_value(command, name)
         flag = "--" + name.replace("_", "-")
-        args = cli.build_parser().parse_args([command, *mode, flag, text])
+        args = cli.build_parser().parse_args([*row_argv(command, *mode), flag, text])
         assert getattr(args, name) == value
 
     @pytest.mark.parametrize("command,mode,name", TABLE_PARAMS)
     def test_wrong_unit_tag_names_parameter(self, capsys, tmp_path, command, mode, name):
         cfg = write_config(tmp_path, {name: {"value": 1.0, "unit": "furlong"}})
-        code, out, err = run_main(capsys, command, *mode, "--config", cfg)
+        code, out, err = run_main(capsys, *row_argv(command, *mode), "--config", cfg)
         assert code == 2
         assert out == ""
         assert err.startswith("config error:")
@@ -572,12 +579,25 @@ class TestConfigAndOutputDefects:
         assert (code, out) == (2, "")
         assert repr(name) in err
 
-    @pytest.mark.parametrize("tol", ["abc", "-1", "nan"])
-    def test_bad_tolerance_env_is_two(self, capsys, monkeypatch, tol):
-        monkeypatch.setenv("LIGHTCLOCK_TOL", tol)
-        code, out, err = run_main(capsys, "radar", "--t1", "1", "--t2", "2", "--t3", "4", "--c", "1")
+    @pytest.mark.parametrize("tol", ["abc", "nan"])
+    def test_bad_tolerance_is_two(self, capsys, tmp_path, tol):
+        argv = ["radar", "--t1", "1", "--t2", "2", "--t3", "4", "--c", "1"]
+        code, out, err = main_output(capsys, [*argv, "--tol", tol])
         assert (code, out) == (2, "")
-        assert "LIGHTCLOCK_TOL" in err
+        assert "tol" in err
+        cfg = write_config(tmp_path, {"tol": tol if tol == "abc" else float(tol)})
+        code, out, err = run_main(capsys, *argv, "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert "'tol'" in err
+
+    @pytest.mark.parametrize("label,flags", [("radar", "--t1 1 --t2 2 --t3 4"),
+                                             ("sim roundtrip", "--t1 1 --omega 0.5")],
+                             ids=["radar", "sim-roundtrip"])
+    def test_negative_tolerance_is_one(self, capsys, label, flags):
+        code, out, err = run_main(capsys, *label.split(), *flags.split(), "--tol", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"domain error: {label}: tol must be non-negative, got -1.0")
 
     @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
     def test_bad_light_speed_is_two(self, capsys, c):

@@ -14,6 +14,7 @@ import math
 import re
 
 import pytest
+from conftest import row_argv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,7 +82,7 @@ def calls(draw, command, mode, spec):
                   if n not in given]
     else:
         extra = "none"
-    argv, config = [command] + ([mode] if mode else []), {}
+    argv, config = row_argv(command, mode), {}
     for i, name in enumerate(given):
         text = draw(flag_value(name))
         # some values come from a config; a foreign parameter stays a flag

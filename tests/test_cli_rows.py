@@ -7,14 +7,9 @@ import re
 import sys
 
 import pytest
+from conftest import row_argv, run_main
 
 from lightclock import cli
-
-
-def run_main(capsys, *argv):
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 ROWS = [
@@ -28,8 +23,8 @@ class TestRows:
     def test_settable_surface(self):
         # (command, mode, parameter) combinations a call may set, --out and
         # --c aside; 264 when each subcommand declared one list for all modes
-        assert len(ROWS) == 27
-        assert sum(len(cli._names(spec)) for _, _, spec, _ in ROWS) == 127
+        assert len(ROWS) == 29
+        assert sum(len(cli._names(spec)) for _, _, spec, _ in ROWS) == 134
 
     def test_one_handler_per_row(self):
         assert len({id(handler) for *_, handler in ROWS}) == len(ROWS)
@@ -37,15 +32,16 @@ class TestRows:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_no_row_reads_its_mode(self, command):
         # a handler reads parameters only through its row, and no row
-        # declares the positional mode, so no handler can branch on it
+        # declares the mode, positional or a flag, so no handler can branch on it
         _, dest, rows = cli._COMMANDS[command]
-        assert dest is None or dest not in cli._flags(rows)
+        assert dest is None or dest.lstrip("-") not in cli._flags(rows)
 
     def test_parser_takes_the_union_of_the_rows(self):
         sub = cli.build_parser()._subparsers._group_actions[0].choices
         for command, (_, dest, rows) in cli._COMMANDS.items():
+            mode = dest and dest.lstrip("-")
             dests = {a.dest for a in sub[command]._actions} - {"help", "config", "out", "c",
-                                                               "natural_units", dest}
+                                                               "natural_units", mode}
             assert dests == set(cli._flags(rows))
 
     def test_reading_an_undeclared_name_is_a_programming_error(self):
@@ -54,11 +50,12 @@ class TestRows:
             cli.Params(args).get("k")
 
     def test_help_lists_each_modes_parameters(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["metric", "--help"])
-        out = capsys.readouterr().out
-        for mode, (spec, _) in cli._COMMANDS["metric"][2].items():
-            assert f"  {mode:14}{spec}\n" in out
+        for command in ("metric", "hubble"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            out = capsys.readouterr().out
+            for mode, (spec, _) in cli._COMMANDS[command][2].items():
+                assert f"  {mode:14}{spec}\n" in out
 
 
 class TestUnreadAndBoth:
@@ -126,7 +123,7 @@ class TestFailuresNameTheirCause:
             (("triangle", "--omega1", "800", "--omega2", "800", "--omega3", "900", "--c", "1"),
              ["triangle:", "omega1=800.0", "omega3=900.0", "c=1.0"]),
             (("hubble", "--model", "exponential", "--rate", "1e-320", "--t", "1"),
-             ["hubble:", "rate=1e-320", "t=1.0"]),
+             ["hubble exponential:", "rate=1e-320", "t=1.0"]),
             (("metric", "rw", "--a", "1e-200", "--R", "1e-300", "--dR", "1e200", "--c", "1"),
              ["metric rw:", "'ds2'", "a=1e-200", "dR=1e+200"]),
             (("transition", "photons", "--k", "1e300", "--n", "3"),
@@ -177,9 +174,9 @@ class TestFailuresNameTheirCause:
 
 # a call that exits 0 for each row, giving one side of each alternative and
 # every optional name that does not make another one required (dilation's rp
-# with a Λ, hubble's rate or exponent with the --model that reads it)
+# with a Λ)
 GOOD = {
-    ("radar", None): "--t1 1 --t2 2 --t3 4 --c 1",
+    ("radar", None): "--t1 1 --t2 2 --t3 4 --tol 1e-12 --c 1",
     ("compose", None): "--v1 0.3 --v2 0.4 --c 1",
     ("lorentz", None): "--t 1 --x 0.5 --y 1 --z 2 --v3 0.3 --c 1",
     ("triangle", None): "--omega1 0.5 --omega2 0.5 --omega3 1.0 --c 1",
@@ -203,18 +200,20 @@ GOOD = {
     ("transition", "H"): "--k 1e-3 --x-min -0.01 --x-max 0.01 --n 11",
     ("transition", "interval"): "--k 0.1 --lam 0.5 --dt 1 --dR 0.1 --c 1",
     ("transition", "photons"): "--k 1e-3 --lambda-min 1e-4 --lambda-max 2e-3 --n 5 --c 1",
-    ("sim", "roundtrip"): "--t1 1 --omega 0.5 --c 1",
+    ("sim", "roundtrip"): "--t1 1 --omega 0.5 --tol 1e-12 --c 1",
     ("sim", "counts"): "--L 1 --omega 0.6931471805599453 --t1 1 --n-pulses 3 --c 1",
     ("sim", "equilinear"): "--t1 1 --t2 2 --t3 4 --c 1",
     ("sim", "offset"): "--u 0.5 --omega 0.5 --dt-emit 1 --c 1",
-    ("hubble", None): "--model linear --t 2 --rho 1e-26 --G 6.6743e-11",
+    ("hubble", "linear"): "--t 2 --rho 1e-26 --G 6.6743e-11",
+    ("hubble", "exponential"): "--rate 0.7 --t 3 --rho 1e-26 --G 6.6743e-11",
+    ("hubble", "powerlaw"): "--exponent 0.5 --t 3 --rho 1e-26 --G 6.6743e-11",
 }
 
 
 def call(command, mode, given):
     """The argv of a row's call with the flags ``given`` (name: text)."""
     flags = [x for name, text in given.items() for x in (f"--{name.replace('_', '-')}", text)]
-    return [command, *([mode] if mode else []), *flags]
+    return [*row_argv(command, mode), *flags]
 
 
 class TestMarks:
@@ -333,6 +332,28 @@ class TestScaleTraps:
         code, out, err = run_main(capsys, "hubble", "--model", model, "--t", "1")
         assert (code, out) == (2, "")
         assert f"missing required parameter {name!r}" in err
+
+
+class TestFlagMode:
+    """hubble's rows are chosen by --model, a flag with choices."""
+
+    def test_left_out_is_two(self, capsys):
+        code, out, err = run_main(capsys, "hubble", "--t", "2")
+        assert (code, out, err) == (2, "", "config error: missing required parameter 'model'\n")
+
+    def test_a_config_cannot_carry_it(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": "linear"}')
+        for mode in ([], ["--model", "linear"]):
+            code, out, err = run_main(capsys, "hubble", *mode, "--t", "2", "--config", str(cfg))
+            assert (code, out) == (2, "")
+            assert err.startswith("config error:") and "'model'" in err
+
+    def test_an_unknown_model_is_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["hubble", "--model", "cubic", "--t", "2"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'cubic'" in capsys.readouterr().err
 
 
 class TestNumpyIsOptional:

@@ -1,15 +1,12 @@
 """Inputs refused where they enter: a source whose Schwarzschild radius
 overflows, and a ``hubble`` model given a parameter it cannot use."""
 
+import json
+
 import pytest
+from conftest import run_main
 
-from lightclock import cli, source_from_mass
-
-
-def run_main(capsys, *argv):
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
+from lightclock import source_from_mass
 
 
 class TestOverflowingSchwarzschildRadius:
@@ -51,13 +48,15 @@ class TestHubbleLinear:
     def test_rate_is_a_config_error(self, capsys, tmp_path):
         code, out, err = run_main(capsys, "hubble", "--model", "linear", "--t", "2", "--rate", "5")
         assert (code, out) == (2, "")
-        assert err == "config error: hubble --model linear does not read 'rate'\n"
+        assert err == "config error: hubble linear does not read 'rate'; it reads t rho G\n"
+        # the exponential model reads rate, so a config's rate is ignored, as
+        # any field of another mode is: a config may be shared
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"rate": {"value": 5.0, "unit": "1/s"}}')
         code, out, err = run_main(capsys, "hubble", "--model", "linear", "--t", "2",
                                   "--config", str(cfg))
-        assert (code, out) == (2, "")
-        assert "'rate'" in err
+        assert (code, err) == (0, "")
+        assert out == '{\n  "H": 0.5,\n  "q": 0.0\n}\n'
 
 
 class TestConfigBeforeKernel:
@@ -75,13 +74,16 @@ class TestConfigBeforeKernel:
             ("radar-distance --mass 1e300 --G 1e300 --c 1", None, "'R1'"),
             ("sim counts --L -1 --c 1", None, "'omega'"),
             ("alter doppler --v 2 --c 1", None, "'nu_s'"),
-            ("radar --t1 -1 --t2 1 --t3 2 --c 1", "x", "LIGHTCLOCK_TOL"),
-            ("sim roundtrip --t1 1 --omega -1 --c 1", "x", "LIGHTCLOCK_TOL"),
+            ("radar --t1 -1 --t2 1 --t3 2 --c 1", "x", "'tol'"),
+            ("sim roundtrip --t1 1 --omega -1 --c 1", "x", "'tol'"),
         ],
     )
-    def test_exits_two_naming_the_parameter(self, capsys, monkeypatch, argv, tol, named):
-        if tol is not None:
-            monkeypatch.setenv("LIGHTCLOCK_TOL", tol)
-        code, out, err = run_main(capsys, *argv.split())
+    def test_exits_two_naming_the_parameter(self, capsys, tmp_path, argv, tol, named):
+        config = []
+        if tol is not None:  # a tolerance that is not a number, from a config
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"tol": tol}))
+            config = ["--config", str(cfg)]
+        code, out, err = run_main(capsys, *argv.split(), *config)
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and named in err

@@ -426,4 +426,4 @@ class TestHubble:
         assert cli.main(["hubble", "--model", "powerlaw", "--exponent", "0.5", "--t", "1e250"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("domain error: hubble: ") and "t=1e+250" in err
+        assert err.startswith("domain error: hubble powerlaw: ") and "t=1e+250" in err

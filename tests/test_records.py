@@ -197,3 +197,7 @@ class TestDual:
     def test_repr(self):
         assert repr(Dual(2.0)) == "2.0 + 0.0ε"
         assert repr(Dual(1.0, 1.0) * Dual(1.0, 1.0)) == "1.0 + 2.0ε"
+
+    def test_repr_shows_each_level_of_a_nested_dual(self):
+        assert repr(Dual(Dual(1.0, 1.0), Dual(1.0, 0.0))) == "(1.0 + 1.0ε) + (1.0 + 0.0ε)ε"
+        assert repr(Dual(2.0, Dual(0.5, -1.0))) == "2.0 + (0.5 + -1.0ε)ε"

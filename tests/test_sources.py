@@ -9,20 +9,15 @@ import json
 import math
 
 import pytest
+from conftest import run_main
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lightclock import GravitySource, cli, potential_velocity, source_from_mass, source_from_r0
+from lightclock import GravitySource, potential_velocity, source_from_mass, source_from_r0
 
 FINITE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 # a light speed the CLI accepts: positive, finite, with a square that is not 0
 LIGHT_SPEED = st.floats(min_value=1e-150, max_value=1e300)
-
-
-def run_main(capsys, *argv):
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 class TestRecord:

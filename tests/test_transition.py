@@ -273,3 +273,10 @@ class TestTransformedIntervalInterior:
         p = MetricPoint(R=1.0, dt=0.3, dR=-0.7, dphi=0.4)
         assert transformed_radial_interval(src, p) == self.interior(0.0, p, 2.0)
         assert transformed_radial_interval(src, p) == -2.0 * 2.0 * 0.3 * -0.7 - 1.0 * 0.4 * 0.4
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0])
+    def test_a_radius_that_is_not_positive_is_refused(self, R):
+        # R = -1 gave 1.0 and R = 0 a ZeroDivisionError, where damping_factor refuses both
+        src = source_from_r0(1.0, c=1.0)
+        with pytest.raises(ValueError, match="R must be positive"):
+            transformed_radial_interval(src, MetricPoint(R=R, dt=1.0, dR=0.5))
