@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -185,7 +186,8 @@ class TestSubcommandSurface:
         res = run_cli(
             "metric", "rw", "--a", "1odd", "--natural-units",
         )
-        assert res.returncode == 2  # bad float is an argparse error
+        assert res.returncode == 2  # a bad float is a config error naming its flag
+        assert res.stderr == "config error: --a must be a number, got '1odd'\n"
 
     def test_metric_rw_valid(self):
         res = run_cli(
@@ -331,21 +333,12 @@ def python_json(code):
     return json.loads(res.stdout.splitlines()[-1])
 
 
-# argvs that print argparse's help or errors, whose bytes must not depend on
-# whether a call builds one subparser or all of them
+# argvs that print the argv reader's help or one of its refusals, whose bytes
+# must not depend on what the reader read before
 PARSER_ARGVS = [
     ["--help"], [], ["foo"], ["radar", "--help"], ["metric", "--help"],
     ["metric", "bogus", "--r0", "1"], ["compose", "--v1", "0.1", "--v2", "0.2", "--bad", "1"],
 ]
-
-
-def main_output(capsys, argv):
-    """The exit code, stdout and stderr of ``cli.main(argv)``."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return (code, *capsys.readouterr())
 
 
 class TestStartupImports:
@@ -391,23 +384,36 @@ class TestStartupImports:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-2:] == ["[]", "[]"]
 
-    def test_a_call_builds_only_its_subparser(self):
-        def choices(parser):
-            return list(parser._subparsers._group_actions[0].choices)
-
-        assert choices(cli.build_parser("compose")) == ["compose"]
-        assert len(cli._COMMANDS) == 13
-        assert choices(cli.build_parser()) == list(cli._COMMANDS)
-        assert choices(cli.build_parser("foo")) == list(cli._COMMANDS)
+    def test_a_call_loads_neither_argparse_nor_gettext(self):
+        # the table reads the argv itself; -X importtime lists every module imported
+        res = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "lightclock", "compose",
+             "--v1", "0.5", "--v2", "0.5", "--c", "1"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0
+        modules = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()]
+        assert "lightclock.cli" in modules
+        assert not {"argparse", "gettext"} & set(modules)
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "bare")
     def test_output_does_not_depend_on_the_subparsers_built(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        one = main_output(capsys, argv)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda *_: full())
-        assert main_output(capsys, argv) == one
-        assert one[0] == (0 if "--help" in argv else 2)
+        # main builds a fresh reader per call; one that has read every other
+        # argv first prints the same, and main returns the exit code itself
+        fresh = run_main(capsys, *argv)
+        reader = cli.build_parser()
+        for other in PARSER_ARGVS:
+            with contextlib.suppress(cli.ConfigError):
+                reader.parse_args(other)
+        monkeypatch.setattr(cli, "build_parser", lambda: reader)
+        assert run_main(capsys, *argv) == fresh
+        code, out, err = fresh
+        if "--help" in argv:
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: lightclock")
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("module", ["lightclock", "lightclock.cli"])
     def test_import_runs_no_kernel_module(self, module):
@@ -582,7 +588,7 @@ class TestConfigAndOutputDefects:
     @pytest.mark.parametrize("tol", ["abc", "nan"])
     def test_bad_tolerance_is_two(self, capsys, tmp_path, tol):
         argv = ["radar", "--t1", "1", "--t2", "2", "--t3", "4", "--c", "1"]
-        code, out, err = main_output(capsys, [*argv, "--tol", tol])
+        code, out, err = run_main(capsys, *argv, "--tol", tol)
         assert (code, out) == (2, "")
         assert "tol" in err
         cfg = write_config(tmp_path, {"tol": tol if tol == "abc" else float(tol)})

@@ -18,6 +18,17 @@ ROWS = [
     for mode, (spec, handler) in rows.items()
 ]
 
+ROW_IDS = [f"{c}-{m}" if m else c for c, m, *_ in ROWS]
+
+
+def flag_argv(name):
+    """The flag of ``name`` and a valid value: the first choice of a choice,
+    else 7; --natural-units takes none."""
+    if name == "natural_units":
+        return ["--natural-units"]
+    kind = cli._OTHER.get(name, float)
+    return ["--" + name.replace("_", "-"), kind[0] if isinstance(kind, tuple) else "7"]
+
 
 class TestRows:
     def test_settable_surface(self):
@@ -37,12 +48,19 @@ class TestRows:
         assert dest is None or dest.lstrip("-") not in cli._flags(rows)
 
     def test_parser_takes_the_union_of_the_rows(self):
-        sub = cli.build_parser()._subparsers._group_actions[0].choices
-        for command, (_, dest, rows) in cli._COMMANDS.items():
-            mode = dest and dest.lstrip("-")
-            dests = {a.dest for a in sub[command]._actions} - {"help", "config", "out", "c",
-                                                               "natural_units", mode}
-            assert dests == set(cli._flags(rows))
+        # the reader knows the flag of every declared name and of the four
+        # common flags, and no other; a row refuses a known flag it does not read
+        common = {"config", "out", "c", "natural_units"}
+        assert set(cli._FLAGS.values()) == cli._DECLARED | common
+        assert all(flag == "--" + name.replace("_", "-") for flag, name in cli._FLAGS.items())
+        for command, mode, spec, _ in ROWS:
+            for flag, name in cli._FLAGS.items():
+                argv = [*row_argv(command, mode), *flag_argv(name)]
+                if name in cli._names(spec) or name in common:
+                    assert name in vars(cli.build_parser().parse_args(argv)), argv
+                else:
+                    with pytest.raises(cli.ConfigError, match=f"does not read '{name}'"):
+                        cli.build_parser().parse_args(argv)
 
     def test_reading_an_undeclared_name_is_a_programming_error(self):
         args = cli.build_parser().parse_args(["compose", "--v1", "0.1", "--v2", "0.2"])
@@ -51,9 +69,8 @@ class TestRows:
 
     def test_help_lists_each_modes_parameters(self, capsys):
         for command in ("metric", "hubble"):
-            with pytest.raises(SystemExit):
-                cli.main([command, "--help"])
-            out = capsys.readouterr().out
+            code, out, err = run_main(capsys, command, "--help")
+            assert (code, err) == (0, "")
             for mode, (spec, _) in cli._COMMANDS[command][2].items():
                 assert f"  {mode:14}{spec}\n" in out
 
@@ -154,6 +171,16 @@ class TestFailuresNameTheirCause:
         for name in names:
             assert repr(name) in err
 
+    def test_config_nested_too_deep_is_two(self, capsys, tmp_path):
+        # json.load raises RecursionError, not ValueError, on this
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_main(capsys, "compose", "--v1", "0.1", "--v2", "0.2",
+                                  "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: config {cfg} is not valid JSON")
+        assert err.count("\n") == 1
+
     def test_config_that_is_not_utf8_is_two(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'\xff\xfe{"t1": 1}')
@@ -249,27 +276,23 @@ class TestMarks:
 
 
 class TestNegativeExponentForm:
-    """A float flag takes a negative value in exponent form as its value,
-    not as a flag, whether the parser has one subcommand or all of them."""
+    """A float flag takes a value that starts with one "-" as its value, not
+    as a flag: a negative number in exponent form, and -inf or -nan."""
 
-    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS],
-                             ids=[f"{c}-{m}" if m else c for c, m, *_ in ROWS])
+    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS], ids=ROW_IDS)
     @pytest.mark.parametrize("text", ["-1e-3", "-1E5", "-2.5e+10"])
     def test_first_float_flag(self, capsys, command, mode, spec, text):
         name = next(n for n in cli._names(spec) if cli._OTHER.get(n, float) is float)
         argv = call(command, mode, {name: text})
-        for parser in (cli.build_parser(command), cli.build_parser()):
-            assert getattr(parser.parse_args(argv), name) == float(text)
+        assert getattr(cli.build_parser().parse_args(argv), name) == float(text)
         _, _, err = run_main(capsys, *argv)
-        assert "expected one argument" not in err, err
+        assert "needs a value" not in err, err
 
     @pytest.mark.parametrize("text", ["-inf", "-nan"])
     def test_non_finite_is_two_naming_the_flag(self, capsys, text):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["compose", "--v1", text, "--v2", "0.1", "--c", "1"])
-        out, err = capsys.readouterr()
-        assert (exit_.value.code, out) == (2, "")
-        assert "--v1" in err
+        code, out, err = run_main(capsys, "compose", "--v1", text, "--v2", "0.1", "--c", "1")
+        assert (code, out) == (2, "")
+        assert err == f"config error: parameter 'v1' must be finite, got {float(text)!r}\n"
 
 
 def horizon_closed_forms(r0, Lambda):
@@ -350,10 +373,112 @@ class TestFlagMode:
             assert err.startswith("config error:") and "'model'" in err
 
     def test_an_unknown_model_is_two(self, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["hubble", "--model", "cubic", "--t", "2"])
-        assert exit_.value.code == 2
-        assert "invalid choice: 'cubic'" in capsys.readouterr().err
+        code, out, err = run_main(capsys, "hubble", "--model", "cubic", "--t", "2")
+        assert (code, out) == (2, "")
+        assert err == ("config error: --model must be one of linear, exponential, powerlaw,"
+                       " got 'cubic'\n")
+
+
+def abbreviation(spec):
+    """The flag of the row's first name that is longer than its first
+    letter, less its last letter, where that is not a flag the row reads."""
+    names = cli._names(spec) + ["out", "c"]
+    return next(flag[:-1] for name in names if len(flag := "--" + name.replace("_", "-")) > 3
+                and cli._FLAGS.get(flag[:-1]) not in names)
+
+
+class TestReaderRefusals:
+    """Each spelling that the table does not declare is refused on every
+    row: exit 2, stdout empty, and one config error line naming the flag."""
+
+    def refused(self, capsys, argv, named):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert named in err, err
+
+    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS], ids=ROW_IDS)
+    def test_an_abbreviation(self, capsys, command, mode, spec):
+        # a prefix that is itself a declared name is that name, which the row does not read
+        prefix = abbreviation(spec)
+        name = cli._FLAGS.get(prefix)
+        named = f"unknown argument '{prefix}'" if name is None else f"does not read '{name}'"
+        self.refused(capsys, [*row_argv(command, mode), prefix, "1"], named)
+
+    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS], ids=ROW_IDS)
+    def test_a_flag_given_twice(self, capsys, command, mode, spec):
+        flag = flag_argv(cli._names(spec)[0])
+        self.refused(capsys, [*row_argv(command, mode), *flag, *flag],
+                     f"config error: {flag[0]} is given twice\n")
+
+    @pytest.mark.parametrize(
+        "command,mode,name",
+        [(c, m, next(n for n in cli._names(s) if "_" in n)) for c, m, s, _ in ROWS if "_" in s],
+        ids=[f"{c}-{m}" if m else c for c, m, s, _ in ROWS if "_" in s],
+    )
+    def test_the_underscore_spelling(self, capsys, command, mode, name):
+        _, text = flag_argv(name)
+        self.refused(capsys, [*row_argv(command, mode), f"--{name}", text],
+                     f"unknown argument '--{name}'")
+
+    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS], ids=ROW_IDS)
+    @pytest.mark.parametrize("after", [[], ["--c", "1"]], ids=["last", "before-a-flag"])
+    def test_a_flag_without_its_value(self, capsys, command, mode, spec, after):
+        flag, _ = flag_argv(cli._names(spec)[0])
+        self.refused(capsys, [*row_argv(command, mode), flag, *after],
+                     f"config error: {flag} needs a value\n")
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["compose", "--v1", "0.1", "--v2", "0.2", "extra"], "unknown argument 'extra'"),
+            (["metric", "linear", "rw", "--v", "0.1"], "unknown argument 'rw'"),
+            (["hubble", "linear", "--t", "2"], "unknown argument 'linear'"),
+            (["compose", "--model", "linear", "--v1", "0.1", "--v2", "0.2"],
+             "unknown argument '--model'"),
+            (["hubble", "--model", "linear", "--model", "linear", "--t", "2"],
+             "--model is given twice"),
+            (["compose", "--v1", "0.1", "--v2", "0.2", "--natural-units=1"],
+             "--natural-units takes no value"),
+            (["compose", "--v1", "0.1", "--v2", "0.2", "--natural_units"],
+             "unknown argument '--natural_units'"),
+            (["transition", "H", "--n", "2.5"], "--n must be an integer, got '2.5'"),
+            (["metric", "--r0", "1", "bogus"], "form must be one of"),
+            (["metric", "--r0", "1"], "missing required parameter 'form'"),
+        ],
+    )
+    def test_other_spellings(self, capsys, argv, named):
+        self.refused(capsys, argv, named)
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            # a prefix of --exponent is not --exponent
+            (["hubble", "--model", "powerlaw", "--expo", "0.5", "--t", "3"],
+             "config error: unknown argument '--expo'; see lightclock hubble --help\n"),
+            # the second --v1 does not replace the first
+            (["compose", "--v1", "0.5", "--v2", "0.5", "--c", "1", "--v1", "0.3"],
+             "config error: --v1 is given twice\n"),
+        ],
+    )
+    def test_a_prefix_and_a_repeat_are_refused(self, capsys, argv, err):
+        assert run_main(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("command,mode", list(GOOD),
+                             ids=[f"{c}-{m}" if m else c for c, m in GOOD])
+    def test_equals_form_reads_as_two_words(self, capsys, command, mode):
+        words = GOOD[command, mode].split()
+        joined = [f"{flag}={text}" for flag, text in zip(words[::2], words[1::2])]
+        two_words = run_main(capsys, *row_argv(command, mode), *words)
+        assert two_words[0] == 0
+        assert run_main(capsys, *row_argv(command, mode), *joined) == two_words
+
+    @pytest.mark.parametrize("argv", [["-h"], ["compose", "--v1", "0.1", "-h"],
+                                      ["hubble", "--t", "1", "--help"]])
+    def test_help_anywhere_is_zero(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: lightclock")
 
 
 class TestNumpyIsOptional:
