@@ -1,14 +1,29 @@
-"""Helpers the CLI tests share: an in-process call of ``cli.main`` and the
-argv that selects a row of ``cli._COMMANDS``."""
+"""The CLI tests' one harness: ``cli.main`` called in this process, a fresh
+``python`` for the tests whose subject is the process itself, and the rows
+of ``cli._COMMANDS`` as test cases."""
+
+import contextlib
+import io
+import subprocess
+import sys
+
+import pytest
 
 from lightclock import cli
 
 
-def run_main(capsys, *argv):
+def run_main(*argv):
     """Exit code, stdout and stderr of ``cli.main(argv)``, run in this process."""
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_python(*args, text=True, env=None):
+    """The finished process ``python *args``, its output captured: only for a
+    test of what a process shows, its bytes, exit status or imports."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text, env=env)
 
 
 def row_argv(command, mode=None):
@@ -18,3 +33,12 @@ def row_argv(command, mode=None):
         return [command]
     dest = cli._COMMANDS[command][1]
     return [command, *([dest] if dest.startswith("--") else []), mode]
+
+
+# one case (command, mode, spec) per row of the table, mode None where the
+# subcommand has none, with the id ``command[-mode]``
+ROWS = [
+    pytest.param(command, mode, spec, id=f"{command}-{mode}" if mode else command)
+    for command, (_, _, rows) in cli._COMMANDS.items()
+    for mode, (spec, _) in rows.items()
+]

@@ -4,12 +4,11 @@ the lines on success)."""
 
 import contextlib
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 from scipy.integrate import quad
 
 import lightclock as lc
@@ -245,12 +244,7 @@ def test_12_cli_determinism():
              "transition_profile.golden.csv"),
         ]
         for argv, golden in jobs:
-            runs = [
-                subprocess.run(
-                    [sys.executable, "-m", "lightclock", *argv], capture_output=True
-                )
-                for _ in range(2)
-            ]
+            runs = [run_python("-m", "lightclock", *argv, text=False) for _ in range(2)]
             assert all(r.returncode == 0 for r in runs)
             assert runs[0].stdout == runs[1].stdout
             assert runs[0].stdout == (FIXTURES / golden).read_bytes()

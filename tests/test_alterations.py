@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_main
 from hypothesis import given, strategies as st
 
 from lightclock import (
     GravCompareInput,
-    cli,
     alteration_report,
     altered_light_speed,
     decay_lifetime,
@@ -118,9 +118,8 @@ class TestDecayAndMass:
 
     @pytest.mark.parametrize("gamma", ["-0.5", "0", "5"])
     @pytest.mark.parametrize("effect,rest", [("decay", "--tau-s"), ("mass", "--mass-s")])
-    def test_gamma_outside_the_unit_interval_is_one(self, capsys, effect, rest, gamma):
-        code = cli.main(["alter", effect, rest, "1", "--gamma", gamma])
-        out, err = capsys.readouterr()
+    def test_gamma_outside_the_unit_interval_is_one(self, effect, rest, gamma):
+        code, out, err = run_main("alter", effect, rest, "1", "--gamma", gamma)
         assert (code, out) == (1, "")
         assert err.startswith(f"domain error: alter {effect}: gamma must lie in (0, 1]")
 

@@ -2,28 +2,14 @@ import contextlib
 import json
 import math
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-from conftest import row_argv, run_main
+from conftest import row_argv, run_main, run_python
+
+from lightclock import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "lightclock", *args],
-        capture_output=True,
-        text=True,
-    )
-
-
-def run_cli_bytes(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "lightclock", *args], capture_output=True
-    )
 
 
 class TestGoldenFiles:
@@ -39,51 +25,55 @@ class TestGoldenFiles:
         ],
     )
     def test_byte_identical_across_runs(self, argv, golden):
-        first = run_cli_bytes(*argv)
-        second = run_cli_bytes(*argv)
+        first = run_python("-m", "lightclock", *argv, text=False)
+        second = run_python("-m", "lightclock", *argv, text=False)
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout
         assert first.stdout == (FIXTURES / golden).read_bytes()
 
 
 class TestExitCodes:
+    """The exit status of ``python -m lightclock``."""
+
     def test_success(self):
-        assert run_cli("compose", "--v1", "0.5", "--v2", "0.5", "--c", "1").returncode == 0
+        res = run_python("-m", "lightclock", "compose", "--v1", "0.5", "--v2", "0.5", "--c", "1")
+        assert res.returncode == 0
 
     def test_domain_error_is_one(self):
-        res = run_cli("radar", "--t1", "1", "--t2", "3", "--t3", "2", "--c", "1")
+        res = run_python("-m", "lightclock", "radar", "--t1", "1", "--t2", "3", "--t3", "2",
+                         "--c", "1")
         assert res.returncode == 1
         assert "domain error" in res.stderr
 
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"t1": {"value": 1.0, "unit": "m"}}')
-        res = run_cli("radar", "--config", str(bad))
+        res = run_python("-m", "lightclock", "radar", "--config", str(bad))
         assert res.returncode == 2
         assert "t1" in res.stderr
 
     def test_missing_parameter_names_field(self):
-        res = run_cli("compose", "--v1", "0.5", "--c", "1")
+        res = run_python("-m", "lightclock", "compose", "--v1", "0.5", "--c", "1")
         assert res.returncode == 2
         assert "v2" in res.stderr
 
     def test_unknown_flag_is_two(self):
-        assert run_cli("radar", "--bogus", "1").returncode == 2
+        assert run_python("-m", "lightclock", "radar", "--bogus", "1").returncode == 2
 
 
 class TestOutputRoundTrip:
     def test_json_reparses_to_exact_float(self):
-        res = run_cli("compose", "--v1", "0.3", "--v2", "0.4", "--c", "1")
-        payload = json.loads(res.stdout)
+        _, out, _ = run_main("compose", "--v1", "0.3", "--v2", "0.4", "--c", "1")
+        payload = json.loads(out)
         expected = (0.3 + 0.4) / (1.0 + 0.3 * 0.4)
         assert payload["v3"] == expected
 
     def test_csv_reparses_to_exact_float(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "metric", "schwarzschild", "--r0", "1", "--sweep-R", "2:4:3",
             "--natural-units",
         )
-        lines = res.stdout.strip().split("\n")
+        lines = out.strip().split("\n")
         assert lines[0] == "R_m,lambda_dimensionless,null_speed_m_per_s,gamma_dimensionless"
         row = lines[1].split(",")
         assert float(row[0]) == 2.0
@@ -91,9 +81,10 @@ class TestOutputRoundTrip:
         assert float(row[3]) == math.sqrt(0.5)
 
     def test_lf_line_endings(self):
-        res = run_cli_bytes(
-            "metric", "schwarzschild", "--r0", "1", "--sweep-R", "2:4:3",
-            "--natural-units",
+        # the bytes on a process's stdout, where a text stream may translate "\n"
+        res = run_python(
+            "-m", "lightclock", "metric", "schwarzschild", "--r0", "1", "--sweep-R", "2:4:3",
+            "--natural-units", text=False,
         )
         assert b"\r" not in res.stdout
 
@@ -106,217 +97,223 @@ class TestFlagsWinOverConfig:
             "v2": {"value": 0.1, "unit": "m/s"},
             "c": {"value": 1.0, "unit": "m/s"},
         }))
-        res = run_cli("compose", "--config", str(cfg), "--v1", "0.5", "--v2", "0.5")
-        assert json.loads(res.stdout)["v3"] == 0.8
+        _, out, _ = run_main("compose", "--config", str(cfg), "--v1", "0.5", "--v2", "0.5")
+        assert json.loads(out)["v3"] == 0.8
 
 
 class TestTransitionGrid:
     def test_junctions_present_exactly(self):
-        res = run_cli("transition", "H", "--k", "1", "--x-min", "-5", "--x-max", "5", "--n", "7")
-        xs = [line.split(",")[0] for line in res.stdout.strip().split("\n")[1:]]
+        _, out, _ = run_main("transition", "H", "--k", "1", "--x-min", "-5", "--x-max", "5",
+                             "--n", "7")
+        xs = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
         assert "0.0" in xs
         assert "2.0" in xs
 
 
-class TestToleranceEnv:
+class TestTolerance:
     """The geometric-mean tolerance is the row parameter ``tol``, a flag or a
     config field."""
 
-    def test_geometric_mean_tolerance_override(self, capsys, tmp_path):
+    def test_geometric_mean_tolerance_override(self, tmp_path):
         argv = ("radar", "--t1", "1", "--t2", "2.0001", "--t3", "4", "--c", "1")
         for loose in (("--tol", "1e-3"), ("--config", write_config(tmp_path, {"tol": 1e-3}))):
-            code, out, _ = run_main(capsys, *argv, *loose)
+            code, out, _ = run_main(*argv, *loose)
             assert code == 0
             assert json.loads(out)["geometric_mean_ok"] is True
-        code, out, _ = run_main(capsys, *argv)
+        code, out, _ = run_main(*argv)
         assert code == 0
         assert json.loads(out)["geometric_mean_ok"] is False
 
 
 class TestNaturalUnits:
     def test_default_c_is_si(self):
-        res = run_cli("alter", "total-doppler", "--nu-s", "1.0", "--v", "149896229")
-        ratio = json.loads(res.stdout)["ratio"]
+        _, out, _ = run_main("alter", "total-doppler", "--nu-s", "1.0", "--v", "149896229")
+        ratio = json.loads(out)["ratio"]
         assert ratio == pytest.approx(math.sqrt((1 - 0.5) / (1 + 0.5)), rel=1e-12)
 
     def test_natural_units_flag(self):
-        res = run_cli("alter", "total-doppler", "--nu-s", "1.0", "--v", "0.5", "--natural-units")
-        ratio = json.loads(res.stdout)["ratio"]
+        _, out, _ = run_main("alter", "total-doppler", "--nu-s", "1.0", "--v", "0.5",
+                             "--natural-units")
+        ratio = json.loads(out)["ratio"]
         assert ratio == pytest.approx(math.sqrt((1 - 0.5) / (1 + 0.5)), rel=1e-12)
 
     def test_explicit_c_beats_natural_units(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "alter", "total-doppler", "--nu-s", "1.0", "--v", "1.0",
             "--natural-units", "--c", "2.0",
         )
-        ratio = json.loads(res.stdout)["ratio"]
+        ratio = json.loads(out)["ratio"]
         assert ratio == pytest.approx(math.sqrt((1 - 0.5) / (1 + 0.5)), rel=1e-12)
 
 
 class TestSubcommandSurface:
     def test_lorentz(self):
-        res = run_cli("lorentz", "--t", "0", "--x", "1", "--v3", "0.6", "--c", "1")
-        payload = json.loads(res.stdout)
+        _, out, _ = run_main("lorentz", "--t", "0", "--x", "1", "--v3", "0.6", "--c", "1")
+        payload = json.loads(out)
         assert payload["t"] == -0.75
         assert payload["x"] == 1.25
 
     def test_triangle(self):
-        res = run_cli("triangle", "--omega1", "0.5", "--omega2", "0.5", "--omega3", "1.0", "--c", "1")
-        payload = json.loads(res.stdout)
+        _, out, _ = run_main("triangle", "--omega1", "0.5", "--omega2", "0.5", "--omega3", "1.0",
+                             "--c", "1")
+        payload = json.loads(out)
         assert payload["theta"] == pytest.approx(0.0, abs=1e-9)
         assert payload["phi"] == pytest.approx(math.pi, rel=1e-9)
 
     def test_dilation_reference(self):
-        res = run_cli("dilation", "--rs-over-rp", "0.99999", "--rr-over-rp", "100000")
-        assert json.loads(res.stdout)["ratio"] == pytest.approx(316.2262, abs=1e-3)
+        _, out, _ = run_main("dilation", "--rs-over-rp", "0.99999", "--rr-over-rp", "100000")
+        assert json.loads(out)["ratio"] == pytest.approx(316.2262, abs=1e-3)
 
     def test_compare_frequency(self):
-        res = run_cli("compare-frequency", "--g1-p", "0.25", "--g1-r", "1.0", "--nu-r", "1e15")
-        assert json.loads(res.stdout)["nu_p"] == 2e15
+        _, out, _ = run_main("compare-frequency", "--g1-p", "0.25", "--g1-r", "1.0",
+                             "--nu-r", "1e15")
+        assert json.loads(out)["nu_p"] == 2e15
 
     def test_horizon(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "horizon", "--r0", "1", "--Lambda", "3e-6", "--lambda-unit", "m^-2",
             "--natural-units",
         )
-        roots = json.loads(res.stdout)["roots"]
+        roots = json.loads(out)["roots"]
         assert len(roots) == 2
 
     def test_metric_rw(self):
-        res = run_cli(
+        code, _, err = run_main(
             "metric", "rw", "--a", "1odd", "--natural-units",
         )
-        assert res.returncode == 2  # a bad float is a config error naming its flag
-        assert res.stderr == "config error: --a must be a number, got '1odd'\n"
+        assert code == 2  # a bad float is a config error naming its flag
+        assert err == "config error: --a must be a number, got '1odd'\n"
 
     def test_metric_rw_valid(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "metric", "rw", "--a", "1", "--R", "0.70710678118654752",
             "--dR", "1", "--natural-units",
         )
-        assert json.loads(res.stdout)["ds2"] == pytest.approx(-2.0, rel=1e-12)
+        assert json.loads(out)["ds2"] == pytest.approx(-2.0, rel=1e-12)
 
     def test_transition_photon_fan_csv(self):
-        res = run_cli("transition", "photons", "--k", "0.2", "--n", "5", "--natural-units")
-        lines = res.stdout.strip().split("\n")
+        _, out, _ = run_main("transition", "photons", "--k", "0.2", "--n", "5", "--natural-units")
+        lines = out.strip().split("\n")
         assert lines[0] == "lambda_dimensionless,speed_plus_m_per_s,speed_minus_m_per_s"
         assert len(lines) == 6
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(0.2, rel=1e-12)
 
     def test_alter_doppler_from_velocity(self):
-        res = run_cli("alter", "doppler", "--nu-s", "1e15", "--v", "0.6", "--natural-units")
-        payload = json.loads(res.stdout)
+        _, out, _ = run_main("alter", "doppler", "--nu-s", "1e15", "--v", "0.6",
+                             "--natural-units")
+        payload = json.loads(out)
         assert payload["gamma"] == 0.8
         assert payload["nu_m"] == 8e14
 
     def test_hubble_exponential(self):
-        res = run_cli("hubble", "--model", "exponential", "--rate", "0.5", "--t", "2")
-        payload = json.loads(res.stdout)
+        _, out, _ = run_main("hubble", "--model", "exponential", "--rate", "0.5", "--t", "2")
+        payload = json.loads(out)
         assert payload["H"] == pytest.approx(0.5, rel=1e-12)
         assert payload["q"] == pytest.approx(-1.0, abs=1e-8)
 
     def test_metric_modified_single_point(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "metric", "modified", "--r0", "1", "--Lambda", "3e-6",
             "--lambda-unit", "m^-2", "--R", "2", "--natural-units",
         )
-        payload = json.loads(res.stdout)
+        payload = json.loads(out)
         assert payload["lambda"] == pytest.approx(0.5 - 1e-6 * 4, rel=1e-12)
 
     def test_metric_desitter(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "metric", "desitter", "--Lambda", "3e-6", "--lambda-unit", "m^-2",
             "--R", "100", "--natural-units",
         )
-        payload = json.loads(res.stdout)
+        payload = json.loads(out)
         assert payload["lambda"] == pytest.approx(1.0 - 1e-6 * 1e4, rel=1e-12)
 
     def test_radar_distance(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "radar-distance", "--r0", "1", "--R1", "2", "--R2", "4", "--natural-units"
         )
-        payload = json.loads(res.stdout)
+        payload = json.loads(out)
         assert payload["delta_t"] == pytest.approx(2 + math.log(3), rel=1e-12)
 
     def test_sim_roundtrip(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "sim", "roundtrip", "--omega", str(math.log(2)), "--t1", "1",
             "--natural-units",
         )
-        payload = json.loads(res.stdout)
+        payload = json.loads(out)
         assert payload["t3"] == pytest.approx(4.0, rel=1e-12)
         assert payload["geometric_mean_ok"] is True
 
     def test_sim_equilinear(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "sim", "equilinear", "--t1", "1", "--t2", "2", "--t3", "3",
             "--natural-units",
         )
-        assert json.loads(res.stdout)["residual"] < 1e-12
+        assert json.loads(out)["residual"] < 1e-12
 
     def test_sim_offset(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "sim", "offset", "--u", "1", "--omega", str(math.log(2)),
             "--dt-emit", "1", "--natural-units",
         )
-        assert json.loads(res.stdout)["ratio"] == pytest.approx(2.0, rel=1e-12)
+        assert json.loads(out)["ratio"] == pytest.approx(2.0, rel=1e-12)
 
     def test_sim_counts_csv(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "sim", "counts", "--omega", str(math.log(2)), "--t1", "1",
             "--n-pulses", "2", "--L", "1", "--natural-units",
         )
-        lines = res.stdout.strip().split("\n")
+        lines = out.strip().split("\n")
         assert len(lines) == 3
         assert lines[0].startswith("pulse_index,tau1_ticks")
 
     def test_transition_photons(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "transition", "photons", "--k", "0.2", "--lam", "0.3", "--natural-units"
         )
-        payload = json.loads(res.stdout)
+        payload = json.loads(out)
         assert payload["speed_plus"] == pytest.approx(0.1, rel=1e-12)
 
     def test_transition_interval_branch(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "transition", "interval", "--lam", "-1", "--k", "0.1", "--dt", "1",
             "--dR", "0", "--natural-units",
         )
-        payload = json.loads(res.stdout)
+        payload = json.loads(out)
         assert payload["branch"] == "interior"
         assert payload["value"] == pytest.approx(-1.1, rel=1e-12)
 
     def test_alter_decay(self):
-        res = run_cli("alter", "decay", "--tau-s", "2.2e-6", "--gamma", "0.8")
-        assert json.loads(res.stdout)["tau_m"] == 2.75e-6
+        _, out, _ = run_main("alter", "decay", "--tau-s", "2.2e-6", "--gamma", "0.8")
+        assert json.loads(out)["tau_m"] == 2.75e-6
 
     def test_hubble(self):
-        res = run_cli("hubble", "--model", "powerlaw", "--exponent", "0.6666666666666666", "--t", "2")
-        payload = json.loads(res.stdout)
+        _, out, _ = run_main("hubble", "--model", "powerlaw", "--exponent", "0.6666666666666666",
+                             "--t", "2")
+        payload = json.loads(out)
         assert payload["q"] == pytest.approx(0.5, abs=1e-8)
 
     def test_metric_minkowski(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "metric", "minkowski", "--dt", "2", "--dx", "1", "--natural-units"
         )
-        assert json.loads(res.stdout)["ds2"] == 3.0
+        assert json.loads(out)["ds2"] == 3.0
 
     def test_metric_linear(self):
-        res = run_cli(
+        _, out, _ = run_main(
             "metric", "linear", "--v", "0.6", "--dt", "1", "--dr", "0",
             "--natural-units",
         )
-        payload = json.loads(res.stdout)
+        payload = json.loads(out)
         assert payload["lambda"] == pytest.approx(0.64, rel=1e-15)
         assert payload["ds2"] == pytest.approx(0.64, rel=1e-15)
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "result.json"
-        res = run_cli(
+        code, _, _ = run_main(
             "compose", "--v1", "0.5", "--v2", "0.5", "--c", "1", "--out", str(out)
         )
-        assert res.returncode == 0
+        assert code == 0
         assert json.loads(out.read_text())["v3"] == 0.8
 
 
@@ -328,17 +325,25 @@ RAN = ("sorted(n for n, m in sys.modules.items()"
 
 def python_json(code):
     """Run ``code`` in a fresh interpreter; its last stdout line is JSON."""
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = run_python("-c", code)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout.splitlines()[-1])
 
 
 # argvs that print the argv reader's help or one of its refusals, whose bytes
 # must not depend on what the reader read before
-PARSER_ARGVS = [
+READER_ARGVS = [
     ["--help"], [], ["foo"], ["radar", "--help"], ["metric", "--help"],
     ["metric", "bogus", "--r0", "1"], ["compose", "--v1", "0.1", "--v2", "0.2", "--bad", "1"],
 ]
+
+
+@pytest.fixture(scope="module")
+def compose_importtime():
+    """One compose call in a process; -X importtime lists on stderr every
+    module the process imports."""
+    return run_python("-X", "importtime", "-m", "lightclock", "compose",
+                      "--v1", "0.5", "--v2", "0.5", "--c", "1")
 
 
 class TestStartupImports:
@@ -347,21 +352,15 @@ class TestStartupImports:
     ``import lightclock`` nor the CLI runs a submodule before a call uses it."""
 
     def test_import_cli(self):
-        res = subprocess.run(
-            [sys.executable, "-c",
-             "import lightclock.cli, sys; "
-             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"],
-            capture_output=True, text=True,
+        res = run_python(
+            "-c",
+            "import lightclock.cli, sys; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))",
         )
         assert (res.returncode, res.stdout) == (0, "[]\n")
 
-    def test_compose_call(self):
-        # -X importtime lists every module the process imports on stderr
-        res = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "lightclock", "compose",
-             "--v1", "0.5", "--v2", "0.5", "--c", "1"],
-            capture_output=True, text=True,
-        )
+    def test_compose_call(self, compose_importtime):
+        res = compose_importtime
         assert res.returncode == 0
         assert json.loads(res.stdout) == {"v3": 0.8}
         modules = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()]
@@ -373,40 +372,36 @@ class TestStartupImports:
         # every kernel module loads dataclasses, or inspect, which it imports
         src = str(Path(__file__).parent.parent / "src")
         check = "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-        res = subprocess.run(
-            [sys.executable, "-S", "-c",
-             "import sys; from lightclock import cli; "
-             "cli.main(['compose', '--v1', '0.1', '--v2', '0.2', '--c', '1']); "
-             f"{check}; import lightclock; [getattr(lightclock, n) for n in lightclock.__all__]; "
-             f"{check}"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        res = run_python(
+            "-S", "-c",
+            "import sys; from lightclock import cli; "
+            "cli.main(['compose', '--v1', '0.1', '--v2', '0.2', '--c', '1']); "
+            f"{check}; import lightclock; [getattr(lightclock, n) for n in lightclock.__all__]; "
+            f"{check}",
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-2:] == ["[]", "[]"]
 
-    def test_a_call_loads_neither_argparse_nor_gettext(self):
-        # the table reads the argv itself; -X importtime lists every module imported
-        res = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "lightclock", "compose",
-             "--v1", "0.5", "--v2", "0.5", "--c", "1"],
-            capture_output=True, text=True,
-        )
+    def test_a_call_loads_neither_argparse_nor_gettext(self, compose_importtime):
+        # the table reads the argv itself
+        res = compose_importtime
         assert res.returncode == 0
         modules = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()]
         assert "lightclock.cli" in modules
         assert not {"argparse", "gettext"} & set(modules)
 
-    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "bare")
-    def test_output_does_not_depend_on_the_subparsers_built(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv", READER_ARGVS, ids=lambda argv: " ".join(argv) or "bare")
+    def test_output_does_not_depend_on_the_subparsers_built(self, monkeypatch, argv):
         # main builds a fresh reader per call; one that has read every other
         # argv first prints the same, and main returns the exit code itself
-        fresh = run_main(capsys, *argv)
+        fresh = run_main(*argv)
         reader = cli.build_parser()
-        for other in PARSER_ARGVS:
+        for other in READER_ARGVS:
             with contextlib.suppress(cli.ConfigError):
                 reader.parse_args(other)
         monkeypatch.setattr(cli, "build_parser", lambda: reader)
-        assert run_main(capsys, *argv) == fresh
+        assert run_main(*argv) == fresh
         code, out, err = fresh
         if "--help" in argv:
             assert (code, err) == (0, "")
@@ -468,16 +463,10 @@ class TestStartupImports:
 
     def test_lambda_units_declared_once(self):
         import lightclock
-        from lightclock import cli, line_elements
+        from lightclock import line_elements
 
         assert line_elements.LAMBDA_UNITS is lightclock.LAMBDA_UNITS
         assert cli._OTHER["lambda_unit"] is lightclock.LAMBDA_UNITS
-
-
-# ---------------------------------------------------------------------------
-# in-process: cli.main(argv) under capsys, no subprocess
-
-from lightclock import cli
 
 
 # each subcommand's parameters in the order they had when one list served all
@@ -553,9 +542,9 @@ class TestParameterTable:
         assert getattr(args, name) == value
 
     @pytest.mark.parametrize("command,mode,name", TABLE_PARAMS)
-    def test_wrong_unit_tag_names_parameter(self, capsys, tmp_path, command, mode, name):
+    def test_wrong_unit_tag_names_parameter(self, tmp_path, command, mode, name):
         cfg = write_config(tmp_path, {name: {"value": 1.0, "unit": "furlong"}})
-        code, out, err = run_main(capsys, *row_argv(command, *mode), "--config", cfg)
+        code, out, err = run_main(*row_argv(command, *mode), "--config", cfg)
         assert code == 2
         assert out == ""
         assert err.startswith("config error:")
@@ -580,19 +569,19 @@ class TestConfigAndOutputDefects:
             (("transition", "H"), {"x_max": -math.inf}, "x_max"),
         ],
     )
-    def test_wrong_config_type_is_two(self, capsys, tmp_path, argv, payload, name):
-        code, out, err = run_main(capsys, *argv, "--config", write_config(tmp_path, payload))
+    def test_wrong_config_type_is_two(self, tmp_path, argv, payload, name):
+        code, out, err = run_main(*argv, "--config", write_config(tmp_path, payload))
         assert (code, out) == (2, "")
         assert repr(name) in err
 
     @pytest.mark.parametrize("tol", ["abc", "nan"])
-    def test_bad_tolerance_is_two(self, capsys, tmp_path, tol):
+    def test_bad_tolerance_is_two(self, tmp_path, tol):
         argv = ["radar", "--t1", "1", "--t2", "2", "--t3", "4", "--c", "1"]
-        code, out, err = run_main(capsys, *argv, "--tol", tol)
+        code, out, err = run_main(*argv, "--tol", tol)
         assert (code, out) == (2, "")
         assert "tol" in err
         cfg = write_config(tmp_path, {"tol": tol if tol == "abc" else float(tol)})
-        code, out, err = run_main(capsys, *argv, "--config", cfg)
+        code, out, err = run_main(*argv, "--config", cfg)
         assert (code, out) == (2, "")
         assert err.startswith("config error:")
         assert "'tol'" in err
@@ -600,14 +589,14 @@ class TestConfigAndOutputDefects:
     @pytest.mark.parametrize("label,flags", [("radar", "--t1 1 --t2 2 --t3 4"),
                                              ("sim roundtrip", "--t1 1 --omega 0.5")],
                              ids=["radar", "sim-roundtrip"])
-    def test_negative_tolerance_is_one(self, capsys, label, flags):
-        code, out, err = run_main(capsys, *label.split(), *flags.split(), "--tol", "-1")
+    def test_negative_tolerance_is_one(self, label, flags):
+        code, out, err = run_main(*label.split(), *flags.split(), "--tol", "-1")
         assert (code, out) == (1, "")
         assert err.startswith(f"domain error: {label}: tol must be non-negative, got -1.0")
 
     @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
-    def test_bad_light_speed_is_two(self, capsys, c):
-        code, out, err = run_main(capsys, "compose", "--v1", "0.1", "--v2", "0.1", "--c", c)
+    def test_bad_light_speed_is_two(self, c):
+        code, out, err = run_main("compose", "--v1", "0.1", "--v2", "0.1", "--c", c)
         assert (code, out) == (2, "")
         assert "'c'" in err
 
@@ -621,15 +610,15 @@ class TestConfigAndOutputDefects:
             (("sim", "counts", "--omega", "1", "--t1", "1", "--L", "inf"), "L"),
         ],
     )
-    def test_non_finite_flag_is_two(self, capsys, argv, name):
-        code, out, err = run_main(capsys, *argv)
+    def test_non_finite_flag_is_two(self, argv, name):
+        code, out, err = run_main(*argv)
         assert (code, out) == (2, "")
         assert err.startswith("config error:")
         assert repr(name) in err
 
-    def test_non_finite_sweep_is_two(self, capsys):
+    def test_non_finite_sweep_is_two(self):
         code, out, err = run_main(
-            capsys, "metric", "schwarzschild", "--r0", "1", "--sweep-R", "2:inf:3",
+            "metric", "schwarzschild", "--r0", "1", "--sweep-R", "2:inf:3",
             "--natural-units",
         )
         assert (code, out) == (2, "")
@@ -644,50 +633,50 @@ class TestConfigAndOutputDefects:
              "--natural-units"),
         ],
     )
-    def test_overflow_is_one(self, capsys, argv):
-        code, out, err = run_main(capsys, *argv)
+    def test_overflow_is_one(self, argv):
+        code, out, err = run_main(*argv)
         assert (code, out) == (1, "")
         assert err.startswith("domain error:")
 
-    def test_unknown_config_field_is_two(self, capsys, tmp_path):
+    def test_unknown_config_field_is_two(self, tmp_path):
         cfg = write_config(tmp_path, {
             "t_1": {"value": 1.0, "unit": "s"}, "t1": {"value": 1.0, "unit": "s"},
             "t2": {"value": 2.0, "unit": "s"}, "t3": {"value": 4.0, "unit": "s"},
         })
-        code, out, err = run_main(capsys, "radar", "--config", cfg, "--c", "1")
+        code, out, err = run_main("radar", "--config", cfg, "--c", "1")
         assert (code, out) == (2, "")
         assert err.startswith("config error:")
         assert "'t_1'" in err
 
-    def test_other_subcommands_config_fields_are_ignored(self, capsys, tmp_path):
+    def test_other_subcommands_config_fields_are_ignored(self, tmp_path):
         # k belongs to transition; a config may be shared between subcommands
         cfg = write_config(tmp_path, {
             "k": 0.5, "t1": {"value": 1.0, "unit": "s"},
             "t2": {"value": 2.0, "unit": "s"}, "t3": {"value": 4.0, "unit": "s"},
         })
-        code, out, _ = run_main(capsys, "radar", "--config", cfg, "--c", "1")
+        code, out, _ = run_main("radar", "--config", cfg, "--c", "1")
         assert code == 0
         assert json.loads(out)["t_E"] == 2.5
 
-    def test_non_finite_sweep_row_is_one(self, capsys):
+    def test_non_finite_sweep_row_is_one(self):
         code, out, err = run_main(
-            capsys, "metric", "modified", "--r0", "1", "--Lambda", "1e300",
+            "metric", "modified", "--r0", "1", "--Lambda", "1e300",
             "--lambda-unit", "m^-2", "--sweep-R", "1e5:1e6:2", "--natural-units",
         )
         assert (code, out) == (1, "")
         assert err.startswith("domain error:")
         assert "R = 100000.0" in err
 
-    def test_csv_keeps_nan_gamma_past_horizon(self, capsys):
+    def test_csv_keeps_nan_gamma_past_horizon(self):
         code, out, _ = run_main(
-            capsys, "metric", "desitter", "--Lambda", "3", "--lambda-unit", "m^-2",
+            "metric", "desitter", "--Lambda", "3", "--lambda-unit", "m^-2",
             "--sweep-R", "0.5:1.5:3", "--natural-units",
         )
         assert code == 0
         assert out.splitlines()[-1] == "1.5,-1.25,1.25,nan"
 
-    def test_wide_transition_profile_is_finite(self, capsys):
-        code, out, _ = run_main(capsys, "transition", "H", "--k", "1e200", "--n", "3")
+    def test_wide_transition_profile_is_finite(self):
+        code, out, _ = run_main("transition", "H", "--k", "1e200", "--n", "3")
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 4
@@ -699,25 +688,26 @@ class TestConfigAndOutputDefects:
         cli.emit_plot_data(("a", "b"), [(np.float64(0.1), np.float32(0.1))], None)
         assert capsys.readouterr().out == "a,b\n0.1,0.1\n"
 
-    def test_plain_and_tagged_dimensionless_config(self, capsys, tmp_path):
+    def test_plain_and_tagged_dimensionless_config(self, tmp_path):
         cfg = write_config(tmp_path, {"k": {"value": 0.5, "unit": "1"}, "n": 3})
-        code, out, _ = run_main(capsys, "transition", "H", "--config", cfg)
+        code, out, _ = run_main("transition", "H", "--config", cfg)
         assert code == 0
         assert out.splitlines()[1].startswith("-2.5,")
 
 
 class TestInProcessOutput:
-    """Whole stdout of calls that tier-1 otherwise runs only in a subprocess."""
+    """A call's exit code, its empty stderr and its whole stdout, every key
+    and value, where TestSubcommandSurface reads one field of the same call."""
 
-    def test_radar_distance(self, capsys):
-        code, out, err = run_main(capsys, "radar-distance", "--r0", "1", "--R1", "2", "--R2", "4",
+    def test_radar_distance(self):
+        code, out, err = run_main("radar-distance", "--r0", "1", "--R1", "2", "--R2", "4",
                                   "--c", "1")
         assert (code, err) == (0, "")
         delta_t = ((4.0 - 2.0) + 1.0 * math.log((4.0 - 1.0) / (2.0 - 1.0))) / 1.0
         assert json.loads(out) == {"delta_t": delta_t, "c_delta_t": delta_t}
 
-    def test_sim_equilinear(self, capsys):
-        code, out, err = run_main(capsys, "sim", "equilinear", "--t1", "1", "--t2", "2",
+    def test_sim_equilinear(self):
+        code, out, err = run_main("sim", "equilinear", "--t1", "1", "--t2", "2",
                                   "--t3", "4", "--c", "1")
         assert (code, err) == (0, "")
         result = json.loads(out)
@@ -726,9 +716,9 @@ class TestInProcessOutput:
             assert result[key] == pytest.approx(want, rel=1e-15)
         assert result["residual"] <= 1e-15
 
-    def test_sim_equilinear_empty_interval(self, capsys):
+    def test_sim_equilinear_empty_interval(self):
         # w1 spans [2, 2]; w2 and w3 are the same integral over [2, 4]
-        code, out, err = run_main(capsys, "sim", "equilinear", "--t1", "2", "--t2", "2",
+        code, out, err = run_main("sim", "equilinear", "--t1", "2", "--t2", "2",
                                   "--t3", "4", "--c", "1")
         assert (code, err) == (0, "")
         result = json.loads(out)

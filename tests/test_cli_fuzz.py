@@ -7,24 +7,16 @@ call exits 0 with strict JSON or finite CSV on stdout, or exits 1 or 2 with
 one message that names its cause, and never shows a traceback.
 """
 
-import contextlib
-import io
 import json
 import math
 import re
 
 import pytest
-from conftest import row_argv
+from conftest import ROWS, row_argv, run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightclock import cli
-
-ROWS = [
-    (command, mode, spec)
-    for command, (_, _, rows) in cli._COMMANDS.items()
-    for mode, (spec, _) in rows.items()
-]
 
 NUMBERS = st.one_of(
     st.floats(0.0, 10.0),
@@ -94,13 +86,6 @@ def calls(draw, command, mode, spec):
     return argv, given, extra, config
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _strict(constant):
     raise ValueError(f"non-finite JSON constant {constant}")
 
@@ -127,9 +112,12 @@ def names_a_parameter(message):
                for name in cli._DECLARED)
 
 
+SPECS = [row.values for row in ROWS]
+
+
 # an id spells a row without its optional marks, so that ids do not move with them
-@pytest.mark.parametrize("command,mode,spec", ROWS,
-                         ids=[f"{c}-{m}-{re.sub(r'[][]', '', s)}" for c, m, s in ROWS])
+@pytest.mark.parametrize("command,mode,spec", SPECS,
+                         ids=[f"{c}-{m}-{re.sub(r'[][]', '', s)}" for c, m, s in SPECS])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_main_exits_cleanly(command, mode, spec, tmp_path_factory, data):
@@ -138,7 +126,7 @@ def test_main_exits_cleanly(command, mode, spec, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
-    code, out, err = run(argv)
+    code, out, err = run_main(*argv)
     if extra == "foreign":  # the flag the row does not read is the first error found
         assert code == 2 and f"does not read '{given_names[-1]}'" in err, err
     if extra == "both":

@@ -7,18 +7,9 @@ import re
 import sys
 
 import pytest
-from conftest import row_argv, run_main
+from conftest import ROWS, row_argv, run_main
 
 from lightclock import cli
-
-
-ROWS = [
-    (command, mode, spec, handler)
-    for command, (_, _, rows) in cli._COMMANDS.items()
-    for mode, (spec, handler) in rows.items()
-]
-
-ROW_IDS = [f"{c}-{m}" if m else c for c, m, *_ in ROWS]
 
 
 def flag_argv(name):
@@ -35,10 +26,12 @@ class TestRows:
         # (command, mode, parameter) combinations a call may set, --out and
         # --c aside; 264 when each subcommand declared one list for all modes
         assert len(ROWS) == 29
-        assert sum(len(cli._names(spec)) for _, _, spec, _ in ROWS) == 134
+        assert sum(len(cli._names(row.values[2])) for row in ROWS) == 134
 
     def test_one_handler_per_row(self):
-        assert len({id(handler) for *_, handler in ROWS}) == len(ROWS)
+        handlers = {id(handler) for _, _, rows in cli._COMMANDS.values()
+                    for _, handler in rows.values()}
+        assert len(handlers) == len(ROWS)
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_no_row_reads_its_mode(self, command):
@@ -53,7 +46,7 @@ class TestRows:
         common = {"config", "out", "c", "natural_units"}
         assert set(cli._FLAGS.values()) == cli._DECLARED | common
         assert all(flag == "--" + name.replace("_", "-") for flag, name in cli._FLAGS.items())
-        for command, mode, spec, _ in ROWS:
+        for command, mode, spec in (row.values for row in ROWS):
             for flag, name in cli._FLAGS.items():
                 argv = [*row_argv(command, mode), *flag_argv(name)]
                 if name in cli._names(spec) or name in common:
@@ -67,9 +60,9 @@ class TestRows:
         with pytest.raises(AssertionError, match="'k'"):
             cli.Params(args).get("k")
 
-    def test_help_lists_each_modes_parameters(self, capsys):
+    def test_help_lists_each_modes_parameters(self):
         for command in ("metric", "hubble"):
-            code, out, err = run_main(capsys, command, "--help")
+            code, out, err = run_main(command, "--help")
             assert (code, err) == (0, "")
             for mode, (spec, _) in cli._COMMANDS[command][2].items():
                 assert f"  {mode:14}{spec}\n" in out
@@ -99,29 +92,29 @@ class TestUnreadAndBoth:
               "--L", "3"), ["t1", "L"]),
         ],
     )
-    def test_is_two_and_names_the_flags(self, capsys, argv, names):
-        code, out, err = run_main(capsys, *argv)
+    def test_is_two_and_names_the_flags(self, argv, names):
+        code, out, err = run_main(*argv)
         assert (code, out) == (2, "")
         assert err.startswith("config error:")
         for name in names:
             assert repr(name) in err
 
-    def test_alternatives_are_merged_with_the_config(self, capsys, tmp_path):
+    def test_alternatives_are_merged_with_the_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"r0": {"value": 1.0, "unit": "m"}}))
         code, out, err = run_main(
-            capsys, "radar-distance", "--config", str(cfg), "--mass", "1", "--R1", "2",
+            "radar-distance", "--config", str(cfg), "--mass", "1", "--R1", "2",
             "--R2", "3",
         )
         assert (code, out) == (2, "")
         assert "'r0'" in err and "'mass'" in err
 
-    def test_another_modes_config_field_is_ignored(self, capsys, tmp_path):
+    def test_another_modes_config_field_is_ignored(self, tmp_path):
         # dr belongs to metric linear; a config may be shared between modes
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dr": {"value": 5.0, "unit": "m"},
                                    "dt": {"value": 2.0, "unit": "s"}}))
-        code, out, _ = run_main(capsys, "metric", "minkowski", "--config", str(cfg), "--c", "1")
+        code, out, _ = run_main("metric", "minkowski", "--config", str(cfg), "--c", "1")
         assert code == 0
         assert json.loads(out) == {"ds2": 4.0}
 
@@ -147,8 +140,8 @@ class TestFailuresNameTheirCause:
              ["transition photons:", "'speed_plus_m_per_s'", "k=1e+300"]),
         ],
     )
-    def test_domain_error_names_its_cause(self, capsys, argv, named):
-        code, out, err = run_main(capsys, *argv)
+    def test_domain_error_names_its_cause(self, argv, named):
+        code, out, err = run_main(*argv)
         assert (code, out) == (1, "")
         assert err.startswith("domain error:")
         for text in named:
@@ -165,32 +158,32 @@ class TestFailuresNameTheirCause:
             (("transition", "H", "--x-min=-1e308", "--x-max", "1e308"), ["n"]),
         ],
     )
-    def test_sweep_config_error_names_the_parameters(self, capsys, argv, names):
-        code, out, err = run_main(capsys, *argv)
+    def test_sweep_config_error_names_the_parameters(self, argv, names):
+        code, out, err = run_main(*argv)
         assert (code, out) == (2, "")
         for name in names:
             assert repr(name) in err
 
-    def test_config_nested_too_deep_is_two(self, capsys, tmp_path):
+    def test_config_nested_too_deep_is_two(self, tmp_path):
         # json.load raises RecursionError, not ValueError, on this
         cfg = tmp_path / "deep.json"
         cfg.write_text("[" * 100_000 + "]" * 100_000)
-        code, out, err = run_main(capsys, "compose", "--v1", "0.1", "--v2", "0.2",
+        code, out, err = run_main("compose", "--v1", "0.1", "--v2", "0.2",
                                   "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: config {cfg} is not valid JSON")
         assert err.count("\n") == 1
 
-    def test_config_that_is_not_utf8_is_two(self, capsys, tmp_path):
+    def test_config_that_is_not_utf8_is_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'\xff\xfe{"t1": 1}')
-        code, out, err = run_main(capsys, "radar", "--config", str(cfg))
+        code, out, err = run_main("radar", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: config {cfg} is not valid JSON")
 
-    def test_warning_is_one_line(self, capsys):
+    def test_warning_is_one_line(self):
         code, out, err = run_main(
-            capsys, "metric", "approx", "--r0", "1", "--r", "1e-300", "--dt", "1", "--c", "1"
+            "metric", "approx", "--r0", "1", "--r", "1e-300", "--dt", "1", "--c", "1"
         )
         assert code == 0
         assert json.loads(out)["field_strength"] == pytest.approx(1e300)
@@ -247,13 +240,13 @@ class TestMarks:
     """Each unmarked name of a row is required and each ``[name]`` optional."""
 
     def test_every_row_has_a_good_call(self):
-        assert set(GOOD) == {(command, mode) for command, mode, _, _ in ROWS}
+        assert set(GOOD) == {tuple(row.values[:2]) for row in ROWS}
 
-    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS])
-    def test_marks_tell_the_truth(self, capsys, command, mode, spec):
+    @pytest.mark.parametrize("command,mode,spec", [row.values for row in ROWS])
+    def test_marks_tell_the_truth(self, command, mode, spec):
         words = GOOD[command, mode].split()
         given = {flag[2:].replace("-", "_"): text for flag, text in zip(words[::2], words[1::2])}
-        assert run_main(capsys, *call(command, mode, given))[0] == 0
+        assert run_main(*call(command, mode, given))[0] == 0
         for token in spec.split():
             sides = token.split("|")
             side = next((s for s in sides if set(cli._names(s)) & set(given)), None)
@@ -264,7 +257,7 @@ class TestMarks:
                 drops.append(cli._names(side))
             for drop in drops:
                 code, _, err = run_main(
-                    capsys, *call(command, mode, {n: t for n, t in given.items() if n not in drop})
+                    *call(command, mode, {n: t for n, t in given.items() if n not in drop})
                 )
                 required = [n for n in drop if n in side.split(",")]  # not "[n]"
                 if not required:
@@ -279,18 +272,18 @@ class TestNegativeExponentForm:
     """A float flag takes a value that starts with one "-" as its value, not
     as a flag: a negative number in exponent form, and -inf or -nan."""
 
-    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS], ids=ROW_IDS)
+    @pytest.mark.parametrize("command,mode,spec", ROWS)
     @pytest.mark.parametrize("text", ["-1e-3", "-1E5", "-2.5e+10"])
-    def test_first_float_flag(self, capsys, command, mode, spec, text):
+    def test_first_float_flag(self, command, mode, spec, text):
         name = next(n for n in cli._names(spec) if cli._OTHER.get(n, float) is float)
         argv = call(command, mode, {name: text})
         assert getattr(cli.build_parser().parse_args(argv), name) == float(text)
-        _, _, err = run_main(capsys, *argv)
+        _, _, err = run_main(*argv)
         assert "needs a value" not in err, err
 
     @pytest.mark.parametrize("text", ["-inf", "-nan"])
-    def test_non_finite_is_two_naming_the_flag(self, capsys, text):
-        code, out, err = run_main(capsys, "compose", "--v1", text, "--v2", "0.1", "--c", "1")
+    def test_non_finite_is_two_naming_the_flag(self, text):
+        code, out, err = run_main("compose", "--v1", text, "--v2", "0.1", "--c", "1")
         assert (code, out) == (2, "")
         assert err == f"config error: parameter 'v1' must be finite, got {float(text)!r}\n"
 
@@ -317,8 +310,8 @@ class TestScaleTraps:
             ("--mass", "1e-300", "--Lambda", "1e-52", "--lambda-unit", "s^-2", "--c", "1"),
         ],
     )
-    def test_horizons_at_any_scale(self, capsys, argv):
-        code, out, err = run_main(capsys, "horizon", *argv)
+    def test_horizons_at_any_scale(self, argv):
+        code, out, err = run_main("horizon", *argv)
         assert (code, err) == (0, "")
         params = cli.Params(cli.build_parser().parse_args(["horizon", *argv]))
         src = cli._source(params, "Lambda", "lambda_unit")
@@ -337,22 +330,22 @@ class TestScaleTraps:
             ("lorentz", "--t", "1", "--x", "1", "--v3", "1e-301"),
         ],
     )
-    def test_a_light_speed_whose_square_is_zero_is_two(self, capsys, argv):
-        code, out, err = run_main(capsys, *argv, "--c", "1e-300")
+    def test_a_light_speed_whose_square_is_zero_is_two(self, argv):
+        code, out, err = run_main(*argv, "--c", "1e-300")
         assert (code, out) == (2, "")
         assert err.startswith("config error: parameter 'c'")
 
-    def test_a_radius_whose_mass_would_overflow_is_a_source(self, capsys):
+    def test_a_radius_whose_mass_would_overflow_is_a_source(self):
         # r0·c²/(2G) overflows, but a source holds r0 itself
         code, out, err = run_main(
-            capsys, "metric", "schwarzschild", "--r0", "1e295", "--R", "2e295"
+            "metric", "schwarzschild", "--r0", "1e295", "--R", "2e295"
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["lambda"] == 0.5
 
     @pytest.mark.parametrize("model,name", [("exponential", "rate"), ("powerlaw", "exponent")])
-    def test_the_model_rule_requires_what_the_model_reads(self, capsys, model, name):
-        code, out, err = run_main(capsys, "hubble", "--model", model, "--t", "1")
+    def test_the_model_rule_requires_what_the_model_reads(self, model, name):
+        code, out, err = run_main("hubble", "--model", model, "--t", "1")
         assert (code, out) == (2, "")
         assert f"missing required parameter {name!r}" in err
 
@@ -360,20 +353,20 @@ class TestScaleTraps:
 class TestFlagMode:
     """hubble's rows are chosen by --model, a flag with choices."""
 
-    def test_left_out_is_two(self, capsys):
-        code, out, err = run_main(capsys, "hubble", "--t", "2")
+    def test_left_out_is_two(self):
+        code, out, err = run_main("hubble", "--t", "2")
         assert (code, out, err) == (2, "", "config error: missing required parameter 'model'\n")
 
-    def test_a_config_cannot_carry_it(self, capsys, tmp_path):
+    def test_a_config_cannot_carry_it(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"model": "linear"}')
         for mode in ([], ["--model", "linear"]):
-            code, out, err = run_main(capsys, "hubble", *mode, "--t", "2", "--config", str(cfg))
+            code, out, err = run_main("hubble", *mode, "--t", "2", "--config", str(cfg))
             assert (code, out) == (2, "")
             assert err.startswith("config error:") and "'model'" in err
 
-    def test_an_unknown_model_is_two(self, capsys):
-        code, out, err = run_main(capsys, "hubble", "--model", "cubic", "--t", "2")
+    def test_an_unknown_model_is_two(self):
+        code, out, err = run_main("hubble", "--model", "cubic", "--t", "2")
         assert (code, out) == (2, "")
         assert err == ("config error: --model must be one of linear, exponential, powerlaw,"
                        " got 'cubic'\n")
@@ -391,41 +384,38 @@ class TestReaderRefusals:
     """Each spelling that the table does not declare is refused on every
     row: exit 2, stdout empty, and one config error line naming the flag."""
 
-    def refused(self, capsys, argv, named):
-        code, out, err = run_main(capsys, *argv)
+    def refused(self, argv, named):
+        code, out, err = run_main(*argv)
         assert (code, out) == (2, ""), err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert named in err, err
 
-    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS], ids=ROW_IDS)
-    def test_an_abbreviation(self, capsys, command, mode, spec):
+    @pytest.mark.parametrize("command,mode,spec", ROWS)
+    def test_an_abbreviation(self, command, mode, spec):
         # a prefix that is itself a declared name is that name, which the row does not read
         prefix = abbreviation(spec)
         name = cli._FLAGS.get(prefix)
         named = f"unknown argument '{prefix}'" if name is None else f"does not read '{name}'"
-        self.refused(capsys, [*row_argv(command, mode), prefix, "1"], named)
+        self.refused([*row_argv(command, mode), prefix, "1"], named)
 
-    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS], ids=ROW_IDS)
-    def test_a_flag_given_twice(self, capsys, command, mode, spec):
+    @pytest.mark.parametrize("command,mode,spec", ROWS)
+    def test_a_flag_given_twice(self, command, mode, spec):
         flag = flag_argv(cli._names(spec)[0])
-        self.refused(capsys, [*row_argv(command, mode), *flag, *flag],
+        self.refused([*row_argv(command, mode), *flag, *flag],
                      f"config error: {flag[0]} is given twice\n")
 
-    @pytest.mark.parametrize(
-        "command,mode,name",
-        [(c, m, next(n for n in cli._names(s) if "_" in n)) for c, m, s, _ in ROWS if "_" in s],
-        ids=[f"{c}-{m}" if m else c for c, m, s, _ in ROWS if "_" in s],
-    )
-    def test_the_underscore_spelling(self, capsys, command, mode, name):
+    @pytest.mark.parametrize("command,mode,spec", [row for row in ROWS if "_" in row.values[2]])
+    def test_the_underscore_spelling(self, command, mode, spec):
+        name = next(n for n in cli._names(spec) if "_" in n)
         _, text = flag_argv(name)
-        self.refused(capsys, [*row_argv(command, mode), f"--{name}", text],
+        self.refused([*row_argv(command, mode), f"--{name}", text],
                      f"unknown argument '--{name}'")
 
-    @pytest.mark.parametrize("command,mode,spec", [row[:3] for row in ROWS], ids=ROW_IDS)
+    @pytest.mark.parametrize("command,mode,spec", ROWS)
     @pytest.mark.parametrize("after", [[], ["--c", "1"]], ids=["last", "before-a-flag"])
-    def test_a_flag_without_its_value(self, capsys, command, mode, spec, after):
+    def test_a_flag_without_its_value(self, command, mode, spec, after):
         flag, _ = flag_argv(cli._names(spec)[0])
-        self.refused(capsys, [*row_argv(command, mode), flag, *after],
+        self.refused([*row_argv(command, mode), flag, *after],
                      f"config error: {flag} needs a value\n")
 
     @pytest.mark.parametrize(
@@ -447,8 +437,8 @@ class TestReaderRefusals:
             (["metric", "--r0", "1"], "missing required parameter 'form'"),
         ],
     )
-    def test_other_spellings(self, capsys, argv, named):
-        self.refused(capsys, argv, named)
+    def test_other_spellings(self, argv, named):
+        self.refused(argv, named)
 
     @pytest.mark.parametrize(
         "argv,err",
@@ -461,22 +451,21 @@ class TestReaderRefusals:
              "config error: --v1 is given twice\n"),
         ],
     )
-    def test_a_prefix_and_a_repeat_are_refused(self, capsys, argv, err):
-        assert run_main(capsys, *argv) == (2, "", err)
+    def test_a_prefix_and_a_repeat_are_refused(self, argv, err):
+        assert run_main(*argv) == (2, "", err)
 
-    @pytest.mark.parametrize("command,mode", list(GOOD),
-                             ids=[f"{c}-{m}" if m else c for c, m in GOOD])
-    def test_equals_form_reads_as_two_words(self, capsys, command, mode):
+    @pytest.mark.parametrize("command,mode,spec", ROWS)
+    def test_equals_form_reads_as_two_words(self, command, mode, spec):
         words = GOOD[command, mode].split()
         joined = [f"{flag}={text}" for flag, text in zip(words[::2], words[1::2])]
-        two_words = run_main(capsys, *row_argv(command, mode), *words)
+        two_words = run_main(*row_argv(command, mode), *words)
         assert two_words[0] == 0
-        assert run_main(capsys, *row_argv(command, mode), *joined) == two_words
+        assert run_main(*row_argv(command, mode), *joined) == two_words
 
     @pytest.mark.parametrize("argv", [["-h"], ["compose", "--v1", "0.1", "-h"],
                                       ["hubble", "--t", "1", "--help"]])
-    def test_help_anywhere_is_zero(self, capsys, argv):
-        code, out, err = run_main(capsys, *argv)
+    def test_help_anywhere_is_zero(self, argv):
+        code, out, err = run_main(*argv)
         assert (code, err) == (0, "")
         assert out.startswith("usage: lightclock")
 

@@ -7,6 +7,7 @@ import json
 import math
 
 import pytest
+from conftest import run_main
 
 import lightclock
 from lightclock import (
@@ -54,13 +55,6 @@ def test_constants():
     assert not hasattr(cli, "DEFAULT_C")
 
 
-def _stdout(capsys, argv):
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, ""), err
-    return out
-
-
 HALF_PI = repr(math.pi / 2.0)
 
 
@@ -82,7 +76,8 @@ HALF_PI = repr(math.pi / 2.0)
          ["--Lambda", "0", "--lambda-unit", "s^-2"]),
     ],
 )
-def test_omitted_parameter_takes_the_kernel_default(capsys, argv, spelt_out):
-    omitted = _stdout(capsys, argv)
-    assert omitted == _stdout(capsys, argv + spelt_out)
-    assert json.loads(omitted)
+def test_omitted_parameter_takes_the_kernel_default(argv, spelt_out):
+    code, out, err = run_main(*argv)
+    assert (code, err) == (0, ""), err
+    assert run_main(*argv, *spelt_out) == (code, out, err)
+    assert json.loads(out)

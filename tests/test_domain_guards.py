@@ -29,8 +29,8 @@ class TestOverflowingSchwarzschildRadius:
             (("--mass", "1e300", "--G", "1e10"), "mass=1e+300 G=10000000000.0"),
         ],
     )
-    def test_cli_names_the_cause(self, capsys, argv, given):
-        code, out, err = run_main(capsys, "metric", "schwarzschild", *argv, "--R", "2", "--c", "1")
+    def test_cli_names_the_cause(self, argv, given):
+        code, out, err = run_main("metric", "schwarzschild", *argv, "--R", "2", "--c", "1")
         assert (code, out) == (1, "")
         assert err.startswith("domain error: metric schwarzschild: the Schwarzschild radius")
         assert "is not finite" in err and given in err
@@ -38,22 +38,22 @@ class TestOverflowingSchwarzschildRadius:
 
 
 class TestHubbleLinear:
-    def test_scale_is_t(self, capsys):
+    def test_scale_is_t(self):
         # a = rate·t gives H = 1/t whatever the rate, so the model reads none;
         # a'' = 0 exactly, so q is 0.0 (not -0.0)
-        code, out, err = run_main(capsys, "hubble", "--model", "linear", "--t", "2")
+        code, out, err = run_main("hubble", "--model", "linear", "--t", "2")
         assert (code, err) == (0, "")
         assert out == '{\n  "H": 0.5,\n  "q": 0.0\n}\n'
 
-    def test_rate_is_a_config_error(self, capsys, tmp_path):
-        code, out, err = run_main(capsys, "hubble", "--model", "linear", "--t", "2", "--rate", "5")
+    def test_rate_is_a_config_error(self, tmp_path):
+        code, out, err = run_main("hubble", "--model", "linear", "--t", "2", "--rate", "5")
         assert (code, out) == (2, "")
         assert err == "config error: hubble linear does not read 'rate'; it reads t rho G\n"
         # the exponential model reads rate, so a config's rate is ignored, as
         # any field of another mode is: a config may be shared
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"rate": {"value": 5.0, "unit": "1/s"}}')
-        code, out, err = run_main(capsys, "hubble", "--model", "linear", "--t", "2",
+        code, out, err = run_main("hubble", "--model", "linear", "--t", "2",
                                   "--config", str(cfg))
         assert (code, err) == (0, "")
         assert out == '{\n  "H": 0.5,\n  "q": 0.0\n}\n'
@@ -78,12 +78,12 @@ class TestConfigBeforeKernel:
             ("sim roundtrip --t1 1 --omega -1 --c 1", "x", "'tol'"),
         ],
     )
-    def test_exits_two_naming_the_parameter(self, capsys, tmp_path, argv, tol, named):
+    def test_exits_two_naming_the_parameter(self, tmp_path, argv, tol, named):
         config = []
         if tol is not None:  # a tolerance that is not a number, from a config
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"tol": tol}))
             config = ["--config", str(cfg)]
-        code, out, err = run_main(capsys, *argv.split(), *config)
+        code, out, err = run_main(*argv.split(), *config)
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and named in err

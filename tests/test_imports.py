@@ -2,9 +2,9 @@
 generic aliases come from ``collections.abc``."""
 
 import os
-import subprocess
-import sys
 from pathlib import Path
+
+from conftest import run_python
 
 import lightclock
 
@@ -20,7 +20,6 @@ def test_no_module_imports_typing():
         "print(sorted(m for m in sys.modules if m == 'typing' or m.startswith('typing.')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(lightclock.__file__).parent.parent)}
-    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         env=env)
+    res = run_python("-S", "-c", code, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"

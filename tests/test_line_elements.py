@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_main
 from scipy.integrate import quad
 
 from lightclock import (
     Dual,
     LambdaFactor,
     MetricPoint,
-    cli,
     cosmological_constant_for_horizon,
     gamma_gravitational,
     gamma_special,
@@ -368,9 +368,10 @@ class TestHubble:
             ("--model exponential --rate 0.7 --t 3", '"H": 0.7,\n  "q": -1.0\n'),
         ],
     )
-    def test_cli_prints_the_exact_q(self, capsys, argv, printed):
-        assert cli.main(["hubble", *argv.split()]) == 0
-        assert printed in capsys.readouterr().out
+    def test_cli_prints_the_exact_q(self, argv, printed):
+        code, out, _ = run_main("hubble", *argv.split())
+        assert code == 0
+        assert printed in out
 
     @pytest.mark.parametrize("t", [-700.0, -400.0, -370.0, -360.0, 360.0, 700.0])
     def test_q_stays_finite_where_a_times_a2_leaves_the_float_range(self, t):
@@ -393,9 +394,10 @@ class TestHubble:
             ("--model powerlaw --exponent 3 --t 1e80", 2.9999999999999997e-80, -2.0 / 3.0),
         ],
     )
-    def test_cli_q_far_from_t_equal_one(self, capsys, argv, H, q):
-        assert cli.main(["hubble", *argv.split()]) == 0
-        out = json.loads(capsys.readouterr().out)
+    def test_cli_q_far_from_t_equal_one(self, argv, H, q):
+        code, out, _ = run_main("hubble", *argv.split())
+        assert code == 0
+        out = json.loads(out)
         assert out["H"] == pytest.approx(H, rel=1e-15)
         assert out["q"] == pytest.approx(q, rel=1e-15)
 
@@ -422,8 +424,9 @@ class TestHubble:
         rates = hubble_deceleration(lambda tt: tt, 1e300)
         assert (rates.H, rates.q) == (1e-300, 0.0)
 
-    def test_cli_names_t_when_a_second_derivative_underflows(self, capsys):
-        assert cli.main(["hubble", "--model", "powerlaw", "--exponent", "0.5", "--t", "1e250"]) == 1
-        out, err = capsys.readouterr()
+    def test_cli_names_t_when_a_second_derivative_underflows(self):
+        code, out, err = run_main("hubble", "--model", "powerlaw", "--exponent", "0.5",
+                                  "--t", "1e250")
+        assert code == 1
         assert out == ""
         assert err.startswith("domain error: hubble powerlaw: ") and "t=1e+250" in err

@@ -6,8 +6,7 @@ import shlex
 from pathlib import Path
 
 import pytest
-
-from lightclock import cli
+from conftest import run_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,11 +25,10 @@ def test_the_sweep_script_calls_are_shown():
 
 
 @pytest.mark.parametrize("line", readme_calls())
-def test_readme_call_runs(capsys, tmp_path, line):
+def test_readme_call_runs(tmp_path, line):
     argv = shlex.split(line)[1:]
     if "--out" in argv:
         i = argv.index("--out") + 1
         argv[i] = str(tmp_path / argv[i])
-    code = cli.main(argv)
-    _, err = capsys.readouterr()
+    code, _, err = run_main(*argv)
     assert (code, err) == (0, "")

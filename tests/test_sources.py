@@ -64,25 +64,25 @@ def test_source_from_mass_is_2GM_over_c2(mass, G, c):
 
 
 class TestCli:
-    def test_r0_with_G_is_two_naming_both(self, capsys):
-        code, out, err = run_main(capsys, "metric", "schwarzschild", "--r0", "1", "--G", "0",
+    def test_r0_with_G_is_two_naming_both(self):
+        code, out, err = run_main("metric", "schwarzschild", "--r0", "1", "--G", "0",
                                   "--R", "2")
         assert (code, out) == (2, "")
         assert "'r0'" in err and "'G'" in err
 
-    def test_mass_with_G_zero_is_massless(self, capsys):
-        code, out, err = run_main(capsys, "metric", "schwarzschild", "--mass", "1", "--G", "0",
+    def test_mass_with_G_zero_is_massless(self):
+        code, out, err = run_main("metric", "schwarzschild", "--mass", "1", "--G", "0",
                                   "--R", "2", "--c", "1")
         assert (code, err) == (0, "")
         assert json.loads(out)["lambda"] == 1.0
 
-    def test_negative_mass_names_the_mass(self, capsys):
-        code, out, err = run_main(capsys, "metric", "schwarzschild", "--mass", "-1", "--G", "-1",
+    def test_negative_mass_names_the_mass(self):
+        code, out, err = run_main("metric", "schwarzschild", "--mass", "-1", "--G", "-1",
                                   "--R", "2")
         assert (code, out) == (1, "")
         assert "mass must be non-negative" in err
 
-    def test_negative_r0_names_r0_not_a_mass(self, capsys):
-        code, out, err = run_main(capsys, "metric", "schwarzschild", "--r0", "-1", "--R", "2")
+    def test_negative_r0_names_r0_not_a_mass(self):
+        code, out, err = run_main("metric", "schwarzschild", "--r0", "-1", "--R", "2")
         assert (code, out) == (1, "")
         assert "got r0 = -1.0 m" in err and "mass" not in err
