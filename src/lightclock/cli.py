@@ -156,10 +156,10 @@ class Params:
     win, then config, then defaults.
 
     Before any handler runs, these are config errors, in this order: a bad
-    config, a value that is not finite, both sides of an alternative (flag and
-    config merged), a bad light speed ``c``, and a name the row requires that
-    the call leaves out.  ``c`` is --c, then --natural-units (c = 1), then the
-    config, then SI.
+    config, a value that is not finite, a bad light speed ``c``, an
+    alternative given on both sides (flag and config merged) or on neither,
+    and a name the row requires that the call leaves out.  ``c`` is --c, then
+    --natural-units (c = 1), then the config, then SI.
     """
 
     def __init__(self, args: SimpleNamespace):
@@ -175,10 +175,6 @@ class Params:
             for value in (self.args.get(name), self.config.get(name)):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"parameter {name!r} must be finite, got {value!r}")
-        for pair in (token.split("|") for token in spec.split() if "|" in token):
-            a, b = ([n for n in _names(side) if self.get(n) is not None] for side in pair)
-            if a and b:
-                raise ConfigError(f"give {a[0]!r} or {b[0]!r}, not both")
         c = self.args.get("c")
         if c is None:
             c = 1.0 if self.args.get("natural_units") else self.config.get("c", SPEED_OF_LIGHT)
@@ -189,7 +185,10 @@ class Params:
         # one side of each alternative, then the names outside them
         for token in sorted(spec.split(), key=lambda token: "|" not in token):
             sides = token.split("|")
-            sides = [s for s in sides if any(self.get(n) is not None for n in _names(s))] or sides
+            given = [[n for n in _names(s) if self.get(n) is not None] for s in sides]
+            if len(sides) > 1 and all(given):
+                raise ConfigError(f"give {given[0][0]!r} or {given[1][0]!r}, not both")
+            sides = [s for s, g in zip(sides, given) if g] or sides
             need = [[n for n in side.split(",") if not n.startswith("[")] for side in sides]
             if len(sides) > 1 and all(need):
                 raise ConfigError(f"need either {need[0][0]} or {need[1][0]}")

@@ -82,8 +82,8 @@ class Dual:
             return NotImplemented
         if _real_of(other) == 0.0:
             raise ZeroDivisionError(_ZERO_DIVISOR)
-        c = other.real
-        return Dual(self.real / c, (self.eps * c - self.real * other.eps) / (c * c))
+        r = self.real / other.real
+        return Dual(r, (self.eps - r * other.eps) / other.real)
 
     def __rtruediv__(self, other):
         other = _coerce(other)

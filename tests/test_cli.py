@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import row_argv, run_main, run_python
 
-from lightclock import cli
+from lightclock import LightClockSpec, cli, count_trace, einstein_from_count_diagram
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -315,6 +315,39 @@ class TestSubcommandSurface:
         )
         assert code == 0
         assert json.loads(out.read_text())["v3"] == 0.8
+
+
+class TestCountDiagramThroughRadar:
+    """The count diagram of two pulses is the radar record whose emission and
+    return times are the pulses' emission gap and return gap, so README's
+    `radar` calls print the diagram's measures."""
+
+    @staticmethod
+    def radar(t1, t2, t3):
+        code, out, err = run_main("radar", "--t1", t1, "--t2", t2, "--t3", t3, "--c", "1")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        return payload, (payload["t_E"], payload["r_E"], payload["v_E"])
+
+    def test_criterion_2(self):
+        # emission gap 80 - 20, return gap 140 - 60
+        _, measures = self.radar("60", "69.2820323027551", "80")
+        m = einstein_from_count_diagram(LightClockSpec(1.0, 1.0), (20, 40, 60), (80, 110, 140))
+        assert measures == (m.t_E_counts, m.r_E_counts, m.v_E) == (70.0, 10.0, 1.0 / 7.0)
+
+    def test_pulse_ladder(self):
+        omega = 0.6931471805599453
+        code, out, err = run_main("sim", "counts", "--omega", repr(omega), "--t1", "1",
+                                  "--n-pulses", "2", "--L", "1", "--natural-units")
+        assert (code, err) == (0, "")
+        a, b = ([float(x) for x in line.split(",")] for line in out.splitlines()[1:])
+        assert (b[1] - a[1], b[3] - a[3]) == (3.0, 12.0)  # the tau1 and tau3 gaps
+        payload, measures = self.radar("3", "6", "12")
+        spec = LightClockSpec(1.0, 1.0)
+        rows = count_trace(spec, omega, 1.0, 2)
+        m = einstein_from_count_diagram(spec, *((r.tau1, r.tau2, r.tau3) for r in rows))
+        assert measures == (m.t_E_counts, m.r_E_counts, m.v_E) == (7.5, 4.5, 0.6)
+        assert payload["omega"] == omega
 
 
 # The lightclock modules whose body has run: a submodule that is not yet used

@@ -33,6 +33,17 @@ class TestDualArithmetic:
         with pytest.raises(ZeroDivisionError, match="infinitesimal division"):
             Dual(1, 0) / Dual(0, 1)
 
+    # the quotient's ε is formed without the divisor's square, which leaves
+    # the float range long before the quotient does
+    def test_division_by_a_tiny_divisor(self):
+        assert Dual(1e-200, 1.0) / Dual(1e-200, 0.0) == Dual(1.0, 1e200)
+
+    def test_derivative_of_a_ratio_at_a_tiny_point(self):
+        assert derivative(lambda x: x / x, 1e-170) == 0.0
+
+    def test_division_by_a_huge_divisor(self):
+        assert (Dual(1.0, 1.0) / Dual(1e200, 1.0)).eps == 1e-200
+
     def test_float_mixing(self):
         assert 2.0 * Dual(3, 1) == Dual(6, 2)
         assert Dual(3, 1) + 1 == Dual(4, 1)
@@ -226,7 +237,7 @@ _FIRST_ORDER = {
     "mul": (lambda x, y: x * y, lambda a, b, c, d: (a * c, a * d + b * c)),
     "mul_float": (lambda x, y: x * y.real, lambda a, b, c, d: (a * c, a * 0.0 + b * c)),
     "rmul_float": (lambda x, y: y.real * x, lambda a, b, c, d: (a * c, a * 0.0 + b * c)),
-    "div": (lambda x, y: x / y, lambda a, b, c, d: (a / c, (b * c - a * d) / (c * c))),
+    "div": (lambda x, y: x / y, lambda a, b, c, d: (a / c, (b - (a / c) * d) / c)),
     "pow": (lambda x, y: abs(x) ** y.real,
             lambda a, b, c, d: (abs(a) ** c, c * abs(a) ** (c - 1) * (math.copysign(1.0, a) * b))),
     "sqrt": (lambda x, y: abs(x).sqrt(),

@@ -24,6 +24,14 @@ def test_the_sweep_script_calls_are_shown():
             " --sweep-R 0.008869814695241158:8869.805825435335:400:log") in calls
 
 
+def test_the_ladder_script_calls_are_shown():
+    calls = readme_calls()
+    assert "lightclock radar --t1 60 --t2 69.2820323027551 --t3 80 --c 1" in calls
+    assert ("lightclock sim counts --omega 0.6931471805599453 --t1 1 --n-pulses 2"
+            " --L 1 --natural-units") in calls
+    assert "lightclock radar --t1 3 --t2 6 --t3 12 --c 1" in calls
+
+
 @pytest.mark.parametrize("line", readme_calls())
 def test_readme_call_runs(tmp_path, line):
     argv = shlex.split(line)[1:]

@@ -70,6 +70,12 @@ class TestCli:
         assert (code, out) == (2, "")
         assert "'r0'" in err and "'G'" in err
 
+    def test_a_bad_c_is_named_before_both_sides(self):
+        code, out, err = run_main("metric", "schwarzschild", "--r0", "1", "--G", "0",
+                                  "--R", "2", "--c", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: parameter 'c' must be positive")
+
     def test_mass_with_G_zero_is_massless(self):
         code, out, err = run_main("metric", "schwarzschild", "--mass", "1", "--G", "0",
                                   "--R", "2", "--c", "1")
