@@ -57,9 +57,11 @@ class GravitySource:
     lambda_per_m2: float = 0.0  # m^-2
 
     def __post_init__(self):
-        if not (0.0 <= self.schwarzschild_r0 < math.inf and 0.0 < self.c < math.inf):
-            raise ValueError(f"a source needs a finite r0 >= 0 and c > 0, got r0 ="
-                             f" {self.schwarzschild_r0!r} m and c = {self.c!r} m/s")
+        if not (0.0 <= self.schwarzschild_r0 < math.inf and 0.0 < self.c < math.inf
+                and abs(self.lambda_per_m2) < math.inf):
+            raise ValueError(f"a source needs a finite r0 >= 0 and c > 0 and a finite Lambda,"
+                             f" got r0 = {self.schwarzschild_r0!r} m, c = {self.c!r} m/s"
+                             f" and Lambda = {self.lambda_per_m2!r} m^-2")
 
 
 def convert_lambda(value: float, unit: str, c: float) -> float:
@@ -201,8 +203,6 @@ def horizon_roots(src: GravitySource) -> list[float]:
     r0, lam = src.schwarzschild_r0, src.lambda_per_m2
     if lam < 0:
         raise ValueError("horizon scan requires Lambda >= 0")
-    if lam == math.inf:
-        raise ValueError("horizon scan requires a finite Lambda, got inf in m^-2")
     if lam == 0.0:
         return [r0] if r0 > 0 else []
     s = math.sqrt(lam)

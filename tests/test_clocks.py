@@ -134,6 +134,17 @@ class TestCountDiagram:
         with pytest.raises(ValueError, match="inconsistent count diagram"):
             einstein_from_count_diagram(spec, (20, 40, 61), (80, 110, 140))
 
+    @pytest.mark.parametrize("first,second", [
+        ((0.0, -1.0, -2.0), (1.0, 2.0, 3.0)),
+        ((2.0, 1.0, 0.0), (1.0, 2.0, 3.0)),
+        ((math.nan,) * 3, (1.0, 2.0, 3.0)),
+        ((0.0, 0.5, 1.0), (1.0, math.inf, math.inf)),
+    ])
+    def test_a_pulse_back_before_it_left_or_not_finite(self, first, second):
+        # the reflection relation alone passes each: a pulse needs 0 <= tau1 <= tau2 too
+        with pytest.raises(ValueError, match="inconsistent count diagram"):
+            einstein_from_count_diagram(LightClockSpec(1.0, 1.0), first, second)
+
     def test_overlapping_pulses(self):
         spec = LightClockSpec(1.0, 1.0)
         with pytest.raises(ValueError, match="overlapping pulses"):

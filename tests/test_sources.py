@@ -32,6 +32,12 @@ class TestRecord:
         with pytest.raises(ValueError, match="a source needs a finite r0 >= 0 and c > 0"):
             GravitySource(r0, c)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_lambda_is_refused_naming_it(self, lam):
+        with pytest.raises(ValueError, match=rf"a source needs a finite r0 >= 0 and c > 0"
+                                             rf".* and Lambda = {lam!r} m\^-2$"):
+            GravitySource(1.0, 1.0, lam)
+
     def test_a_nan_light_speed_is_refused_from_r0(self):
         with pytest.raises(ValueError, match=r"c = nan m/s"):
             source_from_r0(1.0, c=math.nan)
@@ -87,6 +93,13 @@ class TestCli:
                                   "--R", "2")
         assert (code, out) == (1, "")
         assert "mass must be non-negative" in err
+
+    def test_a_lambda_past_the_float_range_in_m2_names_it(self):
+        # 1e305 cm^-2 is inf in m^-2: the source refuses it, not the horizon scan
+        code, out, err = run_main("horizon", "--r0", "1", "--Lambda", "1e305",
+                                  "--lambda-unit", "cm^-2")
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: horizon: a source needs") and "Lambda = inf" in err
 
     def test_negative_r0_names_r0_not_a_mass(self):
         code, out, err = run_main("metric", "schwarzschild", "--r0", "-1", "--R", "2")
