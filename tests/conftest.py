@@ -1,6 +1,6 @@
 """The CLI tests' one harness: ``cli.main`` called in this process, a fresh
 ``python`` for the tests whose subject is the process itself, and the rows
-of ``cli._COMMANDS`` and their names as test cases."""
+of ``cli._COMMANDS`` as test cases."""
 
 import contextlib
 import io
@@ -41,12 +41,4 @@ ROWS = [
     pytest.param(command, mode, spec, id=f"{command}-{mode}" if mode else command)
     for command, (_, _, rows) in cli._COMMANDS.items()
     for mode, (spec, _) in rows.items()
-]
-
-# one case (command, mode, name) per name of each row, --out and --c
-# included, with the id ``command[-mode]-name``
-PARAMS = [
-    pytest.param(*row.values[:2], name, id=f"{row.id}-{name}")
-    for row in ROWS
-    for name in [*cli._names(row.values[2]), "out", "c"]
 ]

@@ -5,7 +5,7 @@ import os
 from pathlib import Path
 
 import pytest
-from conftest import PARAMS, row_argv, run_main, run_python
+from conftest import row_argv, run_main, run_python
 
 from lightclock import LightClockSpec, cli, count_trace, einstein_from_count_diagram
 
@@ -425,7 +425,7 @@ class TestStartupImports:
         assert not {"argparse", "gettext"} & set(modules)
 
     @pytest.mark.parametrize("argv", READER_ARGVS, ids=lambda argv: " ".join(argv) or "bare")
-    def test_a_reader_keeps_no_state_between_calls(self, monkeypatch, argv):
+    def test_output_does_not_depend_on_the_subparsers_built(self, monkeypatch, argv):
         # main builds a fresh reader per call; one that has read every other
         # argv first prints the same, and main returns the exit code itself
         fresh = run_main(*argv)
@@ -502,6 +502,61 @@ class TestStartupImports:
         assert cli._OTHER["lambda_unit"] is lightclock.LAMBDA_UNITS
 
 
+# each subcommand's parameters in the order they had when one list served all
+# its modes (the other subcommands' rows list them in that order), hubble's
+# flag mode among them: the first case of each (command, parameter) keeps its
+# place, and so its test id, and a parameter added since comes last
+_ORDER_BEFORE_ROWS = {
+    "radar": "t1 t2 t3",
+    "metric": "dt dx dy dz dr dR dtheta dphi theta v d a R r r0 mass G Lambda mode"
+              " lambda_unit sweep_R",
+    "alter": "nu_s tau_s mass_s v gamma",
+    "transition": "k lam x_min x_max lambda_min lambda_max dt dR n",
+    "sim": "omega t1 t2 t3 L u dt_emit n_pulses",
+    "hubble": "model t rate exponent rho G",
+}
+
+
+def _table_params():
+    """Every (command, [mode], parameter) of the table's rows, and each flag
+    mode as a parameter of its command: first each (command, parameter) once,
+    with the first mode that reads it, then the pairs of the other modes, then
+    the pairs of parameters added since.  The mode sits in a list, so a case's
+    id counts cases (mode0, mode1, ...) and does not spell the mode."""
+    rest, added = [], []
+    for command, (_, dest, rows) in cli._COMMANDS.items():
+        specs = {mode: cli._names(spec) + ["out", "c"] for mode, (spec, _) in rows.items()}
+        order = _ORDER_BEFORE_ROWS.get(command, " ".join(cli._flags(rows))).split()
+        order += ["out", "c"]
+        for name in order:
+            if dest == f"--{name}":  # the flag mode: a call gives it as a flag
+                yield command, [None], name
+                continue
+            mode = next(mode for mode, names in specs.items() if name in names)
+            yield command, [mode], name
+            specs[mode].remove(name)
+        for mode, names in specs.items():
+            for name in names:
+                (rest if name in order else added).append((command, [mode], name))
+    yield from rest + added
+
+
+TABLE_PARAMS = list(_table_params())
+
+
+def _flag_value(command, name):
+    """A valid flag text for the parameter and the value it parses to."""
+    _, dest, rows = cli._COMMANDS[command]
+    kind = tuple(rows) if dest == f"--{name}" else cli._OTHER.get(name, float)
+    if isinstance(kind, tuple):
+        return kind[-1], kind[-1]
+    if kind is int:
+        return "7", 7
+    if kind is str:
+        return "1:2:3", "1:2:3"
+    return "1.5", 1.5
+
+
 def write_config(tmp_path, payload):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
@@ -512,10 +567,17 @@ class TestParameterTable:
     def test_every_subcommand_is_in_the_table(self):
         assert len(cli._COMMANDS) == 13
 
-    @pytest.mark.parametrize("command,mode,name", PARAMS)
+    @pytest.mark.parametrize("command,mode,name", TABLE_PARAMS)
+    def test_flag_parses(self, command, mode, name):
+        text, value = _flag_value(command, name)
+        flag = "--" + name.replace("_", "-")
+        args = cli.build_parser().parse_args([*row_argv(command, *mode), flag, text])
+        assert getattr(args, name) == value
+
+    @pytest.mark.parametrize("command,mode,name", TABLE_PARAMS)
     def test_wrong_unit_tag_names_parameter(self, tmp_path, command, mode, name):
         cfg = write_config(tmp_path, {name: {"value": 1.0, "unit": "furlong"}})
-        code, out, err = run_main(*row_argv(command, mode), "--config", cfg)
+        code, out, err = run_main(*row_argv(command, *mode), "--config", cfg)
         assert code == 2
         assert out == ""
         assert err.startswith("config error:")

@@ -112,7 +112,12 @@ def names_a_parameter(message):
                for name in cli._DECLARED)
 
 
-@pytest.mark.parametrize("command,mode,spec", ROWS)
+SPECS = [row.values for row in ROWS]
+
+
+# an id spells a row without its optional marks, so that ids do not move with them
+@pytest.mark.parametrize("command,mode,spec", SPECS,
+                         ids=[f"{c}-{m}-{re.sub(r'[][]', '', s)}" for c, m, s in SPECS])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_main_exits_cleanly(command, mode, spec, tmp_path_factory, data):

@@ -7,7 +7,7 @@ import re
 import sys
 
 import pytest
-from conftest import PARAMS, ROWS, row_argv, run_main
+from conftest import ROWS, row_argv, run_main
 
 from lightclock import cli
 
@@ -72,13 +72,11 @@ class TestRows:
                 assert args[dest.lstrip("-")] == mode, argv
 
     def test_ids_spell_their_case_once(self):
-        # a row's id is command[-mode] and a name's command[-mode]-name, so a
-        # row whose id collides with another's fails here, not silently
-        for table, parts in ((ROWS, 2), (PARAMS, 3)):
-            ids = [case.id for case in table]
-            assert ids == ["-".join(filter(None, case.values[:parts])) for case in table]
-            assert len(set(ids)) == len(ids)
-        assert len(PARAMS) == 134 + 2 * len(ROWS)  # each row's names, --out and --c
+        # a row's id is command[-mode], so a row whose id collides with
+        # another's fails here, not silently
+        ids = [row.id for row in ROWS]
+        assert ids == ["-".join(filter(None, row.values[:2])) for row in ROWS]
+        assert len(set(ids)) == len(ids)
 
     def test_reading_an_undeclared_name_is_a_programming_error(self):
         args = cli.build_parser().parse_args(["compose", "--v1", "0.1", "--v2", "0.2"])
@@ -267,7 +265,7 @@ class TestMarks:
     def test_every_row_has_a_good_call(self):
         assert set(GOOD) == {tuple(row.values[:2]) for row in ROWS}
 
-    @pytest.mark.parametrize("command,mode,spec", ROWS)
+    @pytest.mark.parametrize("command,mode,spec", [row.values for row in ROWS])
     def test_marks_tell_the_truth(self, command, mode, spec):
         words = GOOD[command, mode].split()
         given = {flag[2:].replace("-", "_"): text for flag, text in zip(words[::2], words[1::2])}
