@@ -8,6 +8,8 @@ allowed.
 
 from __future__ import annotations
 
+import math
+
 from . import SPEED_OF_LIGHT, _record
 
 
@@ -86,19 +88,16 @@ def einstein_from_count_diagram(
     """Einstein measures for two successive radar pulses given as counter
     triples (emission, reflection, return).
 
-    Each triple must have 0 ≤ tau1 ≤ tau2 and the to-and-fro reflection
-    relation tau3 = 2·tau2 − tau1, and the second pulse cannot start before
-    the first returns.
+    Each triple needs 0 ≤ tau1 ≤ tau2 and a finite return tau3 = 2·tau2 − tau1,
+    and the second pulse cannot start before the first returns.
     """
     t11, t21, t31 = first_pulse
     t12, t22, t32 = second_pulse
     for tau1, tau2, tau3 in (first_pulse, second_pulse):
-        scale = max(1.0, abs(tau3))
-        if not (0.0 <= tau1 <= tau2 and abs(tau3 - (2.0 * tau2 - tau1)) <= tol * scale):
-            raise ValueError(
-                "inconsistent count diagram: a pulse needs 0 <= tau1 <= tau2 and "
-                f"tau3 = 2*tau2 - tau1, got {(tau1, tau2, tau3)}"
-            )
+        if not (0.0 <= tau1 <= tau2 and abs(tau3) < math.inf
+                and abs(tau3 - (2.0 * tau2 - tau1)) <= tol * max(1.0, abs(tau3))):
+            raise ValueError("inconsistent count diagram: a pulse needs 0 <= tau1 <= tau2 and "
+                             f"a finite tau3 = 2*tau2 - tau1, got {(tau1, tau2, tau3)}")
     if t12 < t31:
         raise ValueError("overlapping pulses: second emission precedes first return")
 

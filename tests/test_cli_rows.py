@@ -12,20 +12,13 @@ from conftest import ROWS, row_argv, run_main
 from lightclock import cli
 
 
-def flag_value(name):
-    """A valid text for the flag of ``name`` and the value it parses to: the
-    first choice of a choice, else by the name's type."""
-    kind = cli._OTHER.get(name, float)
-    if isinstance(kind, tuple):
-        return kind[0], kind[0]
-    return {float: ("1.5", 1.5), int: ("7", 7), str: ("1:2:3", "1:2:3")}[kind]
-
-
 def flag_argv(name):
-    """The flag of ``name`` and a valid value; --natural-units takes none."""
+    """The flag of ``name`` and a valid value: the first choice of a choice,
+    else 7; --natural-units takes none."""
     if name == "natural_units":
         return ["--natural-units"]
-    return ["--" + name.replace("_", "-"), flag_value(name)[0]]
+    kind = cli._OTHER.get(name, float)
+    return ["--" + name.replace("_", "-"), kind[0] if isinstance(kind, tuple) else "7"]
 
 
 class TestRows:
@@ -49,34 +42,25 @@ class TestRows:
 
     def test_parser_takes_the_union_of_the_rows(self):
         # the reader knows the flag of every declared name and of the four
-        # common flags, and no other
+        # common flags, and no other; a row refuses a known flag it does not read
         assert set(cli._FLAGS.values()) == cli._DECLARED | set(cli._COMMON)
         assert all(flag == "--" + name.replace("_", "-") for flag, name in cli._FLAGS.items())
+        for command, mode, spec in (row.values for row in ROWS):
+            for flag, name in cli._FLAGS.items():
+                argv = [*row_argv(command, mode), *flag_argv(name)]
+                if name in cli._names(spec) or name in cli._COMMON:
+                    assert name in vars(cli.build_parser().parse_args(argv)), argv
+                else:
+                    with pytest.raises(cli.ConfigError, match=f"does not read '{name}'"):
+                        cli.build_parser().parse_args(argv)
 
-    @pytest.mark.parametrize("command,mode,spec", ROWS)
-    def test_a_row_parses_the_flags_it_reads(self, command, mode, spec):
-        # each flag the row reads parses to its value, beside the row's command
-        # and mode; the row refuses a known flag it does not read
-        dest = cli._COMMANDS[command][1]
-        for name in cli._FLAGS.values():
-            argv = [*row_argv(command, mode), *flag_argv(name)]
-            if name not in cli._names(spec) and name not in cli._COMMON:
-                with pytest.raises(cli.ConfigError, match=f"does not read '{name}'"):
-                    cli.build_parser().parse_args(argv)
-                continue
-            args = vars(cli.build_parser().parse_args(argv))
-            value = True if name == "natural_units" else flag_value(name)[1]
-            assert (type(args[name]), args[name]) == (type(value), value), argv
-            assert args["command"] == command, argv
-            if dest:
-                assert args[dest.lstrip("-")] == mode, argv
-
-    def test_ids_spell_their_case_once(self):
-        # a row's id is command[-mode], so a row whose id collides with
-        # another's fails here, not silently
+    def test_row_ids_are_unique_and_spell_the_call(self):
+        # a row's id is its command and mode as a call gives them, so a row
+        # whose id collides with another's fails here, not silently
         ids = [row.id for row in ROWS]
-        assert ids == ["-".join(filter(None, row.values[:2])) for row in ROWS]
         assert len(set(ids)) == len(ids)
+        for row in ROWS:
+            assert row.id == "-".join(w for w in row_argv(*row.values[:2]) if w[0] != "-")
 
     def test_reading_an_undeclared_name_is_a_programming_error(self):
         args = cli.build_parser().parse_args(["compose", "--v1", "0.1", "--v2", "0.2"])

@@ -139,9 +139,12 @@ class TestCountDiagram:
         ((2.0, 1.0, 0.0), (1.0, 2.0, 3.0)),
         ((math.nan,) * 3, (1.0, 2.0, 3.0)),
         ((0.0, 0.5, 1.0), (1.0, math.inf, math.inf)),
+        ((0.0, 0.5, 1.0), (1.0, 2.0, math.inf)),
+        ((0.0, 0.5, 1.0), (1.0, 2.0, -math.inf)),
     ])
     def test_a_pulse_back_before_it_left_or_not_finite(self, first, second):
-        # the reflection relation alone passes each: a pulse needs 0 <= tau1 <= tau2 too
+        # each passes the reflection relation or makes it NaN: a pulse needs
+        # 0 <= tau1 <= tau2 and a finite tau3 too
         with pytest.raises(ValueError, match="inconsistent count diagram"):
             einstein_from_count_diagram(LightClockSpec(1.0, 1.0), first, second)
 
