@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from . import _record
-from .line_elements import GravitySource, modified_lambda, potential_velocity
+from . import _record, line_elements
 from .velocity_space import gamma_factor
 
 _STEP = 1e-6  # the central-difference step of separated_operator_check
@@ -75,7 +74,7 @@ class GravCompareInput:
             if lambda_per_m2 != 0.0:
                 raise ValueError("infinite radius needs Lambda = 0 on that side")
             return 1.0
-        return modified_lambda(self.r_s, lambda_per_m2, r)
+        return line_elements.modified_lambda(self.r_s, lambda_per_m2, r)
 
 
 def gamma_special(v_E: float, c: float) -> float:
@@ -83,12 +82,12 @@ def gamma_special(v_E: float, c: float) -> float:
     return gamma_factor(v_E, c)
 
 
-def gamma_gravitational(src: GravitySource, R: float) -> float:
+def gamma_gravitational(src: line_elements.GravitySource, R: float) -> float:
     """Gravitational gamma at radius R; identical by construction to the
     special-theory gamma evaluated at the escape velocity sqrt(2GM/R)."""
     if R <= src.schwarzschild_r0:
         raise ValueError("R must lie outside the Schwarzschild radius")
-    return gamma_special(potential_velocity(src, R), src.c)
+    return gamma_special(line_elements.potential_velocity(src, R), src.c)
 
 
 def transverse_doppler(nu_s: float, gamma: float) -> float:

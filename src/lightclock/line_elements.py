@@ -14,8 +14,7 @@ import math
 import warnings
 from collections.abc import Callable
 
-from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _bisect, _record
-from .infinitesimals import Dual
+from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _bisect, _record, infinitesimals
 
 
 @_record
@@ -294,7 +293,7 @@ class ExpansionRates:
 
 
 def hubble_deceleration(
-    a: Callable[[Dual], Dual],
+    a: Callable[[infinitesimals.Dual], infinitesimals.Dual],
     t: float,
     rho: float | None = None,
     G: float = GRAVITATIONAL_CONSTANT,
@@ -307,6 +306,7 @@ def hubble_deceleration(
     must be normal floats, and a'' finite and normal where a'²/a is not.  When
     a density rho is given the residual of q·H² = 4πGρ/3 is reported too.
     """
+    Dual = infinitesimals.Dual
     y = a(Dual(Dual(t, 1.0), Dual(1.0, 0.0)))
     # y = (a + a'ε1) + (a' + a''ε1)ε2; a scale function that ignores its
     # argument may return a float, or a Dual with float parts

@@ -12,7 +12,8 @@ The subinterval with the largest error estimate is bisected until the
 summed estimate is at most max(1e-12, 1e-12·|integral|).  If 200
 subintervals do not reach that, a subinterval can no longer be halved, or
 the estimate is not finite, the best estimate is returned with an
-``IntegrationWarning``.
+``IntegrationWarning``.  A medium velocity's mean-value witness is the
+bisection root of the first bracket of its gap (see ``medium_velocity``).
 """
 
 from __future__ import annotations
@@ -175,7 +176,11 @@ def distance_profile(sc: PropagationScenario, t: float) -> float:
     """s(t) = t·∫_{t1}^{t} v(x)/x dx, with s(t1) initialized to zero."""
     if not (sc.t1 <= t <= sc.b):
         raise ValueError("t must lie in [t1, b]")
-    return t * _log_kernel_integral(sc.velocity_profile, sc.t1, t)
+    integral = _log_kernel_integral(sc.velocity_profile, sc.t1, t)
+    if not math.isfinite(integral):
+        raise ValueError(f"the log-kernel integral over [t1, t] = [{sc.t1!r}, {t!r}] is "
+                         f"{integral!r}; the velocity profile must be finite there")
+    return t * integral
 
 
 def medium_velocity(
@@ -183,17 +188,28 @@ def medium_velocity(
 ) -> MediumVelocity:
     """omega = ∫_{t_start}^{t_end} v(x)/x dx plus the mean-value witness.
 
-    Continuity of v guarantees a t* in [t_start, t_end] with
-    v(t*)·ln(t_end/t_start) = omega; it is located by scanning for a sign
-    change and bisecting.
+    Continuity of v guarantees a t* in [t_start, t_end] where the gap
+    v(t)·ln(t_end/t_start) − omega is zero.  t* is the bisection root of the
+    gap's first bracket: [t_start, t_end] when the gap's ends have opposite
+    signs beyond a 1e-12 relative tolerance (a monotone profile), else the
+    first sign change, or a zero within tolerance, on a 257-point grid.
     """
     if not (sc.a <= t_start < t_end <= sc.b):
         raise ValueError("need a <= t_start < t_end <= b")
     omega = _log_kernel_integral(sc.velocity_profile, t_start, t_end)
     log_span = math.log(t_end / t_start)
     v = sc.velocity_profile
+
+    def gap(t):
+        return v(t) * log_span - omega
+
+    g0, g1 = gap(t_start), gap(t_end)
+    tol = 1e-12 * max(1.0, abs(g0), abs(g1))
+    # signs, not the product, which can underflow to -0.0
+    if abs(g0) > tol and abs(g1) > tol and (g0 < 0.0) != (g1 < 0.0):
+        return MediumVelocity(omega=omega, witness=_bisect(gap, t_start, t_end, g0, g1))
     grid = _linspace(t_start, t_end, 257)
-    values = [v(t) * log_span - omega for t in grid]  # the gap whose zero is t*
+    values = [gap(t) for t in grid]  # the gap whose zero is t*
     scale = max(1.0, max(values), -min(values))
     smallest = min(map(abs, values))
     if smallest <= 1e-12 * scale:
@@ -204,15 +220,19 @@ def medium_velocity(
             break
     else:
         raise ValueError("no mean-value witness found; is the profile continuous?")
-    witness = _bisect(lambda t: v(t) * log_span - omega, grid[idx], grid[idx + 1],
-                      values[idx], values[idx + 1])
+    witness = _bisect(gap, grid[idx], grid[idx + 1], values[idx], values[idx + 1])
     return MediumVelocity(omega=omega, witness=witness)
 
 
 def _require_constant_profile(sc: PropagationScenario) -> None:
-    vals = [sc.velocity_profile(t) for t in _linspace(sc.a, sc.b, 101)]
-    spread = max(vals) - min(vals)
-    if spread > 1e-12 * max(1.0, max(abs(v) for v in vals)):
+    grid = _linspace(sc.a, sc.b, 101)
+    vals = [sc.velocity_profile(t) for t in grid]
+    if not all(map(math.isfinite, vals)):
+        i = list(map(math.isfinite, vals)).index(False)
+        raise ValueError(f"round trip requires a finite propagation speed; the profile is "
+                         f"{vals[i]!r} at t = {grid[i]!r}")
+    lo, hi = min(vals), max(vals)
+    if hi - lo > 1e-12 * max(1.0, hi, -lo):  # max(|v|) is max(hi, -lo)
         raise ValueError(
             "round trip requires a constant to-and-fro propagation speed; "
             "the supplied profile varies over [a, b]"
@@ -296,16 +316,7 @@ def count_trace(
         end = start * q * q
         tau1 = start / u
         tau3 = end / u
-        rows.append(
-            PulseCounts(
-                tau1=tau1,
-                tau2=0.5 * (tau1 + tau3),
-                tau3=tau3,
-                t1=start,
-                t2=mid,
-                t3=end,
-            )
-        )
+        rows.append(PulseCounts(tau1, 0.5 * (tau1 + tau3), tau3, start, mid, end))
         start = end
 
     def overflows(row: PulseCounts) -> bool:

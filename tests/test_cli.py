@@ -464,6 +464,25 @@ class TestStartupImports:
         )
         assert ran == ["lightclock.cli", "lightclock.radar"]
 
+    @pytest.mark.parametrize(
+        ("argv", "modules"),
+        [
+            (["metric", "modified", "--r0", "1", "--R", "2", "--Lambda", "1e-3", "--c", "1"],
+             ["lightclock.cli", "lightclock.line_elements"]),
+            (["alter", "doppler", "--nu-s", "1", "--gamma", "0.5"],
+             ["lightclock.alterations", "lightclock.cli", "lightclock.velocity_space"]),
+        ],
+        ids=["metric-modified", "alter-doppler"],
+    )
+    def test_a_call_runs_only_the_modules_it_uses(self, argv, modules):
+        # line_elements reaches infinitesimals, and alterations line_elements,
+        # only where a kernel uses them
+        ran = python_json(
+            f"import json, sys, types; from lightclock import cli; cli.main({argv!r}); "
+            f"print(json.dumps({RAN}))"
+        )
+        assert ran == modules
+
     def test_medium_witness_runs_no_line_elements(self):
         # the witness bisects with the package's root finder, not line_elements'
         ran = python_json(

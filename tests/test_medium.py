@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from lightclock import (
     LightClockSpec,
     PropagationScenario,
+    PulseCounts,
     count_trace,
     distance_profile,
     einstein_from_count_diagram,
@@ -23,6 +24,15 @@ from lightclock.medium import IntegrationWarning, _log_kernel_integral
 
 def constant_speed(c: float, t1: float = 1.0, a: float = 0.5, b: float = 64.0):
     return PropagationScenario(velocity_profile=lambda t: c, t1=t1, a=a, b=b, c=c)
+
+
+NON_FINITE = [
+    lambda t: math.nan,
+    lambda t: math.nan if t > 1.5 else 1.0,
+    lambda t: math.inf,
+    lambda t: 1.0 if t < 1.5 else -math.inf,
+]
+NON_FINITE_IDS = ["nan", "nan past 1.5", "inf", "-inf past 1.5"]
 
 
 class TestScenario:
@@ -53,6 +63,14 @@ class TestDistanceProfile:
         sc = constant_speed(1.0, t1=1.0)
         with pytest.raises(ValueError):
             distance_profile(sc, 0.75)
+
+    @pytest.mark.filterwarnings("ignore::lightclock.medium.IntegrationWarning")
+    @pytest.mark.parametrize("profile", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_a_non_finite_profile_is_refused(self, profile):
+        # the integral still warns and returns NaN; distance_profile refuses it
+        sc = PropagationScenario(profile, t1=1.0, a=1.0, b=2.0, c=1.0)
+        with pytest.raises(ValueError, match=r"\[1.0, 2.0\] is -?(nan|inf); the velocity profile"):
+            distance_profile(sc, 2.0)
 
 
 class TestLogKernelIntegral:
@@ -140,6 +158,14 @@ class TestRoundtrip:
         assert rec.t3 == pytest.approx(2.0 * math.exp(0.6), rel=1e-15)
         assert rec.t2 == pytest.approx(2.699717, abs=1e-6)
         assert rec.t3 == pytest.approx(3.644238, abs=1e-6)
+
+    @pytest.mark.parametrize("profile", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_a_non_finite_profile_is_refused(self, profile):
+        # max and min skip a NaN, and inf - inf is NaN, so the spread alone
+        # does not refuse these
+        sc = PropagationScenario(profile, t1=1.0, a=1.0, b=2.0, c=1.0)
+        with pytest.raises(ValueError, match=r"the profile is -?(nan|inf) at t = 1\.(0|51|5)$"):
+            roundtrip(sc, 0.5, 1.0)
 
     def test_geometric_mean_machine_precision(self):
         sc = constant_speed(1.0)
@@ -266,6 +292,16 @@ class TestCountTrace:
         assert abs(diagram.t_E - direct.t_E) <= 2.0 * spec.time_unit_u
         assert abs(diagram.r_E - direct.r_E) <= 2.0 * spec.round_trip_length_L
         assert diagram.v_E == pytest.approx(direct.v_E, rel=1e-12)
+
+    def test_rows_equal_records_built_by_keyword(self):
+        u, q, start, expected = 0.25, math.exp(0.8), 2.0, []
+        for _ in range(5):
+            end = start * q * q
+            tau1, tau3 = start / u, end / u
+            expected.append(PulseCounts(tau1=tau1, tau2=0.5 * (tau1 + tau3), tau3=tau3,
+                                        t1=start, t2=start * q, t3=end))
+            start = end
+        assert count_trace(LightClockSpec(u, 1.0), 0.8, 2.0, 5) == expected
 
     def test_overflow_names_pulse(self):
         # t3 of pulse n is e^{2n}, past the float range from n = 355

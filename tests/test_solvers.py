@@ -53,8 +53,8 @@ class TestBisect:
 class TestWitnessEvaluations:
     @pytest.mark.parametrize("p", [0.5, 2.0, 3.7])
     def test_bracket_ends_are_evaluated_once(self, p):
-        # the scan has the gap at both ends of the witness bracket; the root
-        # finder takes those values instead of evaluating the profile again
+        # the gap's values at [1, 5]'s ends bracket the witness; the root
+        # finder takes them, and each halving lands on a grid point once
         calls = []
 
         def profile(t):
@@ -67,6 +67,44 @@ class TestWitnessEvaluations:
         idx = max(i for i, t in enumerate(grid[:-1]) if t <= witness)
         assert grid[idx] < witness < grid[idx + 1]
         assert calls.count(grid[idx]) == calls.count(grid[idx + 1]) == 1
+
+    @pytest.mark.parametrize(
+        "profile",
+        [lambda t: t**0.5, lambda t: 2.0 * math.log(t), lambda t: 3.0 / t**1.5],
+        ids=["t^p", "a*ln t", "A/t^p"],
+    )
+    def test_a_monotone_profile_bisects_from_the_interval_ends(self, profile):
+        # the gap has opposite signs at t_start and t_end, so no grid is scanned
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return profile(t)
+
+        sc = PropagationScenario(velocity_profile=counted, t1=1.0, a=1.0, b=5.0, c=1.0)
+        medium_velocity(sc, 1.5, 4.5)
+        witness_calls = list(calls)
+        calls.clear()
+        _log_kernel_integral(counted, 1.5, 4.5)
+        assert len(witness_calls) - len(calls) <= 75
+        assert witness_calls.count(1.5) == witness_calls.count(4.5) == 1
+
+    @pytest.mark.parametrize(
+        ("profile", "t_start", "t_end", "witness"),
+        [
+            (lambda t: (t - 2.0) ** 2 + 0.5, 1.0, 3.0, 1.4007979526965462),
+            (lambda t: 2.0 + math.sin(t), 1.0, 9.0, 2.808241607734985),
+            (lambda t: 1.3, 1.0, 2.0, 1.0),
+            (lambda t: 2.5, 0.7, 30.0, 0.7),
+        ],
+        ids=["bowl", "2+sin t", "constant", "constant off 1"],
+    )
+    def test_ends_that_do_not_bracket_keep_the_grid_witness(self, profile, t_start, t_end,
+                                                            witness):
+        # a gap of one sign at both ends (a bowl, 2 + sin t) or within
+        # tolerance of zero (a constant) is scanned on the 257-point grid
+        sc = PropagationScenario(velocity_profile=profile, t1=t_start, a=t_start, b=t_end, c=1.0)
+        assert medium_velocity(sc, t_start, t_end).witness == witness
 
 
 class TestHorizonScaledSolve:
