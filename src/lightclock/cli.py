@@ -5,9 +5,10 @@ Parameters come from flags or from a JSON config file (flags win).  Each
 (command, mode) reads the parameters its row in ``_COMMANDS`` declares, and
 ``ArgvReader`` reads the argv against that table alone: a flag the table does
 not declare (an abbreviation too), a repeated flag, or one the mode does not
-read is a config error (exit 2), as is a config unit tag that does not match.
-Domain errors from the core exit 1.  Output is JSON for single results and
-CSV for sweeps, both byte-deterministic.
+read is a config error (exit 2), as is a config unit tag that does not match
+or a Λ tag that disagrees with another unit given for Λ.  Domain errors from
+the core exit 1.  Output is JSON for single results and CSV for sweeps, both
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def _config_value(name: str, entry: object, resolved: dict[str, object]) -> obje
                 f"config field {name!r}: expected unit {'|'.join(filter(None, units))!r}, "
                 f"got {entry.get('unit')!r}"
             )
-        if isinstance(unit, tuple):
-            resolved["lambda_unit"] = entry["unit"]
+        if isinstance(unit, tuple):  # a Λ's tag, which Params checks against the other units
+            resolved.setdefault("lambda_tags", {})[f"config field {name!r}"] = entry["unit"]
         entry = entry.get("value")
     elif unit is not None:
         raise ConfigError(
@@ -170,6 +171,14 @@ class Params:
         self.label = f"{args.command} {mode}" if mode else args.command
         self.names = _names(spec) + ["out", "c"]
         self.config = _load_config(self.args.get("config"), self.names)
+        if tags := self.config.pop("lambda_tags", None):  # they set lambda_unit, so must agree
+            units = {**tags, "config field 'lambda_unit'": self.config.get("lambda_unit"),
+                     "--lambda-unit": self.args.get("lambda_unit")}
+            (first, unit), *rest = ((k, u) for k, u in units.items() if u is not None)
+            if clash := [(source, other) for source, other in rest if other != unit]:
+                raise ConfigError(f"the units of Lambda disagree: {first} gives {unit!r}, "
+                                  f"{clash[0][0]} gives {clash[0][1]!r}")
+            self.config["lambda_unit"] = unit
         # float() and json.load both accept nan and inf
         for name in self.names:
             for value in (self.args.get(name), self.config.get(name)):
@@ -356,13 +365,8 @@ def _radial_metric(p: Params, src: line_elements.GravitySource, lam_of: Callable
 
     def row(R: float) -> tuple:
         lam = lam_of(src, R)
-        null_speed = line_elements.null_radial_speed(lam, c)
-        if not (math.isfinite(lam) and math.isfinite(null_speed)):
-            raise ValueError(
-                f"metric at R = {R!r} is not finite: lambda {lam!r}, null speed {null_speed!r}"
-            )
         gamma = math.sqrt(lam) if lam > 0 else math.nan  # nan past a horizon
-        return R, lam, null_speed, gamma
+        return R, lam, line_elements.null_radial_speed(lam, c), gamma
 
     if p.grid is not None:
         header = ("R_m", "lambda_dimensionless", "null_speed_m_per_s", "gamma_dimensionless")
@@ -636,17 +640,19 @@ build_parser = ArgvReader
 
 
 def _check_finite(result: dict | tuple) -> None:
-    """Raise FloatingPointError naming the first output key or CSV column
-    with a value that is not finite; a sweep's gamma column is nan past a
+    """Raise FloatingPointError naming the first output key with a value
+    that is not finite, or its CSV column and row ("at R = 2.0" where the
+    first column, R_m, reads 2.0); a sweep's gamma column is nan past a
     horizon by design."""
     if isinstance(result, dict):
-        cells = ((k, x) for k, v in result.items() for x in (v if isinstance(v, list) else [v]))
+        cells = ((k, x, "") for k, v in result.items() for x in (v if isinstance(v, list) else [v]))
     else:
         header, rows = result
-        cells = ((k, x) for row in rows for k, x in zip(header, row) if not k.startswith("gamma"))
-    for key, x in cells:
+        cells = ((k, x, r) for r in rows for k, x in zip(header, r) if not k.startswith("gamma"))
+    for key, x, row in cells:
         if isinstance(x, float) and not math.isfinite(x):
-            raise FloatingPointError(f"output {key!r} is not finite: {x!r}")
+            where = f" at {header[0].partition('_')[0]} = {row[0]!r}" if row else ""
+            raise FloatingPointError(f"output {key!r} is not finite: {x!r}{where}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -9,11 +9,11 @@ The log-kernel integral is taken in s = ln x, where it is the smooth
 ∫ v(e^s) ds, by an adaptive Gauss–Kronrod 7–15 rule with the QUADPACK
 abscissae, weights and error scaling (Piessens et al., *QUADPACK*, 1983).
 The subinterval with the largest error estimate is bisected until the
-summed estimate is at most max(1e-12, 1e-12·|integral|).  If 200
-subintervals do not reach that, a subinterval can no longer be halved, or
-the estimate is not finite, the best estimate is returned with an
-``IntegrationWarning``.  A medium velocity's mean-value witness is the
-bisection root of the first bracket of its gap (see ``medium_velocity``).
+integral is finite and the summed estimate is at most
+max(1e-12, 1e-12·|integral|).  If 200 subintervals do not reach that, a
+subinterval can no longer be halved, or the estimate is not finite, the best
+estimate is returned with an ``IntegrationWarning``.  A medium velocity's
+witness is read from the interval's ends, then from a 257-point grid.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _log_kernel_integral(v: Callable[[float], float], lo: float, hi: float) -> f
     a, b = math.log(lo), math.log(hi)
     total, error = _gk15(v, a, b)
     heap = [(-error, a, b, total)]  # the largest error first
-    while not error <= max(_QUAD_TOL, _QUAD_TOL * abs(total)):
+    while not (error <= max(_QUAD_TOL, _QUAD_TOL * abs(total)) and math.isfinite(total)):
         _, a, b, _ = heap[0]
         mid = 0.5 * (a + b)
         if len(heap) >= _QUAD_LIMIT or not (a < mid < b and math.isfinite(error)):
@@ -160,7 +160,7 @@ def _log_kernel_integral(v: Callable[[float], float], lo: float, hi: float) -> f
                 f"{len(heap)} subintervals with estimated error {error:.3g} "
                 f"(tolerance {_QUAD_TOL:g}); the result may be inaccurate",
                 IntegrationWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             break
         heapq.heappop(heap)
@@ -172,15 +172,21 @@ def _log_kernel_integral(v: Callable[[float], float], lo: float, hi: float) -> f
     return total
 
 
+def _integral(v: Callable[[float], float], lo: float, hi: float) -> float:
+    """``_log_kernel_integral``, refused where it is not finite: each public
+    kernel integrates through here, a frame its warning's stacklevel counts."""
+    integral = _log_kernel_integral(v, lo, hi)
+    if not math.isfinite(integral):
+        raise ValueError(f"the log-kernel integral over [{lo!r}, {hi!r}] is {integral!r}; "
+                         "the velocity profile must be finite there")
+    return integral
+
+
 def distance_profile(sc: PropagationScenario, t: float) -> float:
     """s(t) = t·∫_{t1}^{t} v(x)/x dx, with s(t1) initialized to zero."""
     if not (sc.t1 <= t <= sc.b):
         raise ValueError("t must lie in [t1, b]")
-    integral = _log_kernel_integral(sc.velocity_profile, sc.t1, t)
-    if not math.isfinite(integral):
-        raise ValueError(f"the log-kernel integral over [t1, t] = [{sc.t1!r}, {t!r}] is "
-                         f"{integral!r}; the velocity profile must be finite there")
-    return t * integral
+    return t * _integral(sc.velocity_profile, sc.t1, t)
 
 
 def medium_velocity(
@@ -189,39 +195,33 @@ def medium_velocity(
     """omega = ∫_{t_start}^{t_end} v(x)/x dx plus the mean-value witness.
 
     Continuity of v guarantees a t* in [t_start, t_end] where the gap
-    v(t)·ln(t_end/t_start) − omega is zero.  t* is the bisection root of the
-    gap's first bracket: [t_start, t_end] when the gap's ends have opposite
-    signs beyond a 1e-12 relative tolerance (a monotone profile), else the
-    first sign change, or a zero within tolerance, on a 257-point grid.
+    g(t) = v(t)·ln(t_end/t_start) − omega is zero.  g is read at the ends,
+    then, where they do not settle t*, on a 257-point grid that shares them:
+    t* is the point of least |g| if that is within 1e-12·max(1, max|g|), else
+    the bisection root of the first sign change (a constant v costs 2 calls).
     """
     if not (sc.a <= t_start < t_end <= sc.b):
         raise ValueError("need a <= t_start < t_end <= b")
-    omega = _log_kernel_integral(sc.velocity_profile, t_start, t_end)
-    log_span = math.log(t_end / t_start)
     v = sc.velocity_profile
+    omega = _integral(v, t_start, t_end)
+    log_span = math.log(t_end / t_start)
 
     def gap(t):
         return v(t) * log_span - omega
 
     g0, g1 = gap(t_start), gap(t_end)
-    tol = 1e-12 * max(1.0, abs(g0), abs(g1))
-    # signs, not the product, which can underflow to -0.0
-    if abs(g0) > tol and abs(g1) > tol and (g0 < 0.0) != (g1 < 0.0):
-        return MediumVelocity(omega=omega, witness=_bisect(gap, t_start, t_end, g0, g1))
-    grid = _linspace(t_start, t_end, 257)
-    values = [gap(t) for t in grid]  # the gap whose zero is t*
-    scale = max(1.0, max(values), -min(values))
-    smallest = min(map(abs, values))
-    if smallest <= 1e-12 * scale:
-        witness = grid[list(map(abs, values)).index(smallest)]
-        return MediumVelocity(omega=omega, witness=witness)
-    for idx, product in enumerate(map(mul, values, values[1:])):
-        if product <= 0.0:
-            break
-    else:
-        raise ValueError("no mean-value witness found; is the profile continuous?")
-    witness = _bisect(gap, grid[idx], grid[idx + 1], values[idx], values[idx + 1])
-    return MediumVelocity(omega=omega, witness=witness)
+    for n in (2, 257):
+        grid = _linspace(t_start, t_end, n)  # its ends are t_start and t_end
+        values = [g0, *map(gap, grid[1:-1]), g1]
+        sizes = list(map(abs, values))
+        smallest = min(sizes)
+        if smallest <= 1e-12 * max(1.0, max(sizes)):
+            return MediumVelocity(omega, grid[sizes.index(smallest)])
+        # every |g| is beyond the tolerance here, so no product underflows
+        for i, product in enumerate(map(mul, values, values[1:])):
+            if product <= 0.0:
+                return MediumVelocity(omega, _bisect(gap, *grid[i:i + 2], *values[i:i + 2]))
+    raise ValueError("no mean-value witness found; is the profile continuous?")
 
 
 def _require_constant_profile(sc: PropagationScenario) -> None:
@@ -264,20 +264,14 @@ def equilinear_check(
     if not (t1 <= t2 <= t3):
         raise ValueError("need t1 <= t2 <= t3")
     back = sc_back if sc_back is not None else sc
-    if not (sc.a <= t1 and t3 <= sc.b and back.a <= t2 and t3 <= back.b):
-        if t1 < sc.a:
-            name, t, scenario = "t1", t1, sc
-        elif t2 < back.a:
-            name, t, scenario = "t2", t2, back
-        else:
-            name, t, scenario = "t3", t3, sc if t3 > sc.b else back
-        raise ValueError(
-            f"{name} = {t!r} lies outside the scenario's [a, b]"
-            f" = [{scenario.a!r}, {scenario.b!r}]"
-        )
-    w1 = _log_kernel_integral(sc.velocity_profile, t1, t2)
-    w2 = _log_kernel_integral(back.velocity_profile, t2, t3)
-    w3 = _log_kernel_integral(sc.velocity_profile, t1, t3)
+    for name, t, scenario, inside in (("t1", t1, sc, t1 >= sc.a), ("t2", t2, back, t2 >= back.a),
+                                      ("t3", t3, sc, t3 <= sc.b), ("t3", t3, back, t3 <= back.b)):
+        if not inside:
+            raise ValueError(f"{name} = {t!r} lies outside the scenario's [a, b]"
+                             f" = [{scenario.a!r}, {scenario.b!r}]")
+    w1 = _integral(sc.velocity_profile, t1, t2)
+    w2 = _integral(back.velocity_profile, t2, t3)
+    w3 = _integral(sc.velocity_profile, t1, t3)
     return EquilinearResult(w1=w1, w2=w2, w3=w3, residual=abs(w1 + w2 - w3))
 
 

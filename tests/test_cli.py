@@ -719,6 +719,68 @@ class TestConfigAndOutputDefects:
         assert err.startswith("domain error:")
         assert "R = 100000.0" in err
 
+    MODIFIED = ("metric", "modified", "--r0", "1", "--Lambda", "1e300", "--lambda-unit", "m^-2",
+                "--c", "1")
+
+    def test_a_non_finite_json_output_names_its_key(self):
+        code, out, err = run_main(*self.MODIFIED, "--R", "1e10")
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "domain error: metric modified: output 'lambda' is not finite: -inf (given ")
+
+    def test_a_non_finite_csv_cell_names_its_column_and_row(self):
+        code, out, err = run_main(*self.MODIFIED, "--sweep-R", "1:1e10:3")
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: metric modified: output 'lambda_dimensionless'"
+                              " is not finite: -inf at R = 5000000000.5 (given ")
+
+    LAMBDA_TAGS = [
+        (("metric", "modified", "--c", "1"),
+         {"r0": {"value": 1.0, "unit": "m"}, "R": {"value": 2.0, "unit": "m"},
+          "Lambda": {"value": 0.01, "unit": "m^-2"}},
+         {"lambda_unit": "cm^-2"},
+         ("config field 'Lambda' gives 'm^-2'", "config field 'lambda_unit' gives 'cm^-2'")),
+        (("dilation", "--rs-over-rp", "0.5", "--rr-over-rp", "4", "--rp", "2", "--c", "1"),
+         {"Lambda": {"value": 1e-3, "unit": "m^-2"}},
+         {"Lambda1": {"value": 1e-3, "unit": "cm^-2"}},
+         ("config field 'Lambda' gives 'm^-2'", "config field 'Lambda1' gives 'cm^-2'")),
+    ]
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["tag first", "tag last"])
+    @pytest.mark.parametrize(("argv", "tagged", "other", "clash"), LAMBDA_TAGS,
+                             ids=["metric lambda_unit", "dilation Lambda1"])
+    def test_lambda_units_that_disagree_are_a_config_error_in_either_key_order(
+            self, tmp_path, first, argv, tagged, other, clash):
+        # each tag sets lambda_unit, so whichever key comes last, a second
+        # unit for Lambda is refused rather than reinterpreting the first
+        payload = {**tagged, **other} if first == 0 else {**other, **tagged}
+        code, out, err = run_main(*argv, "--config", write_config(tmp_path, payload))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: the units of Lambda disagree: ")
+        assert all(side in err for side in clash)
+
+    def test_a_lambda_tag_that_disagrees_with_the_flag_is_a_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, {"Lambda": {"value": 0.01, "unit": "m^-2"}})
+        code, out, err = run_main("metric", "modified", "--r0", "1", "--R", "2", "--c", "1",
+                                  "--lambda-unit", "cm^-2", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err == ("config error: the units of Lambda disagree: config field 'Lambda' gives"
+                       " 'm^-2', --lambda-unit gives 'cm^-2'\n")
+
+    def test_agreeing_lambda_units_set_lambda_unit(self, tmp_path):
+        argv = ("dilation", "--rs-over-rp", "0.5", "--rr-over-rp", "4", "--rp", "2", "--c", "1")
+        flags = run_main(*argv, "--Lambda", "1e-3", "--Lambda1", "2e-3", "--lambda-unit", "m^-2")
+        cfg = write_config(tmp_path, {"Lambda1": {"value": 2e-3, "unit": "m^-2"},
+                                      "lambda_unit": "m^-2",
+                                      "Lambda": {"value": 1e-3, "unit": "m^-2"}})
+        assert flags == run_main(*argv, "--config", cfg) == run_main(
+            *argv, "--config", cfg, "--lambda-unit", "m^-2")
+        assert flags[:2] == (0, '{\n  "ratio": 1.2919433606233763\n}\n')
+        # a lambda_unit field with no tag beside it is overridden by the flag, as any field is
+        cfg = write_config(tmp_path, {"lambda_unit": "cm^-2"})
+        assert run_main(*argv, "--config", cfg, "--Lambda", "1e-3", "--Lambda1", "2e-3",
+                        "--lambda-unit", "m^-2") == flags
+
     def test_csv_keeps_nan_gamma_past_horizon(self):
         code, out, _ = run_main(
             "metric", "desitter", "--Lambda", "3", "--lambda-unit", "m^-2",

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,27 @@ class TestLogKernelIntegral:
             value = _log_kernel_integral(lambda t: math.nan, 1.0, 2.0)
         assert math.isnan(value)
 
+    def test_infinite_profile_warns(self):
+        # its error estimate is inf too, so the stop test alone, error <= 1e-12·|total|, holds
+        with pytest.warns(IntegrationWarning):
+            value = _log_kernel_integral(lambda t: math.inf, 1.0, 2.0)
+        assert value == math.inf
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sc: distance_profile(sc, 4000.0),
+            lambda sc: medium_velocity(sc, 1.0, 4000.0),
+            lambda sc: equilinear_check(sc, 1.0, 2000.0, 4000.0),
+        ],
+        ids=["distance_profile", "medium_velocity", "equilinear_check"],
+    )
+    def test_the_warning_points_at_the_public_kernels_caller(self, call):
+        sc = PropagationScenario(self.PROFILES["2+sin t"], t1=1.0, a=1.0, b=4000.0, c=1.0)
+        with pytest.warns(IntegrationWarning, match="200 subintervals") as record:
+            call(sc)
+        assert {warning.filename for warning in record} == {__file__}
+
 
 class TestMediumVelocity:
     def test_constant_profile(self):
@@ -138,6 +160,13 @@ class TestMediumVelocity:
         res = medium_velocity(sc, 1.0, 9.0)
         v_at_witness = 2.0 + math.sin(res.witness)
         assert abs(v_at_witness * math.log(9.0) - res.omega) < 1e-9
+
+    @pytest.mark.filterwarnings("ignore::lightclock.medium.IntegrationWarning")
+    @pytest.mark.parametrize("profile", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_a_non_finite_profile_is_refused_naming_the_interval(self, profile):
+        sc = PropagationScenario(profile, t1=1.0, a=1.0, b=2.0, c=1.0)
+        with pytest.raises(ValueError, match=r"over \[1.0, 2.0\] is -?(nan|inf); the velocity"):
+            medium_velocity(sc, 1.0, 2.0)
 
 
 class TestRoundtrip:
@@ -221,6 +250,36 @@ class TestEquilinear:
             equilinear_check(constant_speed(1.0), 1.0, 2.0, 4.0, sc_back=back)
         # the outgoing leg may start before the return scenario does
         assert equilinear_check(constant_speed(1.0), 1.0, 3.0, 4.0, sc_back=back).w1 > 0
+
+    @pytest.mark.parametrize(
+        ("times", "message"),
+        [
+            ((0.5, 2.5, 3.0), "t1 = 0.5 lies outside the scenario's [a, b] = [1.0, 4.0]"),
+            ((1.0, 1.5, 3.0), "t2 = 1.5 lies outside the scenario's [a, b] = [2.0, 3.0]"),
+            ((1.0, 2.5, 5.0), "t3 = 5.0 lies outside the scenario's [a, b] = [1.0, 4.0]"),
+            ((1.0, 2.5, 3.5), "t3 = 3.5 lies outside the scenario's [a, b] = [2.0, 3.0]"),
+            # t2 past the return scenario's b puts t3 past it too, and t3 is named
+            ((1.0, 3.2, 3.5), "t3 = 3.5 lies outside the scenario's [a, b] = [2.0, 3.0]"),
+        ],
+        ids=["t1 < a", "t2 < back a", "t3 > b", "t3 > back b", "t2 > back b"],
+    )
+    def test_each_range_message(self, times, message):
+        out = PropagationScenario(lambda t: 1.0, t1=1.0, a=1.0, b=4.0, c=1.0)
+        back = PropagationScenario(lambda t: 1.0, t1=2.0, a=2.0, b=3.0, c=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            equilinear_check(out, *times, sc_back=back)
+
+    @pytest.mark.filterwarnings("ignore::lightclock.medium.IntegrationWarning")
+    @pytest.mark.parametrize(
+        ("profile", "interval"),
+        list(zip(NON_FINITE, ["[1.0, 1.25]", "[1.25, 2.0]", "[1.0, 1.25]", "[1.25, 2.0]"])),
+        ids=NON_FINITE_IDS,
+    )
+    def test_a_non_finite_profile_is_refused_naming_the_interval(self, profile, interval):
+        # w1 is integrated over [t1, t2] first, then w2 over [t2, t3]
+        sc = PropagationScenario(profile, t1=1.0, a=1.0, b=2.0, c=1.0)
+        with pytest.raises(ValueError, match=rf"over {re.escape(interval)} is -?(nan|inf); the"):
+            equilinear_check(sc, 1.0, 1.25, 2.0)
 
 
 class TestParallelPhotonOffset:

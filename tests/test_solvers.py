@@ -101,10 +101,52 @@ class TestWitnessEvaluations:
     )
     def test_ends_that_do_not_bracket_keep_the_grid_witness(self, profile, t_start, t_end,
                                                             witness):
-        # a gap of one sign at both ends (a bowl, 2 + sin t) or within
-        # tolerance of zero (a constant) is scanned on the 257-point grid
+        # a gap of one sign at both ends (a bowl, 2 + sin t) is scanned on the
+        # 257-point grid; a constant's ends settle its witness, t_start, unscanned
         sc = PropagationScenario(velocity_profile=profile, t1=t_start, a=t_start, b=t_end, c=1.0)
         assert medium_velocity(sc, t_start, t_end).witness == witness
+
+    @staticmethod
+    def witness_calls(profile, t_start, t_end):
+        """The witness and the points medium_velocity evaluates beyond its integral's."""
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return profile(t)
+
+        sc = PropagationScenario(velocity_profile=counted, t1=t_start, a=t_start, b=t_end, c=1.0)
+        witness = medium_velocity(sc, t_start, t_end).witness
+        witness_calls = list(calls)
+        calls.clear()
+        _log_kernel_integral(counted, t_start, t_end)  # what the integral evaluates first
+        return witness, witness_calls[len(calls):]
+
+    @pytest.mark.parametrize(("value", "t_start", "t_end"), [(1.3, 1.0, 2.0), (2.5, 0.7, 30.0)])
+    def test_a_constant_profile_takes_its_two_ends(self, value, t_start, t_end):
+        witness, calls = self.witness_calls(lambda t: value, t_start, t_end)
+        assert calls == [t_start, t_end]
+        assert witness == t_start
+
+    def test_a_bowl_evaluates_each_grid_point_once(self):
+        witness, calls = self.witness_calls(lambda t: (t - 2.0) ** 2 + 0.5, 1.0, 3.0)
+        grid = lightclock._linspace(1.0, 3.0, 257)
+        # the ends, then the grid's interior, then the bisection's midpoints
+        assert calls[:257] == [1.0, 3.0, *grid[1:-1]]
+        assert all(calls.count(t) == 1 for t in grid)
+        assert 257 < len(calls) <= 257 + 60
+
+    def test_a_near_constant_profile_settles_at_an_end(self):
+        # the gap is within 1e-12 of zero at t_start, so no grid is scanned;
+        # the 257-point grid's least |gap| is at t = 2.0
+        def profile(t):
+            return 1.0 + 1e-13 * (t - 1.0) ** 2
+
+        witness, calls = self.witness_calls(profile, 1.0, 3.0)
+        assert (witness, calls) == (1.0, [1.0, 3.0])
+        omega = _log_kernel_integral(profile, 1.0, 3.0)
+        gaps = [abs(profile(t) * math.log(3.0) - omega) for t in (1.0, 3.0)]
+        assert 0.0 < gaps[0] <= 1e-12 * max(1.0, *gaps)
 
 
 class TestHorizonScaledSolve:
