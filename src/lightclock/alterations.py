@@ -68,6 +68,8 @@ class GravCompareInput:
             raise ValueError("r_s must be non-negative")
         if not (self.r_P >= self.r_s and self.r_R >= self.r_s):
             raise ValueError("both radii must lie at or outside r_s")
+        if not (self.r_P > 0 and self.r_R > 0):  # r_s = 0 lets a radius be 0
+            raise ValueError("both radii must lie above 0")
 
     def g1(self, r: float, lambda_per_m2: float) -> float:
         if math.isinf(r):

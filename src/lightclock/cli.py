@@ -37,6 +37,7 @@ from . import (
 )
 
 DEFAULT_TRANSITION_K = 1e-3
+MAX_COUNT = 1_000_000  # the most rows a count may ask for: each row is held in memory
 
 
 class ConfigError(Exception):
@@ -71,22 +72,25 @@ _OTHER: dict[str, object] = {
 }
 
 
-def _value(what: str, kind: object, text: object) -> object:
-    """``text`` as ``kind``: a type, or the tuple of the values it may take."""
-    if not isinstance(kind, tuple):
-        try:
-            return kind(text)
-        except ValueError:
-            raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
-                              f"got {text!r}") from None
-    if text not in kind:
-        raise ConfigError(f"{what} must be one of {', '.join(kind)}, got {text!r}")
-    return text
+def _value(what: str, kind: object, value: object) -> object:
+    """``value``, a flag's text or a config's JSON value, as ``kind``: a type,
+    or the tuple of the values it may take."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{what} must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"{what} is too large for a float") from None
 
 
-def _config_value(name: str, entry: object, resolved: dict[str, object]) -> object:
-    """Check one config field against its declared unit or type and strip
-    its unit tag."""
+def _config_value(name: str, entry: object, tags: dict[str, str]) -> object:
+    """Check one config field against its declared unit or JSON type, strip
+    its unit tag into ``tags`` if it is a Λ's, and convert it with ``_value``."""
     kind, unit = _OTHER.get(name, float), _UNITS.get(name)
     # a dimensionless number may carry a tag too, or none
     units = (unit,) if isinstance(unit, str) else unit or (None, "dimensionless", "1")
@@ -97,32 +101,27 @@ def _config_value(name: str, entry: object, resolved: dict[str, object]) -> obje
                 f"got {entry.get('unit')!r}"
             )
         if isinstance(unit, tuple):  # a Λ's tag, which Params checks against the other units
-            resolved.setdefault("lambda_tags", {})[f"config field {name!r}"] = entry["unit"]
+            tags[name] = entry["unit"]
         entry = entry.get("value")
     elif unit is not None:
         raise ConfigError(
             f"config field {name!r} must carry a unit tag "
             f'({{"value": ..., "unit": "{"|".join(units)}"}})'
         )
-    if isinstance(kind, tuple):
-        return _value(f"config field {name!r}", kind, entry)
-    if isinstance(entry, bool) or not isinstance(entry, (int, float) if kind is float else kind):
+    if isinstance(kind, type) and (isinstance(entry, bool) or not isinstance(
+            entry, (int, float) if kind is float else kind)):
         what = "a number" if kind is float else f"a JSON {kind.__name__}"
         raise ConfigError(f"config field {name!r} must be {what}, got {entry!r}")
-    if unit is None:
-        return entry
-    try:
-        return float(entry)
-    except OverflowError:  # a JSON integer past the float range
-        raise ConfigError(f"config field {name!r} is too large for a float") from None
+    return _value(f"config field {name!r}", kind, entry)
 
 
-def _load_config(path: str | None, names: Sequence[str]) -> dict[str, object]:
-    """Read a config file and resolve the fields in ``names``.  A field that
-    only other subcommands or modes take is ignored, since a config may be
-    shared; one that none takes is an error."""
+def _load_config(path: str | None, names: Sequence[str]) -> tuple[dict, dict[str, str]]:
+    """Read a config file and resolve the fields in ``names``: their values,
+    and the unit tag of each Λ among them.  A field that only other
+    subcommands or modes take is ignored, since a config may be shared; one
+    that none takes is an error."""
     if path is None:
-        return {}
+        return {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -133,13 +132,13 @@ def _load_config(path: str | None, names: Sequence[str]) -> dict[str, object]:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
 
-    resolved: dict[str, object] = {}
+    values, tags = {}, {}
     for name, entry in raw.items():
         if name in names:
-            resolved[name] = _config_value(name, entry, resolved)
+            values[name] = _config_value(name, entry, tags)
         elif name not in _DECLARED:
             raise ConfigError(f"config field {name!r} is not a parameter of any subcommand")
-    return resolved
+    return values, tags
 
 
 def _names(spec: str) -> list[str]:
@@ -153,40 +152,43 @@ def _flags(rows: dict) -> list[str]:
 
 
 class Params:
-    """The row of a call's (command, mode) and its flag/config merge: flags
-    win, then config, then defaults.
+    """The row of a call's (command, mode) and its values: the flags the argv
+    gave merged over the config (flags win); a handler's default covers the rest.
 
     Before any handler runs, these are config errors, in this order: a bad
-    config, a value that is not finite, a bad light speed ``c``, an
-    alternative given on both sides (flag and config merged) or on neither,
-    and a name the row requires that the call leaves out.  ``c`` is --c, then
-    --natural-units (c = 1), then the config, then SI.
+    config, a tag of a Λ read from the config that disagrees with lambda_unit,
+    a value that is not finite, a bad light speed ``c``, an alternative given
+    on both sides or on neither, and a name the row requires that the call
+    leaves out.  ``c`` is --c, else --natural-units (c = 1), else the config, else SI.
     """
 
     def __init__(self, args: SimpleNamespace):
-        self.args = vars(args)
+        parsed = vars(args)
         _, dest, rows = _COMMANDS[args.command]
-        mode = self.args.get(dest and dest.lstrip("-"))  # None for a command without modes
+        mode = parsed.get(dest and dest.lstrip("-"))  # None for a command without modes
         spec, self.handler = rows[mode]
         self.label = f"{args.command} {mode}" if mode else args.command
         self.names = _names(spec) + ["out", "c"]
-        self.config = _load_config(self.args.get("config"), self.names)
-        if tags := self.config.pop("lambda_tags", None):  # they set lambda_unit, so must agree
-            units = {**tags, "config field 'lambda_unit'": self.config.get("lambda_unit"),
-                     "--lambda-unit": self.args.get("lambda_unit")}
+        flags = {name: parsed[name] for name in self.names if parsed.get(name) is not None}
+        config, tags = _load_config(parsed.get("config"), self.names)
+        self.values = {**config, **flags}
+        # the tags of the Λs read from the config set lambda_unit, so must agree
+        if tags := {f"config field {n!r}": unit for n, unit in tags.items() if n not in flags}:
+            units = {**tags, "config field 'lambda_unit'": config.get("lambda_unit"),
+                     "--lambda-unit": flags.get("lambda_unit")}
             (first, unit), *rest = ((k, u) for k, u in units.items() if u is not None)
             if clash := [(source, other) for source, other in rest if other != unit]:
                 raise ConfigError(f"the units of Lambda disagree: {first} gives {unit!r}, "
                                   f"{clash[0][0]} gives {clash[0][1]!r}")
-            self.config["lambda_unit"] = unit
+            self.values["lambda_unit"] = unit
         # float() and json.load both accept nan and inf
         for name in self.names:
-            for value in (self.args.get(name), self.config.get(name)):
+            for value in (flags.get(name), config.get(name)):
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"parameter {name!r} must be finite, got {value!r}")
-        c = self.args.get("c")
+        c = flags.get("c")
         if c is None:
-            c = 1.0 if self.args.get("natural_units") else self.config.get("c", SPEED_OF_LIGHT)
+            c = 1.0 if parsed.get("natural_units") else config.get("c", SPEED_OF_LIGHT)
         if not (0.0 < c < math.inf and c * c > 0.0):
             raise ConfigError(f"parameter 'c' must be positive and finite, with a square "
                               f"that is not 0, got {c!r}")
@@ -203,13 +205,12 @@ class Params:
                 raise ConfigError(f"need either {need[0][0]} or {need[1][0]}")
             if len(sides) == 1 and (missing := [n for n in need[0] if self.get(n) is None]):
                 raise ConfigError(f"missing required parameter {missing[0]!r}")
-        sweep = self.get("sweep_R") if "sweep_R" in self.names else None
+        sweep = self.values.get("sweep_R")  # a name outside the row is in neither
         self.grid = None if sweep is None else _parse_sweep(sweep)
 
     def get(self, name: str, default: object = None) -> object:
         assert name in self.names, f"{self.label} reads {name!r} but its row does not declare it"
-        value = self.args.get(name)
-        return self.config.get(name, default) if value is None else value
+        return self.values.get(name, default)
 
     def require(self, *names: str) -> tuple:
         """The values of ``names`` in order, which the row requires."""
@@ -258,8 +259,8 @@ def emit_plot_data(
 def _sweep(start: float, stop: float, count: int, name: str) -> list[float]:
     """``count`` evenly spaced points from ``start`` to ``stop``; ``name``
     is the parameter that gave the count."""
-    if count < 2:
-        raise ConfigError(f"{name!r} must count at least 2 points, got {count}")
+    if not 2 <= count <= MAX_COUNT:
+        raise ConfigError(f"{name!r} must count from 2 to {MAX_COUNT} points, got {count}")
     if not math.isfinite((stop - start) / (count - 1)):
         raise ConfigError(f"{name!r}: the step from {start!r} to {stop!r} overflows")
     return _linspace(start, stop, count)
@@ -464,13 +465,12 @@ def _sim_roundtrip(p: Params) -> dict:
 def _sim_counts(p: Params) -> tuple:
     L, omega, t1 = p.require("L", "omega", "t1")
     spec = clocks.LightClockSpec(round_trip_length_L=L, light_speed_c=p.c)
-    trace = medium.count_trace(spec, omega, t1, p.get("n_pulses", 3))
-    rows = [
-        (i + 1, row.tau1, row.tau2, row.tau3, row.t1, row.t2, row.t3)
-        for i, row in enumerate(trace)
-    ]
+    n_pulses = p.get("n_pulses", 3)
+    if n_pulses > MAX_COUNT:
+        raise ConfigError(f"'n_pulses' must be at most {MAX_COUNT}, got {n_pulses}")
+    trace = medium.count_trace(spec, omega, t1, n_pulses)
     header = ("pulse_index", "tau1_ticks", "tau2_ticks", "tau3_ticks", "t1_s", "t2_s", "t3_s")
-    return header, rows
+    return header, [(i + 1, *vars(row).values()) for i, row in enumerate(trace)]
 
 
 def _sim_equilinear(p: Params) -> dict:

@@ -244,6 +244,8 @@ def robertson_walker_interval(a: float, p: MetricPoint, c: float):
 
 def newtonian_first_approx(src: GravitySource, r: float, dt, dr, c: float):
     """(1 − 2GM/(rc²))(c dt)² − (1 + 2GM/(rc²))dr², valid for weak fields."""
+    if not r > 0:
+        raise ValueError("r must be positive")
     x = src.schwarzschild_r0 / r
     if x > 0.1:
         warnings.warn(

@@ -305,21 +305,15 @@ def count_trace(
     q = _rapidity_factor(omega, spec.light_speed_c)
     rows: list[PulseCounts] = []
     start = t1
-    for _ in range(n_pulses):
+    for i in range(n_pulses):
         mid = start * q
-        end = start * q * q
+        end = mid * q
         tau1 = start / u
         tau3 = end / u
-        rows.append(PulseCounts(tau1, 0.5 * (tau1 + tau3), tau3, start, mid, end))
+        tau2 = 0.5 * (tau1 + tau3)
+        # start is the last row's end, and end and tau2 bound the other columns
+        if not (end < math.inf and tau2 < math.inf):
+            raise ValueError(f"pulse {i + 1} overflows: its medium times or counts are not finite")
+        rows.append(PulseCounts(tau1, tau2, tau3, start, mid, end))
         start = end
-
-    def overflows(row: PulseCounts) -> bool:
-        # t3 and tau2 bound every other column of the row
-        return not (math.isfinite(row.t3) and math.isfinite(row.tau2))
-
-    # each column is monotone in the pulse index, so its extremes are the
-    # first and the last row
-    if overflows(rows[0]) or overflows(rows[-1]):
-        first = next(i for i, row in enumerate(rows) if overflows(row))
-        raise ValueError(f"pulse {first + 1} overflows: its medium times or counts are not finite")
     return rows

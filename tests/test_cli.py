@@ -838,3 +838,32 @@ class TestInProcessOutput:
         result = json.loads(out)
         assert (result["w1"], result["residual"]) == (0.0, 0.0)
         assert result["w2"] == result["w3"] == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+class TestEachValueReadOnce:
+    """A flag's text and a config's JSON value go through one conversion, and
+    a flag merged over the config leaves the config's value, and its Λ tag,
+    unread."""
+
+    def test_a_flag_over_a_tagged_lambda_drops_its_tag(self, tmp_path):
+        argv = ("metric", "modified", "--r0", "1", "--R", "2", "--c", "1", "--Lambda", "0.01")
+        cfg = write_config(tmp_path, {"Lambda": {"value": 1.0, "unit": "cm^-2"}})
+        alone = run_main(*argv)
+        assert run_main(*argv, "--config", cfg) == alone
+        assert json.loads(alone[1])["lambda"] == 0.4866666666666667
+
+    # the output, and the (given ...) of a domain error
+    @pytest.mark.parametrize(("nu_s", "stream", "shown"),
+                             [("2", 1, '"gamma": 1.0'), ("-2", 2, " gamma=1.0 ")],
+                             ids=["output", "given"])
+    def test_a_json_integer_reads_as_a_float(self, tmp_path, nu_s, stream, shown):
+        cfg = write_config(tmp_path, {"gamma": 1})
+        flag = run_main("alter", "doppler", "--nu-s", nu_s, "--gamma", "1")
+        assert run_main("alter", "doppler", "--nu-s", nu_s, "--config", cfg) == flag
+        assert shown in flag[stream]
+
+    def test_a_json_integer_past_the_float_range_is_two_naming_it(self, tmp_path):
+        cfg = write_config(tmp_path, {"k": 10**400})
+        code, out, err = run_main("transition", "H", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err == "config error: config field 'k' is too large for a float\n"

@@ -26,15 +26,17 @@ NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
+COUNTS = st.one_of(st.integers(-2, 40), st.integers(cli.MAX_COUNT + 1, 10**20))
+
 
 def flag_value(name):
     kind = cli._OTHER.get(name, float)
     if isinstance(kind, tuple):
         return st.sampled_from(kind)
-    if kind is int:  # counts stay small: a count allocates its rows
-        return st.integers(-2, 40).map(str)
+    if kind is int:  # small counts, and counts past cli.MAX_COUNT, which are refused
+        return COUNTS.map(str)
     if kind is str:
-        sweep = st.tuples(NUMBERS, NUMBERS, st.integers(-1, 40))
+        sweep = st.tuples(NUMBERS, NUMBERS, COUNTS)
         return st.one_of(sweep.map(lambda s: f"{s[0]!r}:{s[1]!r}:{s[2]}"),
                          st.sampled_from(["", "1:2", "a:b:c", "1:2:3:4"]))
     return NUMBERS.map(repr)

@@ -1,12 +1,18 @@
 """Inputs refused where they enter: a source whose Schwarzschild radius
-overflows, and a ``hubble`` model given a parameter it cannot use."""
+overflows, a radius of 0, a count past the CLI's limit, and a ``hubble``
+model given a parameter it cannot use."""
 
 import json
 
 import pytest
 from conftest import run_main
 
-from lightclock import source_from_mass
+from lightclock import (
+    GravCompareInput,
+    newtonian_first_approx,
+    source_from_mass,
+    source_from_r0,
+)
 
 
 class TestOverflowingSchwarzschildRadius:
@@ -35,6 +41,69 @@ class TestOverflowingSchwarzschildRadius:
         assert err.startswith("domain error: metric schwarzschild: the Schwarzschild radius")
         assert "is not finite" in err and given in err
         assert "r0=inf" not in err
+
+
+class TestZeroRadius:
+    """A radius of 0 is refused by name, not by a bare division by zero."""
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_first_approximation_refuses_it(self, r):
+        with pytest.raises(ValueError, match="r must be positive"):
+            newtonian_first_approx(source_from_r0(1.0, 1.0), r, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("radii", [(0.0, 2.0), (2.0, 0.0), (0.0, 0.0)])
+    def test_clock_comparison_refuses_it(self, radii):
+        with pytest.raises(ValueError, match="both radii must lie above 0"):
+            GravCompareInput(0.0, *radii)
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (("metric", "approx", "--r", "0", "--r0", "1", "--c", "1"), ": r must be positive"),
+            (("dilation", "--rs-over-rp", "0.5", "--rr-over-rp", "4", "--rp", "0"),
+             ": both radii must lie above 0"),
+        ],
+    )
+    def test_cli_is_one_naming_the_radius(self, argv, named):
+        code, out, err = run_main(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: ") and named in err
+        assert "division by zero" not in err
+
+
+class TestCountLimit:
+    """A count allocates its rows, so a CLI count past 1,000,000 exits 2
+    naming its parameter instead of exhausting memory."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            ("transition H --n 1000001", "n"),
+            ("transition H --n 100000000000000000000", "n"),
+            ("transition photons --n 1000001", "n"),
+            ("metric schwarzschild --r0 1 --sweep-R 2:3:1000001", "sweep_R"),
+            ("metric desitter --sweep-R 1:2:1000001:log", "sweep_R"),
+            ("sim counts --omega 1 --t1 1 --L 1 --n-pulses 1000001 --natural-units", "n_pulses"),
+        ],
+    )
+    def test_is_two_naming_the_count(self, argv, name):
+        code, out, err = run_main(*argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and f"{name!r}" in err and "1000000" in err
+
+    def test_a_config_count_is_held_to_it(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1000001}))
+        code, out, err = run_main("transition", "H", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "config error: 'n' must count from 2 to 1000000 points, got 1000001\n"
+
+    def test_the_limit_itself_is_allowed(self):
+        # a million pulses pass the limit, and the trace stops at its first overflow
+        code, out, err = run_main("sim", "counts", "--omega", "1", "--t1", "1", "--L", "1",
+                                  "--n-pulses", "1000000", "--natural-units")
+        assert (code, out) == (1, "")
+        assert "pulse 355 overflows" in err
 
 
 class TestHubbleLinear:

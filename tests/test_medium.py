@@ -372,6 +372,10 @@ class TestCountTrace:
         with pytest.raises(ValueError, match="pulse 1 overflows"):
             count_trace(LightClockSpec(1e-10, 1.0), -50.0, 1e300, 5)
 
+    def test_a_million_pulses_stop_at_the_first_overflow(self):
+        with pytest.raises(ValueError, match="pulse 355 overflows"):
+            count_trace(LightClockSpec(1.0, 1.0), 1.0, 1.0, 1_000_000)
+
     def test_domain(self):
         spec = LightClockSpec(1.0, 1.0)
         with pytest.raises(ValueError):
