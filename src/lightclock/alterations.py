@@ -103,6 +103,8 @@ def transverse_doppler(nu_s: float, gamma: float) -> float:
 def total_doppler(nu_s: float, v_E: float, c: float) -> float:
     """Received frequency for a receding source:
     nu_s * sqrt((1 - v/c)/(1 + v/c))."""
+    if nu_s <= 0:
+        raise ValueError("frequency must be positive")
     if not (0.0 <= v_E < c):
         raise ValueError("recession velocity must lie in [0, c)")
     K = v_E / c

@@ -152,8 +152,8 @@ def _flags(rows: dict) -> list[str]:
 
 
 class Params:
-    """The row of a call's (command, mode) and its values: the flags the argv
-    gave merged over the config (flags win); a handler's default covers the rest.
+    """The row the argv reader resolved for a call, and its values: the flags
+    merged over the config (flags win); a handler's default covers the rest.
 
     Before any handler runs, these are config errors, in this order: a bad
     config, a tag of a Λ read from the config that disagrees with lambda_unit,
@@ -164,10 +164,7 @@ class Params:
 
     def __init__(self, args: SimpleNamespace):
         parsed = vars(args)
-        _, dest, rows = _COMMANDS[args.command]
-        mode = parsed.get(dest and dest.lstrip("-"))  # None for a command without modes
-        spec, self.handler = rows[mode]
-        self.label = f"{args.command} {mode}" if mode else args.command
+        self.label, spec, self.handler = args.row
         self.names = _names(spec) + ["out", "c"]
         flags = {name: parsed[name] for name in self.names if parsed.get(name) is not None}
         config, tags = _load_config(parsed.get("config"), self.names)
@@ -256,11 +253,16 @@ def emit_plot_data(
     _write_text("\n".join(lines) + "\n", out)
 
 
+def _count(name: str, count: int, least: int = 2, what: str = "points") -> int:
+    if not least <= count <= MAX_COUNT:
+        raise ConfigError(f"{name!r} must count from {least} to {MAX_COUNT} {what}, got {count}")
+    return count
+
+
 def _sweep(start: float, stop: float, count: int, name: str) -> list[float]:
     """``count`` evenly spaced points from ``start`` to ``stop``; ``name``
     is the parameter that gave the count."""
-    if not 2 <= count <= MAX_COUNT:
-        raise ConfigError(f"{name!r} must count from 2 to {MAX_COUNT} points, got {count}")
+    _count(name, count)
     if not math.isfinite((stop - start) / (count - 1)):
         raise ConfigError(f"{name!r}: the step from {start!r} to {stop!r} overflows")
     return _linspace(start, stop, count)
@@ -465,9 +467,7 @@ def _sim_roundtrip(p: Params) -> dict:
 def _sim_counts(p: Params) -> tuple:
     L, omega, t1 = p.require("L", "omega", "t1")
     spec = clocks.LightClockSpec(round_trip_length_L=L, light_speed_c=p.c)
-    n_pulses = p.get("n_pulses", 3)
-    if n_pulses > MAX_COUNT:
-        raise ConfigError(f"'n_pulses' must be at most {MAX_COUNT}, got {n_pulses}")
+    n_pulses = _count("n_pulses", p.get("n_pulses", 3), 1, "pulses")
     trace = medium.count_trace(spec, omega, t1, n_pulses)
     header = ("pulse_index", "tau1_ticks", "tau2_ticks", "tau3_ticks", "t1_s", "t2_s", "t3_s")
     return header, [(i + 1, *vars(row).values()) for i, row in enumerate(trace)]
@@ -595,7 +595,7 @@ class ArgvReader:
     start with one "-".  Anything else is a config error naming its token."""
 
     def parse_args(self, argv: Sequence[str]) -> SimpleNamespace | str:
-        """What Params takes, or the help text that -h or --help asks for."""
+        """What Params takes (its row and values), or the help that -h or --help asks for."""
         command = argv[0] if argv else None
         if {"-h", "--help"} & set(argv):
             return _help(command if command in _COMMANDS else None)
@@ -624,15 +624,14 @@ class ArgvReader:
         mode = given.pop(None, None)
         if dest and mode is None:
             raise ConfigError(f"missing required parameter {dest.lstrip('-')!r}")
-        spec = rows[mode][0]
+        label, (spec, handler) = f"{command} {mode}" if mode else command, rows[mode]
         unread = [name for name in given if name not in _COMMON and name not in _names(spec)]
         if unread:
-            label = f"{command} {mode}" if mode else command
             raise ConfigError(f"{label} does not read {', '.join(map(repr, unread))}; "
                               f"it reads {re.sub(r'[][]', '', spec)}")
         if dest:
             given[dest.lstrip("-")] = mode
-        return SimpleNamespace(command=command, **given)
+        return SimpleNamespace(row=(label, spec, handler), **given)
 
 
 # the reader, under the name that perfbench's probes and the tests call

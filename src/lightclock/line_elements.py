@@ -235,7 +235,7 @@ def robertson_walker_interval(a: float, p: MetricPoint, c: float):
     scale a (seconds)."""
     if a == 0:
         raise ValueError("expansion scale a must be nonzero")
-    curvature = 1.0 - (p.R / (c * a)) ** 2
+    curvature = 1.0 - (p.R / (c * a)) * (p.R / (c * a))
     if curvature <= 0.0:
         raise ValueError("curvature singularity in spatial factor: R >= c*a")
     angular = angular_term(p.R, p.theta, p.dtheta, p.dphi)

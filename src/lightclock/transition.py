@@ -20,7 +20,6 @@ from .line_elements import (
     angular_term,
     radial_form,
     radial_interval_value,
-    schwarzschild_lambda,
 )
 
 
@@ -128,9 +127,9 @@ def transformed_radial_interval(src: GravitySource, p: MetricPoint):
         raise ValueError("R must be positive")
     c = src.c
     r0 = src.schwarzschild_r0
-    if p.R > r0:
-        return radial_interval_value(schwarzschild_lambda(src, p.R), p, c)
     lam = 1.0 - r0 / p.R
+    if p.R > r0:
+        return radial_interval_value(lam, p, c)
     return black_hole_interval(lam, p.dt, p.dR, p.R, p.theta, p.dtheta, p.dphi, c)
 
 

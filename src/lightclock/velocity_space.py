@@ -185,4 +185,4 @@ def lorentz_transform(e2: Event4, v3: float, c: float) -> Event4:
 
 def interval(e: Event4, c: float) -> float:
     """c²t² − x² − y² − z² of an event."""
-    return (c * e.t) ** 2 - e.x**2 - e.y**2 - e.z**2
+    return c * e.t * (c * e.t) - e.x * e.x - e.y * e.y - e.z * e.z

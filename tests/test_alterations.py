@@ -89,6 +89,11 @@ class TestDoppler:
         with pytest.raises(ValueError):
             total_doppler(1.0, -0.5, 1.0)
 
+    @pytest.mark.parametrize("nu_s", [0.0, -1.0])
+    def test_total_refuses_a_non_positive_frequency(self, nu_s):
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            total_doppler(nu_s, 0.5, 1.0)
+
 
 class TestDecayAndMass:
     def test_muon(self):

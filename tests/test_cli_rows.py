@@ -67,6 +67,18 @@ class TestRows:
         with pytest.raises(AssertionError, match="'k'"):
             cli.Params(args).get("k")
 
+    def test_params_takes_the_row_the_reader_resolved(self, monkeypatch):
+        # the reader looks the call's row up once; Params reads neither the
+        # table nor the mode's value
+        argv = ["metric", "schwarzschild", "--r0", "1", "--R", "2", "--c", "1"]
+        args = cli.build_parser().parse_args(argv)
+        _, handler = cli._COMMANDS["metric"][2]["schwarzschild"]
+        monkeypatch.setattr(cli, "_COMMANDS", {})
+        del args.form
+        params = cli.Params(args)
+        assert (params.label, params.handler) == ("metric schwarzschild", handler)
+        assert params.handler(params)["lambda"] == 0.5
+
     def test_help_lists_each_modes_parameters(self):
         for command in ("metric", "hubble"):
             code, out, err = run_main(command, "--help")
@@ -145,6 +157,13 @@ class TestFailuresNameTheirCause:
              ["metric rw:", "'ds2'", "a=1e-200", "dR=1e+200"]),
             (("transition", "photons", "--k", "1e300", "--n", "3"),
              ["transition photons:", "'speed_plus_m_per_s'", "k=1e+300"]),
+            (("alter", "total-doppler", "--nu-s", "0", "--v", "0.5", "--c", "1"),
+             ["alter total-doppler:", "frequency must be positive", "nu_s=0.0"]),
+            # squares past the float range are inf, not an OverflowError
+            (("lorentz", "--t", "1", "--x", "1", "--v3", "0.5", "--c", "1", "--y", "1e200",
+              "--z", "1e200"), ["lorentz:", "'interval_before'", "y=1e+200"]),
+            (("metric", "rw", "--a", "1e-300", "--R", "1", "--c", "1"),
+             ["metric rw:", "curvature singularity", "a=1e-300"]),
         ],
     )
     def test_domain_error_names_its_cause(self, argv, named):

@@ -73,7 +73,8 @@ class TestZeroRadius:
 
 class TestCountLimit:
     """A count allocates its rows, so a CLI count past 1,000,000 exits 2
-    naming its parameter instead of exhausting memory."""
+    naming its parameter instead of exhausting memory, as does one below
+    its least."""
 
     @pytest.mark.parametrize(
         "argv,name",
@@ -84,6 +85,9 @@ class TestCountLimit:
             ("metric schwarzschild --r0 1 --sweep-R 2:3:1000001", "sweep_R"),
             ("metric desitter --sweep-R 1:2:1000001:log", "sweep_R"),
             ("sim counts --omega 1 --t1 1 --L 1 --n-pulses 1000001 --natural-units", "n_pulses"),
+            # a pulse ladder needs one pulse, as a sweep needs two points
+            ("sim counts --omega 1 --t1 1 --L 1 --n-pulses 0 --natural-units", "n_pulses"),
+            ("sim counts --omega 1 --t1 1 --L 1 --n-pulses -5 --natural-units", "n_pulses"),
         ],
     )
     def test_is_two_naming_the_count(self, argv, name):

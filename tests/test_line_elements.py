@@ -215,6 +215,11 @@ class TestRobertsonWalker:
         with pytest.raises(ValueError, match="curvature singularity"):
             robertson_walker_interval(1.0, MetricPoint(R=2.0, dR=1.0), 1.0)
 
+    def test_a_ratio_whose_square_overflows_is_singular(self):
+        # (R/(c·a))² is inf, not an OverflowError
+        with pytest.raises(ValueError, match="curvature singularity"):
+            robertson_walker_interval(1e-300, MetricPoint(R=1.0), 1.0)
+
 
 class TestNewtonianApprox:
     def test_massless(self):

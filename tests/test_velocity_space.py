@@ -227,3 +227,11 @@ class TestLorentz:
     def test_superluminal(self):
         with pytest.raises(ValueError, match="superluminal"):
             lorentz_transform(Event4(t=0, x=0), 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "event,value",
+        [(Event4(t=1.0, x=1.0, y=1e200, z=1e200), -math.inf), (Event4(t=1e200, x=0.0), math.inf)],
+    )
+    def test_interval_past_the_float_range_is_infinite(self, event, value):
+        # squares as products: inf where a float power raises OverflowError
+        assert interval(event, 1.0) == value
