@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from . import _record, line_elements
-from .velocity_space import gamma_factor
+from . import _record, line_elements, velocity_space
 
 _STEP = 1e-6  # the central-difference step of separated_operator_check
 
@@ -81,7 +80,7 @@ class GravCompareInput:
 
 def gamma_special(v_E: float, c: float) -> float:
     """sqrt(1 - v_E^2/c^2)."""
-    return gamma_factor(v_E, c)
+    return velocity_space.gamma_factor(v_E, c)
 
 
 def gamma_gravitational(src: line_elements.GravitySource, R: float) -> float:

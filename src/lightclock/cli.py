@@ -629,8 +629,6 @@ class ArgvReader:
         if unread:
             raise ConfigError(f"{label} does not read {', '.join(map(repr, unread))}; "
                               f"it reads {re.sub(r'[][]', '', spec)}")
-        if dest:
-            given[dest.lstrip("-")] = mode
         return SimpleNamespace(row=(label, spec, handler), **given)
 
 

@@ -120,8 +120,9 @@ class MetricPoint:
 
 
 def minkowski_interval(dt, dx, dy, dz, c: float):
-    """Chronotopic interval c²dt² − dx² − dy² − dz²."""
-    return (c * dt) * (c * dt) - dx * dx - dy * dy - dz * dz
+    """Chronotopic interval c²dt² − dx² − dy² − dz², as (c dt − dx)(c dt + dx)
+    − dy² − dz²: no cancellation of rounded squares near the light cone."""
+    return (c * dt - dx) * (c * dt + dx) - dy * dy - dz * dz
 
 
 def radial_form(lam_val: float, dt, dR, c: float):
@@ -130,7 +131,9 @@ def radial_form(lam_val: float, dt, dR, c: float):
 
 
 def angular_term(R, theta, dtheta, dphi):
-    """R²(sin²θ dφ² + dθ²)."""
+    """R²(sin²θ dφ² + dθ²); 0.0 with no angular motion, where R² may overflow."""
+    if dphi == 0.0 and dtheta == 0.0:
+        return 0.0
     return (R * R) * (math.sin(theta) ** 2 * dphi * dphi + dtheta * dtheta)
 
 

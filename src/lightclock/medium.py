@@ -25,9 +25,7 @@ import warnings
 from collections.abc import Callable
 from operator import mul
 
-from . import SPEED_OF_LIGHT, _bisect, _linspace, _record
-from .clocks import LightClockSpec
-from .radar import RadarRecord, _rapidity_factor, record_from_rapidity
+from . import SPEED_OF_LIGHT, _bisect, _linspace, _record, clocks, radar
 
 _QUAD_TOL = 1e-12
 _QUAD_LIMIT = 200  # subintervals
@@ -239,11 +237,11 @@ def _require_constant_profile(sc: PropagationScenario) -> None:
         )
 
 
-def roundtrip(sc: PropagationScenario, omega: float, t1: float) -> RadarRecord:
+def roundtrip(sc: PropagationScenario, omega: float, t1: float) -> radar.RadarRecord:
     """Radar record (t1, t1·e^{omega/c}, t1·e^{2omega/c}) for a constant
     profile; the geometric-mean law holds by construction."""
     _require_constant_profile(sc)
-    return record_from_rapidity(omega, sc.c, t1)
+    return radar.record_from_rapidity(omega, sc.c, t1)
 
 
 def equilinear_check(
@@ -283,11 +281,11 @@ def parallel_photon_offset(
     classical u·dt_emit."""
     if dt_emit <= 0:
         raise ValueError("emission gap must be positive")
-    return (u * _rapidity_factor(omega, c) * dt_emit, u * dt_emit)
+    return (u * radar._rapidity_factor(omega, c) * dt_emit, u * dt_emit)
 
 
 def count_trace(
-    spec: LightClockSpec, omega: float, t1: float, n_pulses: int
+    spec: clocks.LightClockSpec, omega: float, t1: float, n_pulses: int
 ) -> list[PulseCounts]:
     """Counter-reading table for successive radar pulses with immediate
     re-emission.
@@ -302,7 +300,7 @@ def count_trace(
     if t1 <= 0:
         raise ValueError("invalid medium time: t1 must be positive")
     u = spec.time_unit_u
-    q = _rapidity_factor(omega, spec.light_speed_c)
+    q = radar._rapidity_factor(omega, spec.light_speed_c)
     rows: list[PulseCounts] = []
     start = t1
     for i in range(n_pulses):

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 import math
 
-from . import _record
-from .line_elements import (
-    GravitySource,
-    MetricPoint,
-    angular_term,
-    radial_form,
-    radial_interval_value,
-)
+from . import _record, line_elements
 
 
 class _Unbounded:
@@ -85,7 +78,7 @@ def transition_profile_prime(x, k: float):
     return _bridge(x, k, lambda s: -1.0 / ((s - k) * (s - k)), middle)
 
 
-def damping_factor(R: float, src: GravitySource):
+def damping_factor(R: float, src: line_elements.GravitySource):
     """Standard part of the clock-damping coefficient at radius R.
 
     1/(c·lambda) inside the Schwarzschild radius (lambda negative there),
@@ -110,11 +103,11 @@ def black_hole_interval(lamval, dU, dR, R, theta, dtheta, dphi, c: float):
     return (
         lamval * (c * dU) * (c * dU)
         - 2.0 * c * dU * dR
-        - angular_term(R, theta, dtheta, dphi)
+        - line_elements.angular_term(R, theta, dtheta, dphi)
     )
 
 
-def transformed_radial_interval(src: GravitySource, p: MetricPoint):
+def transformed_radial_interval(src: line_elements.GravitySource, p: line_elements.MetricPoint):
     """Assemble the time-transformed interval at p.R.
 
     Outside the Schwarzschild radius the damping vanishes and the exterior
@@ -129,7 +122,7 @@ def transformed_radial_interval(src: GravitySource, p: MetricPoint):
     r0 = src.schwarzschild_r0
     lam = 1.0 - r0 / p.R
     if p.R > r0:
-        return radial_interval_value(lam, p, c)
+        return line_elements.radial_interval_value(lam, p, c)
     return black_hole_interval(lam, p.dt, p.dR, p.R, p.theta, p.dtheta, p.dphi, c)
 
 
@@ -163,7 +156,7 @@ def partial_interval(
         raise ValueError("transition singularity at lambda=k")
     else:
         branch, shifted = "transition", dtime - middle_branch(lam, k) * dR / c
-    return PartialInterval(value=radial_form(lam - k, shifted, dR, c), branch=branch)
+    return PartialInterval(value=line_elements.radial_form(lam - k, shifted, dR, c), branch=branch)
 
 
 def photon_families(lamval: float, k: float, c: float) -> tuple[float, float]:

@@ -184,5 +184,5 @@ def lorentz_transform(e2: Event4, v3: float, c: float) -> Event4:
 
 
 def interval(e: Event4, c: float) -> float:
-    """c²t² − x² − y² − z² of an event."""
-    return c * e.t * (c * e.t) - e.x * e.x - e.y * e.y - e.z * e.z
+    """c²t² − x² − y² − z² of an event; (ct − x)(ct + x) keeps its bits near the light cone."""
+    return (c * e.t - e.x) * (c * e.t + e.x) - e.y * e.y - e.z * e.z

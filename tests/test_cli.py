@@ -470,13 +470,22 @@ class TestStartupImports:
             (["metric", "modified", "--r0", "1", "--R", "2", "--Lambda", "1e-3", "--c", "1"],
              ["lightclock.cli", "lightclock.line_elements"]),
             (["alter", "doppler", "--nu-s", "1", "--gamma", "0.5"],
+             ["lightclock.alterations", "lightclock.cli"]),
+            (["alter", "doppler", "--nu-s", "1", "--v", "0.5", "--c", "1"],
              ["lightclock.alterations", "lightclock.cli", "lightclock.velocity_space"]),
+            (["transition", "H"], ["lightclock.cli", "lightclock.transition"]),
+            (["sim", "equilinear", "--t1", "1", "--t2", "2", "--t3", "4", "--c", "1"],
+             ["lightclock.cli", "lightclock.medium"]),
+            (["dilation", "--rs-over-rp", "0.1", "--rr-over-rp", "2"],
+             ["lightclock.alterations", "lightclock.cli", "lightclock.line_elements"]),
         ],
-        ids=["metric-modified", "alter-doppler"],
+        ids=["metric-modified", "alter-doppler", "alter-doppler-v", "transition-H",
+             "sim-equilinear", "dilation"],
     )
     def test_a_call_runs_only_the_modules_it_uses(self, argv, modules):
-        # line_elements reaches infinitesimals, and alterations line_elements,
-        # only where a kernel uses them
+        # line_elements reaches infinitesimals, alterations line_elements and
+        # velocity_space, transition line_elements, and medium radar and
+        # clocks only where a kernel uses them
         ran = python_json(
             f"import json, sys, types; from lightclock import cli; cli.main({argv!r}); "
             f"print(json.dumps({RAN}))"
@@ -484,14 +493,15 @@ class TestStartupImports:
         assert ran == modules
 
     def test_medium_witness_runs_no_line_elements(self):
-        # the witness bisects with the package's root finder, not line_elements'
+        # the witness bisects with the package's root finder, not line_elements',
+        # and a witness reads no radar record or clock
         ran = python_json(
             "import json, sys, types; from lightclock import medium; "
             "sc = medium.PropagationScenario(lambda t: t, t1=1.0, a=1.0, b=2.0, c=1.0); "
             "medium.medium_velocity(sc, 1.0, 2.0); "
             f"print(json.dumps({RAN}))"
         )
-        assert ran == ["lightclock.clocks", "lightclock.medium", "lightclock.radar"]
+        assert ran == ["lightclock.medium"]
 
     def test_exports_resolve_to_their_modules(self):
         missing = python_json(
@@ -591,7 +601,10 @@ class TestParameterTable:
         text, value = _flag_value(command, name)
         flag = "--" + name.replace("_", "-")
         args = cli.build_parser().parse_args([*row_argv(command, *mode), flag, text])
-        assert getattr(args, name) == value
+        if flag == cli._COMMANDS[command][1]:  # the flag mode: it names the row
+            assert args.row[0] == f"{command} {value}"
+        else:
+            assert getattr(args, name) == value
 
     @pytest.mark.parametrize("command,mode,name", TABLE_PARAMS)
     def test_wrong_unit_tag_names_parameter(self, tmp_path, command, mode, name):
@@ -838,6 +851,23 @@ class TestInProcessOutput:
         result = json.loads(out)
         assert (result["w1"], result["residual"]) == (0.0, 0.0)
         assert result["w2"] == result["w3"] == pytest.approx(math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        ("argv", "key", "value"),
+        [
+            ("metric schwarzschild --r0 1 --R 1e200 --dt 1 --c 1", "ds2", 1.0),
+            ("metric rw --a 1e300 --R 1e160 --dt 1 --c 1", "ds2", 1.0),
+            ("lorentz --t 1e200 --x 1e200 --v3 0.5 --c 1", "interval_before", 0.0),
+            ("lorentz --t 1e200 --x 1e200 --v3 0.5 --c 1", "interval_after", 0.0),
+            ("metric minkowski --dt 1e200 --dx 1e200 --c 1", "ds2", 0.0),
+        ],
+    )
+    def test_an_interval_whose_squares_overflow(self, argv, key, value):
+        # R² past the float range with no angular motion, and an event on the
+        # light cone, whose rounded squares would give inf − inf
+        code, out, err = run_main(*argv.split())
+        assert (code, err) == (0, "")
+        assert json.loads(out)[key] == value
 
 
 class TestEachValueReadOnce:

@@ -74,7 +74,7 @@ class TestRows:
         args = cli.build_parser().parse_args(argv)
         _, handler = cli._COMMANDS["metric"][2]["schwarzschild"]
         monkeypatch.setattr(cli, "_COMMANDS", {})
-        del args.form
+        assert not hasattr(args, "form")
         params = cli.Params(args)
         assert (params.label, params.handler) == ("metric schwarzschild", handler)
         assert params.handler(params)["lambda"] == 0.5
@@ -189,6 +189,19 @@ class TestFailuresNameTheirCause:
         assert (code, out) == (2, "")
         for name in names:
             assert repr(name) in err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "cannot read config {}: "), ("[1, 2]", "config {} must be a JSON object\n")],
+        ids=["missing", "a JSON list"],
+    )
+    def test_config_that_is_no_object_is_two(self, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run_main("compose", "--v1", "0.1", "--v2", "0.2", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: " + message.format(cfg))
 
     def test_config_nested_too_deep_is_two(self, tmp_path):
         # json.load raises RecursionError, not ValueError, on this

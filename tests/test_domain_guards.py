@@ -1,17 +1,32 @@
 """Inputs refused where they enter: a source whose Schwarzschild radius
-overflows, a radius of 0, a count past the CLI's limit, and a ``hubble``
-model given a parameter it cannot use."""
+overflows, a radius of 0, a kernel's argument outside its domain, a count
+past the CLI's limit, and a ``hubble`` model given a parameter it cannot use."""
 
 import json
+import math
 
 import pytest
 from conftest import run_main
 
 from lightclock import (
     GravCompareInput,
+    LambdaFactor,
+    LightClockSpec,
+    PropagationScenario,
+    cosmological_constant_for_horizon,
+    counts_for_length,
+    damping_factor,
+    gravitational_clock_compare,
+    horizon_roots,
+    linear_interval,
+    medium_velocity,
+    middle_branch,
     newtonian_first_approx,
+    potential_velocity,
+    separated_operator_check,
     source_from_mass,
     source_from_r0,
+    transition_profile,
 )
 
 
@@ -69,6 +84,45 @@ class TestZeroRadius:
         assert (code, out) == (1, "")
         assert err.startswith("domain error: ") and named in err
         assert "division by zero" not in err
+
+
+SCENARIO = PropagationScenario(lambda t: 1.0, t1=1.0, a=1.0, b=2.0, c=1.0)
+
+
+class TestKernelDomains:
+    """A kernel refuses an argument outside its domain with a ValueError
+    that states the domain."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: counts_for_length(LightClockSpec(1.0), -1.0), "length must be non-negative"),
+            (lambda: horizon_roots(source_from_r0(1.0, 1.0, Lambda=-1e-3)),
+             "horizon scan requires Lambda >= 0"),
+            (lambda: linear_interval(LambdaFactor(v=1.0, c=1.0), 1.0, 1.0, 1.0),
+             "singular surface: lambda vanishes"),
+            (lambda: potential_velocity(source_from_r0(1.0, 1.0), 0.0), "R must be positive"),
+            (lambda: cosmological_constant_for_horizon(1.0, -1.0), "R must be positive"),
+            (lambda: damping_factor(0.0, source_from_r0(1.0, 1.0)), "R must be positive"),
+            (lambda: middle_branch(1.0, 0.0), "k must be positive"),
+            (lambda: transition_profile(1.0, -1.0), "k must be positive"),
+            (lambda: medium_velocity(SCENARIO, 1.5, 1.5), r"need a <= t_start < t_end <= b"),
+            (lambda: medium_velocity(SCENARIO, 1.0, 3.0), r"need a <= t_start < t_end <= b"),
+            (lambda: gravitational_clock_compare(GravCompareInput(0.5, 1.0, math.inf, 0.0, 1e-3)),
+             "infinite radius needs Lambda = 0 on that side"),
+            (lambda: gravitational_clock_compare(GravCompareInput(0.5, 1.0, 2.0, 3.0)),
+             "comparison factors must be positive outside r_s"),
+            (lambda: separated_operator_check(lambda t: -1.0, 0.5, 1.0),
+             "test function must be positive near the probe point"),
+        ],
+        ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
+             "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
+             "transition_profile", "medium_velocity-empty", "medium_velocity-past-b",
+             "GravCompareInput.g1", "gravitational_clock_compare", "separated_operator_check"],
+    )
+    def test_refused_naming_the_domain(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestCountLimit:

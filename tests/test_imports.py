@@ -1,6 +1,8 @@
 """The runtime imports no ``typing``: annotations are strings, and the
-generic aliases come from ``collections.abc``."""
+generic aliases come from ``collections.abc``.  A kernel module reaches
+another only as ``from . import <module>``, so loading it runs no other."""
 
+import ast
 import os
 from pathlib import Path
 
@@ -23,3 +25,15 @@ def test_no_module_imports_typing():
     res = run_python("-S", "-c", code, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_no_kernel_module_imports_names_from_another():
+    # ``from .<module> import <name>`` runs <module> whenever its importer loads
+    src = Path(lightclock.__file__).parent
+    found = {}
+    for module in lightclock._EXPORTS:
+        tree = ast.parse((src / f"{module}.py").read_text())
+        if names := sorted(node.module for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom) and node.level and node.module):
+            found[module] = names
+    assert found == {}

@@ -97,6 +97,7 @@ _FUNCTIONS = [
     (lambda d: (d * d + 1).sqrt(), lambda x: math.sqrt(x * x + 1), (-5.0, 5.0)),
     (lambda d: (d + 2).log() / (d * d + 1), lambda x: math.log(x + 2) / (x * x + 1), (-1.5, 5.0)),
     (lambda d: d.tanh() + d.cos(), lambda x: math.tanh(x) + math.cos(x), (-3.0, 3.0)),
+    (lambda d: d.sinh(), math.sinh, (-3.0, 3.0)),
 ]
 
 

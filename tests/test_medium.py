@@ -260,8 +260,9 @@ class TestEquilinear:
             ((1.0, 2.5, 3.5), "t3 = 3.5 lies outside the scenario's [a, b] = [2.0, 3.0]"),
             # t2 past the return scenario's b puts t3 past it too, and t3 is named
             ((1.0, 3.2, 3.5), "t3 = 3.5 lies outside the scenario's [a, b] = [2.0, 3.0]"),
+            ((1.0, 3.0, 2.5), "need t1 <= t2 <= t3"),
         ],
-        ids=["t1 < a", "t2 < back a", "t3 > b", "t3 > back b", "t2 > back b"],
+        ids=["t1 < a", "t2 < back a", "t3 > b", "t3 > back b", "t2 > back b", "t2 > t3"],
     )
     def test_each_range_message(self, times, message):
         out = PropagationScenario(lambda t: 1.0, t1=1.0, a=1.0, b=4.0, c=1.0)

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from lightclock import (
     einstein_measures,
     interval,
     lorentz_transform,
+    minkowski_interval,
     record_from_rapidity,
     solve_triangle,
     triangle_to_einstein,
@@ -235,3 +238,21 @@ class TestLorentz:
     def test_interval_past_the_float_range_is_infinite(self, event, value):
         # squares as products: inf where a float power raises OverflowError
         assert interval(event, 1.0) == value
+
+    @pytest.mark.parametrize(
+        "flat",
+        [lambda t, x, y, z: interval(Event4(t, x, y, z), 1.0),
+         lambda t, x, y, z: minkowski_interval(t, x, y, z, 1.0)],
+        ids=["interval", "minkowski_interval"],
+    )
+    def test_interval_near_the_light_cone(self, flat):
+        # both copies of the flat interval, against exact rationals, where
+        # |ct − x| ≈ 1e-6·x: a difference of rounded squares is off by up to
+        # 1e10 ulps there, (ct − x)(ct + x) − y² − z² by a few dozen
+        rng = random.Random(7)
+        for _ in range(2000):
+            x = rng.uniform(0.1, 10.0)
+            t = x * (1.0 + rng.uniform(-1e-6, 1e-6))
+            y, z = (rng.uniform(-1e-4, 1e-4) * x for _ in "yz")
+            exact = sum(sign * Fraction(v) ** 2 for sign, v in zip((1, -1, -1, -1), (t, x, y, z)))
+            assert abs(Fraction(flat(t, x, y, z)) - exact) <= 64 * math.ulp(float(exact))
