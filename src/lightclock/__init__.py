@@ -29,28 +29,6 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     return [i * step + start for i in range(n - 1)] + [stop]
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
-    """A root of f in [a, b], given fa = f(a) and fb = f(b), which must not
-    have the same sign: an end where f is zero, else the midpoint once the
-    bracket is within 4e-16 of it relatively (or after 200 halvings)."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("bisection bracket does not straddle a root")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) <= abs(m) * 4.0e-16:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 def _refuse(self, name: str, *_) -> None:
     raise AttributeError(f"cannot set or delete field {name!r} of a frozen record")
 

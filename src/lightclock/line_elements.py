@@ -14,7 +14,7 @@ import math
 import warnings
 from collections.abc import Callable
 
-from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _bisect, _record, infinitesimals
+from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _record, infinitesimals
 
 
 @_record
@@ -197,10 +197,10 @@ def horizon_roots(src: GravitySource) -> list[float]:
     """Positive radii where the modified lambda vanishes, ascending.
 
     The zeros of 1 − r0/r − (1/3)Λr² are r = x/√Λ for the positive roots x of
-    x³/3 − x + a with a = r0·√Λ, solved in x so that no power of a raw radius
-    under- or overflows.  The cubic's minimum, a − 2/3 at x = 1, is negative
-    when there are two roots, and they lie in the fixed brackets [a, 1.5a]
-    and [1, 2].  An empty list means no horizon exists.
+    x³/3 − x + a with a = r0·√Λ (no power of a raw radius under- or overflows),
+    two when the cubic's minimum a − 2/3 at x = 1 is negative.  x = 2·cos θ turns
+    it into cos 3θ = −3a/2 (Viète); the inner root then takes one fixed-point step
+    x = a/(1 − x²/3), which a small a needs, and a Newton step where a < 0.666.
     """
     r0, lam = src.schwarzschild_r0, src.lambda_per_m2
     if lam < 0:
@@ -209,20 +209,20 @@ def horizon_roots(src: GravitySource) -> list[float]:
         return [r0] if r0 > 0 else []
     s = math.sqrt(lam)
     a = r0 * s
-
-    def f(x: float) -> float:
-        return x * x * x / 3.0 - x + a
-
-    f_min = f(1.0)
+    f_min = 1.0 / 3.0 - 1.0 + a  # the cubic at x = 1
     if f_min > 0.0:
-        return []  # cubic never crosses: no horizon
+        return []  # cubic never crosses: no horizon, an empty list
     if f_min == 0.0:
         return [1.0 / s]
-    outer = _bisect(f, 1.0, 2.0, f_min, f(2.0)) / s
+    third = math.acos(-1.5 * a) / 3.0  # f_min < 0 keeps −1.5a >= −1
+    outer = 2.0 * math.cos(third) / s
     if r0 == 0.0:
         return [outer]
-    # an a that underflows leaves the inner root at r0 itself
-    return [_bisect(f, a, 1.5 * a, f(a), f(1.5 * a)) / s if a > 0.0 else r0, outer]
+    y = 2.0 * math.cos(third - 2.0 * math.pi / 3.0)
+    x = a / (1.0 - y * y / 3.0)
+    if a < 0.666:  # a − x is exact here, as x lies in [a, 1.5a]
+        x += ((a - x) + x * x * x / 3.0) / ((1.0 - x) * (1.0 + x))
+    return [x / s if a > 0.0 else r0, outer]  # r0 itself where a underflows
 
 
 def cosmological_constant_for_horizon(r0: float, R: float) -> float:

@@ -13,7 +13,8 @@ integral is finite and the summed estimate is at most
 max(1e-12, 1e-12·|integral|).  If 200 subintervals do not reach that, a
 subinterval can no longer be halved, or the estimate is not finite, the best
 estimate is returned with an ``IntegrationWarning``.  A medium velocity's
-witness is read from the interval's ends, then from a 257-point grid.
+witness is read from the interval's ends, then from a 257-point grid, and a
+bisected one is checked against the mean-value equation.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ import warnings
 from collections.abc import Callable
 from operator import mul
 
-from . import SPEED_OF_LIGHT, _bisect, _linspace, _record, clocks, radar
+from . import SPEED_OF_LIGHT, _linspace, _record, clocks, radar
 
 _QUAD_TOL = 1e-12
 _QUAD_LIMIT = 200  # subintervals
+_WITNESS_TOL = 1e-6  # the largest |g(t*)| a bisected witness may leave, relative
+_NO_WITNESS = "no mean-value witness found; is the profile continuous?"
 
 # QUADPACK qk15: the Kronrod abscissae in (0, 1), outermost first (the odd
 # positions are also the 7-point Gauss abscissae), the Kronrod weights for
@@ -187,6 +190,28 @@ def distance_profile(sc: PropagationScenario, t: float) -> float:
     return t * _integral(sc.velocity_profile, sc.t1, t)
 
 
+def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in [a, b], given fa = f(a) and fb = f(b), which must not
+    have the same sign: an end where f is zero, else the midpoint once the
+    bracket is within 4e-16 of it relatively (or after 200 halvings)."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise ValueError("bisection bracket does not straddle a root")
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0 or (b - a) <= abs(m) * 4.0e-16:
+            return m
+        if fa * fm < 0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
 def medium_velocity(
     sc: PropagationScenario, t_start: float, t_end: float
 ) -> MediumVelocity:
@@ -196,7 +221,8 @@ def medium_velocity(
     g(t) = v(t)·ln(t_end/t_start) − omega is zero.  g is read at the ends,
     then, where they do not settle t*, on a 257-point grid that shares them:
     t* is the point of least |g| if that is within 1e-12·max(1, max|g|), else
-    the bisection root of the first sign change (a constant v costs 2 calls).
+    the bisection root of the first sign change (a constant v costs 2 calls),
+    refused where |g(t*)| is above 1e-6·max(|omega|, max|g|), as at a jump.
     """
     if not (sc.a <= t_start < t_end <= sc.b):
         raise ValueError("need a <= t_start < t_end <= b")
@@ -218,8 +244,12 @@ def medium_velocity(
         # every |g| is beyond the tolerance here, so no product underflows
         for i, product in enumerate(map(mul, values, values[1:])):
             if product <= 0.0:
-                return MediumVelocity(omega, _bisect(gap, *grid[i:i + 2], *values[i:i + 2]))
-    raise ValueError("no mean-value witness found; is the profile continuous?")
+                t = _bisect(gap, *grid[i:i + 2], *values[i:i + 2])
+                # a jump in v changes g's sign with no root: bisected, it leaves |g| large
+                if abs(gap(t)) > _WITNESS_TOL * max(abs(omega), max(sizes)):
+                    raise ValueError(_NO_WITNESS)
+                return MediumVelocity(omega, t)
+    raise ValueError(_NO_WITNESS)
 
 
 def _require_constant_profile(sc: PropagationScenario) -> None:

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +193,77 @@ class TestHorizonRoots:
         lam_published = cosmological_constant_for_horizon(0.889, 6.67e8)
         # the two radii disagree by far more than the rounding of 7.39e-18
         assert abs(lam_published - 7.39e-18) > 0.5e-18
+
+
+def exact_root(a, lo, hi):
+    """The root of x³/3 − x + a in [lo, hi], whose ends the cubic gives
+    opposite signs, bisected in exact rationals until the bracket is
+    narrower than a quarter ulp of its low end."""
+    a3, lo, hi = 3 * Fraction(a), Fraction(lo), Fraction(hi)
+
+    def positive(x):  # the sign of 3·(x³/3 − x + a)
+        return x * (x * x - 3) > -a3
+
+    low, quarter = positive(lo), Fraction(math.ulp(float(lo))) / 4
+    assert positive(hi) != low
+    for _ in range(math.ceil((hi - lo) / quarter).bit_length()):
+        m = (lo + hi) / 2
+        if positive(m) == low:
+            lo = m
+        else:
+            hi = m
+    return (lo + hi) / 2
+
+
+def roots_in_x(a):
+    """horizon_roots at Λ = 1 m^-2, where r0 = a and each radius is its x."""
+    return horizon_roots(source_from_r0(a, c=1.0, Lambda=1.0, lambda_unit="m^-2"))
+
+
+def uniform(seed, n, lo, hi):
+    rng = random.Random(seed)
+    return [rng.uniform(lo, hi) for _ in range(n)]
+
+
+def below_two_thirds(n):
+    """The n largest floats a whose cubic still has a negative minimum."""
+    a, out = 2.0 / 3.0, []
+    while len(out) < n:
+        if 1.0 / 3.0 - 1.0 + a < 0.0:
+            out.append(a)
+        a = math.nextafter(a, 0.0)
+    return out
+
+
+class TestHorizonAccuracy:
+    """The closed-form roots against exact ones: the inner root lies in
+    [a, 1.5a] and the outer in [1, 2], where the cubic changes sign."""
+
+    # the seeded draws crowd (0.6, 0.66) too, where the roots are closest
+    WELL_CONDITIONED = [*uniform(27, 40, 0.0, 0.66), *uniform(28, 40, 0.6, 0.66),
+                        *(10.0**-k for k in range(300, 1, -9))]
+
+    @pytest.mark.parametrize("a", WELL_CONDITIONED)
+    def test_within_three_ulp(self, a):
+        inner, outer = roots_in_x(a)
+        for got, want in ((inner, exact_root(a, a, 1.5 * a)), (outer, exact_root(a, 1.0, 2.0))):
+            assert abs(Fraction(got) - want) <= 3 * Fraction(math.ulp(float(want)))
+        assert inner < outer
+
+    @pytest.mark.parametrize("a", below_two_thirds(7))
+    def test_next_to_the_double_root(self, a):
+        # the roots split as 1 ± √(2/3 − a): a rounding of a moves them by
+        # about 1e-8 here, so they hold to 1e-8 relative, and stay ascending
+        inner, outer = roots_in_x(a)
+        for got, want in ((inner, exact_root(a, a, 1.0)), (outer, exact_root(a, 1.0, 2.0))):
+            assert abs(Fraction(got) - want) <= Fraction(1e-8) * want
+        assert inner <= outer
+
+    def test_a_zero_minimum_is_one_root_and_a_positive_one_none(self):
+        a = math.nextafter(2.0 / 3.0, 1.0)
+        assert 1.0 / 3.0 - 1.0 + a == 0.0
+        assert roots_in_x(a) == [1.0]
+        assert roots_in_x(math.nextafter(a, 1.0)) == []
 
 
 class TestRobertsonWalker:

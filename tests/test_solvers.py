@@ -1,8 +1,9 @@
 """The package's one root finder and the integrator's empty interval.
 
-``lightclock._bisect`` finds the horizon radii and the mean-value witness of
-a medium velocity; ``_log_kernel_integral`` returns 0 over an empty interval
-without evaluating the profile, so no caller special-cases it.
+``lightclock.medium._bisect`` finds the mean-value witness of a medium
+velocity (the horizon radii have a closed form); ``_log_kernel_integral``
+returns 0 over an empty interval without evaluating the profile, so no caller
+special-cases it.
 """
 
 import inspect
@@ -13,7 +14,6 @@ import pytest
 import lightclock
 from lightclock import (
     PropagationScenario,
-    _bisect,
     distance_profile,
     equilinear_check,
     horizon_roots,
@@ -23,7 +23,7 @@ from lightclock import (
     source_from_r0,
     triangle_to_einstein,
 )
-from lightclock.medium import _log_kernel_integral
+from lightclock.medium import _bisect, _log_kernel_integral
 
 
 def boom(t):
@@ -44,9 +44,11 @@ class TestBisect:
         assert abs(root - math.sqrt(2.0)) <= 4e-16 * math.sqrt(2.0)
 
     def test_one_home(self):
+        # medium's witness is the one caller; the horizons are solved in closed form
         from lightclock import line_elements, medium
 
-        assert line_elements._bisect is medium._bisect is lightclock._bisect
+        assert _bisect is medium._bisect
+        assert not hasattr(line_elements, "_bisect") and not hasattr(lightclock, "_bisect")
         assert list(inspect.signature(_bisect).parameters) == ["f", "a", "b", "fa", "fb"]
 
 
@@ -136,6 +138,14 @@ class TestWitnessEvaluations:
         assert all(calls.count(t) == 1 for t in grid)
         assert 257 < len(calls) <= 257 + 60
 
+    def test_a_step_profile_is_refused(self):
+        # g changes sign across the jump at t = 1.5 but is never zero: the
+        # bisection settles on the jump, where |g| is about 0.45·omega
+        sc = PropagationScenario(lambda t: 1.0 if t < 1.5 else 3.0, t1=1.0, a=1.0, b=2.0, c=1.0)
+        with pytest.raises(ValueError, match=r"^no mean-value witness found; "
+                                             r"is the profile continuous\?$"):
+            medium_velocity(sc, 1.0, 2.0)
+
     def test_a_near_constant_profile_settles_at_an_end(self):
         # the gap is within 1e-12 of zero at t_start, so no grid is scanned;
         # the 257-point grid's least |gap| is at t = 2.0
@@ -152,7 +162,7 @@ class TestWitnessEvaluations:
 class TestHorizonScaledSolve:
     def test_roots_where_raw_radii_cube_to_zero(self):
         # (3r*)³ underflows to 0 (r* = 1/√Λ), which once sent the outer bracket
-        # doubling past the root; in x = r·√Λ every bracket is fixed
+        # doubling past the root; in x = r·√Λ the closed form needs no bracket
         Lambda, r0 = 1.6e273, 3.19e-142
         src = source_from_r0(r0, c=1.0, Lambda=Lambda, lambda_unit="m^-2")
         assert (3.0 / math.sqrt(Lambda)) ** 3 == 0.0
