@@ -37,32 +37,43 @@ def _repr(self) -> str:
     return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
+def _reduce(self) -> tuple:
+    """Copy and pickle rebuild a record through its constructor."""
+    return self.__class__, (*vars(self).values(),)
+
+
 def _record(cls):
-    """``cls`` as a frozen record, as ``@dataclass(frozen=True)`` makes one:
-    its annotated names are its fields, in order, and a class attribute of
-    the same name is a field's default.  ``__init__`` takes the fields by
-    position or keyword, then runs ``__post_init__`` if the class has one;
-    ``repr``, ``==`` (a record of the same class) and ``hash`` read the
-    fields; setting or deleting an attribute raises AttributeError.  A method
-    the class defines itself is kept."""
+    """``cls`` as a frozen record, as ``@dataclass(frozen=True, slots=True)``
+    makes one: its annotated names are its fields, in order, each in a slot,
+    and a class attribute of the same name is a field's default.  ``__init__``
+    takes the fields by position or keyword, then runs ``__post_init__`` if the
+    class has one; ``repr``, ``==`` (a record of the same class), ``hash`` and
+    ``vars()`` (a fresh dict) read the fields; copy and pickle rebuild a record
+    through its constructor; setting or deleting an attribute raises
+    AttributeError.  A method the class defines itself is kept."""
     names, body = list(cls.__annotations__), vars(cls)
     params = ", ".join(f"{n}=_body[{n!r}]" if n in body else n for n in names)
     mine, theirs = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
+    pairs = "".join(f"{n!r}: self.{n}, " for n in names)
     # flat methods on the fields, as dataclasses writes them: records are built
-    # and compared on hot paths (a Dual per arithmetic operation)
-    source = [f"def __init__(self, {params}):", *(f" _set(self, {n!r}, {n})" for n in names),
+    # and compared on hot paths (a Dual per arithmetic operation); __init__
+    # stores each field by its slot's setter, past the frozen __setattr__
+    source = [f"def __init__(self, {params}):", *(f" _set_{n}(self, {n})" for n in names),
               " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
               "def __eq__(self, other):",
               f" return ({mine}) == ({theirs}) if other.__class__ is self.__class__"
               " else NotImplemented",
-              f"def __hash__(self): return hash(({mine}))"]
-    scope = {"__name__": cls.__module__, "_set": object.__setattr__, "_body": body}
+              f"def __hash__(self): return hash(({mine}))",
+              f"__dict__ = property(lambda self: {{{pairs}}})"]
+    scope = {"__name__": cls.__module__, "_body": body}
     exec("\n".join(source), scope)
     scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    scope.update(__repr__=_repr, __setattr__=_refuse, __delattr__=_refuse)
-    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
-        if name not in body:
-            setattr(cls, name, scope[name])
+    space = {k: scope[k] for k in ("__init__", "__eq__", "__hash__", "__dict__")}
+    space.update(__repr__=_repr, __reduce__=_reduce, __setattr__=_refuse, __delattr__=_refuse,
+                 __qualname__=cls.__qualname__, __slots__=(*names, "__weakref__"))
+    space.update((k, v) for k, v in body.items() if k not in (*names, "__dict__", "__weakref__"))
+    cls = type(cls.__name__, cls.__bases__, space)
+    scope.update((f"_set_{n}", vars(cls)[n].__set__) for n in names)
     return cls
 
 

@@ -33,14 +33,13 @@ class Dual:
 
     def __init__(self, real, eps=0.0):
         # flat, since arithmetic builds a Dual per operation: a Dual part was
-        # checked when built, and the fields go past the frozen __setattr__
+        # checked when built, and the slot setters go past the frozen __setattr__
         if real.__class__ is not Dual and not _isfinite(real):
             raise ValueError(f"real part must be finite, got {real!r}")
         if eps.__class__ is not Dual and not _isfinite(eps):
             raise ValueError(f"infinitesimal coefficient must be finite, got {eps!r}")
-        fields = self.__dict__
-        fields["real"] = real
-        fields["eps"] = eps
+        _set_real(self, real)
+        _set_eps(self, eps)
 
     # -- ring operations, truncated at first order -------------------------
 
@@ -166,6 +165,9 @@ class Dual:
         # a Dual part is parenthesised, so each level of a hyper-dual shows
         real, eps = (f"({x})" if x.__class__ is Dual else x for x in (self.real, self.eps))
         return f"{real} + {eps}ε"
+
+
+_set_real, _set_eps = vars(Dual)["real"].__set__, vars(Dual)["eps"].__set__
 
 
 def _fn(x, name: str, f: Callable[[float], float]):

@@ -222,7 +222,7 @@ def horizon_roots(src: GravitySource) -> list[float]:
     x = a / (1.0 - y * y / 3.0)
     if a < 0.666:  # a − x is exact here, as x lies in [a, 1.5a]
         x += ((a - x) + x * x * x / 3.0) / ((1.0 - x) * (1.0 + x))
-    return [x / s if a > 0.0 else r0, outer]  # r0 itself where a underflows
+    return [x / s if a >= 1.2e-8 else r0, outer]  # r0 itself where a²/3 < half an ulp
 
 
 def cosmological_constant_for_horizon(r0: float, R: float) -> float:

@@ -254,7 +254,7 @@ def medium_velocity(
 
 def _require_constant_profile(sc: PropagationScenario) -> None:
     grid = _linspace(sc.a, sc.b, 101)
-    vals = [sc.velocity_profile(t) for t in grid]
+    vals = list(map(sc.velocity_profile, grid))
     if not all(map(math.isfinite, vals)):
         i = list(map(math.isfinite, vals)).index(False)
         raise ValueError(f"round trip requires a finite propagation speed; the profile is "

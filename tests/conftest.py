@@ -1,6 +1,6 @@
 """The CLI tests' one harness: ``cli.main`` called in this process, a fresh
 ``python`` for the tests whose subject is the process itself, and the rows
-of ``cli._COMMANDS`` as test cases."""
+of ``cli._COMMANDS`` as test cases; and the Hypothesis profiles."""
 
 import contextlib
 import io
@@ -8,8 +8,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
 
 from lightclock import cli
+
+# Tier-1 draws the same examples on every run and keeps no example database,
+# so one commit gets one verdict; ``--hypothesis-profile=deep`` looks further,
+# from a random seed, at 3,000 examples per test and with no deadline
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("deep", max_examples=3000, deadline=None)
+settings.load_profile("tier1")
 
 
 def run_main(*argv):

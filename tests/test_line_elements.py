@@ -259,6 +259,12 @@ class TestHorizonAccuracy:
             assert abs(Fraction(got) - want) <= Fraction(1e-8) * want
         assert inner <= outer
 
+    def test_a_subnormal_a_gives_r0_as_the_inner_root(self):
+        # a = r0·√Λ = 1e-320: the inner root r0·(1 + a²/3 + …) rounds to r0,
+        # where x/√Λ from the few bits a keeps is 1.1e-5 off
+        src = source_from_r0(1e-170, c=1.0, Lambda=1e-300, lambda_unit="m^-2")
+        assert horizon_roots(src)[0] == 1e-170
+
     def test_a_zero_minimum_is_one_root_and_a_positive_one_none(self):
         a = math.nextafter(2.0 / 3.0, 1.0)
         assert 1.0 / 3.0 - 1.0 + a == 0.0

@@ -3,11 +3,16 @@
 Every exported class is a frozen record.  Its fields come in a fixed order,
 by position or keyword, with the defaults listed below; ``vars()`` maps them
 in that order; ``repr`` spells them; ``==`` and ``hash`` read them, and only
-a record of the same class can be equal; no attribute can be set or deleted;
-and each constructor guard raises its message.
+a record of the same class can be equal; no attribute can be set or deleted,
+nor a field changed through ``vars()``; copy, deepcopy and pickle give an
+equal record; a record can be weakly referenced; and each constructor guard
+raises its message.
 """
 
+import copy
 import math
+import pickle
+import weakref
 
 import pytest
 
@@ -149,6 +154,21 @@ class TestRecord:
         with pytest.raises(AttributeError):
             record.unknown = 1.0
         assert vars(record) == full(cls)
+
+    def test_a_write_into_vars_changes_nothing(self, cls):
+        record, same = cls(**full(cls)), cls(**full(cls))
+        vars(record)[fields(cls)[0]] = 100.0
+        assert vars(record) == full(cls)
+        assert record == same and hash(record) == hash(same)
+
+    def test_copy_deepcopy_and_pickle(self, cls):
+        record = cls(**full(cls))
+        for twin in copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)):
+            assert type(twin) is cls and twin == record
+
+    def test_weakref(self, cls):
+        record = cls(**full(cls))
+        assert weakref.ref(record)() is record
 
 
 def test_records_of_two_types_with_equal_values_differ():
