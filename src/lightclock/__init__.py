@@ -57,18 +57,21 @@ def _record(cls):
     pairs = "".join(f"{n!r}: self.{n}, " for n in names)
     # flat methods on the fields, as dataclasses writes them: records are built
     # and compared on hot paths (a Dual per arithmetic operation); __init__
-    # stores each field by its slot's setter, past the frozen __setattr__
-    source = [f"def __init__(self, {params}):", *(f" _set_{n}(self, {n})" for n in names),
-              " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
-              "def __eq__(self, other):",
-              f" return ({mine}) == ({theirs}) if other.__class__ is self.__class__"
-              " else NotImplemented",
-              f"def __hash__(self): return hash(({mine}))",
-              f"__dict__ = property(lambda self: {{{pairs}}})"]
+    # stores each field by its slot's setter, past the frozen __setattr__.
+    # Only the methods the class does not define are compiled.
+    methods = {"__init__": [f"def __init__(self, {params}):",
+                            *(f" _set_{n}(self, {n})" for n in names),
+                            " self.__post_init__()" if hasattr(cls, "__post_init__") else ""],
+               "__eq__": ["def __eq__(self, other):",
+                          f" return ({mine}) == ({theirs}) if other.__class__ is self.__class__"
+                          " else NotImplemented"],
+               "__hash__": [f"def __hash__(self): return hash(({mine}))"]}
+    source = [line for k, lines in methods.items() if k not in body for line in lines]
     scope = {"__name__": cls.__module__, "_body": body}
-    exec("\n".join(source), scope)
-    scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    space = {k: scope[k] for k in ("__init__", "__eq__", "__hash__", "__dict__")}
+    exec("\n".join([*source, f"__dict__ = property(lambda self: {{{pairs}}})"]), scope)
+    if "__init__" in scope:
+        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    space = {k: scope[k] for k in (*methods, "__dict__") if k in scope}
     space.update(__repr__=_repr, __reduce__=_reduce, __setattr__=_refuse, __delattr__=_refuse,
                  __qualname__=cls.__qualname__, __slots__=(*names, "__weakref__"))
     space.update((k, v) for k, v in body.items() if k not in (*names, "__dict__", "__weakref__"))

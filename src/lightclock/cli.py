@@ -470,7 +470,7 @@ def _sim_counts(p: Params) -> tuple:
     n_pulses = _count("n_pulses", p.get("n_pulses", 3), 1, "pulses")
     trace = medium.count_trace(spec, omega, t1, n_pulses)
     header = ("pulse_index", "tau1_ticks", "tau2_ticks", "tau3_ticks", "t1_s", "t2_s", "t3_s")
-    return header, [(i + 1, *vars(row).values()) for i, row in enumerate(trace)]
+    return header, [(i, r.tau1, r.tau2, r.tau3, r.t1, r.t2, r.t3) for i, r in enumerate(trace, 1)]
 
 
 def _sim_equilinear(p: Params) -> dict:

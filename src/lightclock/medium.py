@@ -8,8 +8,11 @@ radar round trips geometric: t2 = sqrt(t1·t3).
 The log-kernel integral is taken in s = ln x, where it is the smooth
 ∫ v(e^s) ds, by an adaptive Gauss–Kronrod 7–15 rule with the QUADPACK
 abscissae, weights and error scaling (Piessens et al., *QUADPACK*, 1983).
-The subinterval with the largest error estimate is bisected until the
-integral is finite and the summed estimate is at most
+Each of the rule's sums adds its terms from 0.0 in ascending-abscissa order,
+one rounding at a time, so the same input gives the same bits on Python
+3.10–3.13 (``sum`` of floats compensates from 3.12 on).  The subinterval
+with the largest error estimate is bisected until the integral is finite
+and the summed estimate is at most
 max(1e-12, 1e-12·|integral|).  If 200 subintervals do not reach that, a
 subinterval can no longer be halved, or the estimate is not finite, the best
 estimate is returned with an ``IntegrationWarning``.  A medium velocity's
@@ -62,11 +65,8 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-# the same rules over all 15 abscissae of [-1, 1], in ascending order
+# all 15 abscissae of [-1, 1], in ascending order
 _X15 = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
-_WK15 = _WGK + _WGK[6::-1]
-_WG15 = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
-         0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)
 _EPS = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
@@ -123,16 +123,28 @@ class EquilinearResult:
 
 
 def _gk15(v: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """QUADPACK qk15 on ∫_a^b v(e^s) ds: the Kronrod estimate and its error."""
+    """QUADPACK qk15 on ∫_a^b v(e^s) ds: the Kronrod estimate and its error.
+    Each sum adds its weight × value terms from 0.0 in ascending-abscissa
+    order, as ``sum`` did up to Python 3.11, uncompensated."""
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     exp = math.exp
-    fv = [v(exp(centre + half * x)) for x in _X15]
-    resk = sum(map(mul, _WK15, fv))
-    resg = sum(map(mul, _WG15, fv))
-    resabs = sum(map(mul, _WK15, map(abs, fv)))
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = [
+        v(exp(centre + half * x)) for x in _X15]
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK  # k7 weighs the centre, f7
+    g0, g1, g2, g3 = _WG  # g3 weighs the centre; the even positions weigh 0
+    resk = (0.0 + k0 * f0 + k1 * f1 + k2 * f2 + k3 * f3 + k4 * f4 + k5 * f5 + k6 * f6 + k7 * f7
+            + k6 * f8 + k5 * f9 + k4 * f10 + k3 * f11 + k2 * f12 + k1 * f13 + k0 * f14)
+    resg = 0.0 + g0 * f1 + g1 * f3 + g2 * f5 + g3 * f7 + g2 * f9 + g1 * f11 + g0 * f13
+    resabs = (0.0 + k0 * abs(f0) + k1 * abs(f1) + k2 * abs(f2) + k3 * abs(f3) + k4 * abs(f4)
+              + k5 * abs(f5) + k6 * abs(f6) + k7 * abs(f7) + k6 * abs(f8) + k5 * abs(f9)
+              + k4 * abs(f10) + k3 * abs(f11) + k2 * abs(f12) + k1 * abs(f13) + k0 * abs(f14))
     mean = 0.5 * resk
-    resasc = sum(map(mul, _WK15, [abs(y - mean) for y in fv]))
+    resasc = (0.0 + k0 * abs(f0 - mean) + k1 * abs(f1 - mean) + k2 * abs(f2 - mean)
+              + k3 * abs(f3 - mean) + k4 * abs(f4 - mean) + k5 * abs(f5 - mean)
+              + k6 * abs(f6 - mean) + k7 * abs(f7 - mean) + k6 * abs(f8 - mean)
+              + k5 * abs(f9 - mean) + k4 * abs(f10 - mean) + k3 * abs(f11 - mean)
+              + k2 * abs(f12 - mean) + k1 * abs(f13 - mean) + k0 * abs(f14 - mean))
     width = abs(half)
     resabs *= width
     resasc *= width

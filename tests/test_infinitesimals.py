@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lightclock import Dual, derivative, dual_arith, infinitely_close, standard_part
+import lightclock
+from lightclock import Dual, derivative, dual_arith, infinitely_close, infinitesimals, standard_part
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -55,6 +56,22 @@ class TestDualArithmetic:
             Dual(float("nan"), 0.0)
         with pytest.raises(ValueError):
             Dual(0.0, float("inf"))
+
+    def test_init_is_the_one_dual_defines(self, monkeypatch):
+        assert Dual.__init__.__code__.co_filename == infinitesimals.__file__
+        # and the record decorator compiles no __init__ for a class that has one
+        sources = []
+        monkeypatch.setattr(lightclock, "exec", lambda source, scope: (
+            sources.append(source), exec(source, scope)), raising=False)
+
+        @lightclock._record
+        class Own:
+            real: float
+
+            def __init__(self, real):
+                pass
+
+        assert "__eq__" in sources[0] and "__init__" not in sources[0]
 
     def test_ordering_compares_standard_parts_only(self):
         a, b = Dual(1, 2), Dual(1, 3)
