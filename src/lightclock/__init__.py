@@ -44,40 +44,46 @@ def _reduce(self) -> tuple:
 
 def _record(cls):
     """``cls`` as a frozen record, as ``@dataclass(frozen=True, slots=True)``
-    makes one: its annotated names are its fields, in order, each in a slot,
-    and a class attribute of the same name is a field's default.  ``__init__``
-    takes the fields by position or keyword, then runs ``__post_init__`` if the
-    class has one; ``repr``, ``==`` (a record of the same class), ``hash`` and
-    ``vars()`` (a fresh dict) read the fields; copy and pickle rebuild a record
-    through its constructor; setting or deleting an attribute raises
-    AttributeError.  A method the class defines itself is kept."""
+    makes one: its annotated names are its fields, in order, and a class
+    attribute of the same name is a field's default.  The fields live in the
+    slots of a private mutable base class, ``_<name>``, of which the record
+    class is a frozen subclass.  ``__new__`` takes the fields by position or
+    keyword, writes them into a base instance, switches its class to the
+    record's, then runs ``__post_init__`` if the class has one; a class that
+    defines its own ``__init__`` (``Dual``) keeps it and gets no ``__new__``.
+    ``repr``, ``==`` (a record of the same class), ``hash`` and ``vars()`` (a
+    fresh dict) read the fields; copy and pickle rebuild a record through its
+    constructor; setting or deleting an attribute raises AttributeError.  A
+    method the class defines itself is kept."""
     names, body = list(cls.__annotations__), vars(cls)
+    base = type(f"_{cls.__name__}", cls.__bases__,
+                {"__slots__": (*names, "__weakref__"), "__module__": cls.__module__})
     params = ", ".join(f"{n}=_body[{n!r}]" if n in body else n for n in names)
     mine, theirs = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
     pairs = "".join(f"{n!r}: self.{n}, " for n in names)
     # flat methods on the fields, as dataclasses writes them: records are built
-    # and compared on hot paths (a Dual per arithmetic operation); __init__
-    # stores each field by its slot's setter, past the frozen __setattr__.
-    # Only the methods the class does not define are compiled.
-    methods = {"__init__": [f"def __init__(self, {params}):",
-                            *(f" _set_{n}(self, {n})" for n in names),
-                            " self.__post_init__()" if hasattr(cls, "__post_init__") else ""],
+    # and compared on hot paths (a PulseCounts per pulse row); __new__ stores
+    # the fields while the instance is still of the mutable base, where each
+    # store is a plain slot write.  Only the methods the class lacks are compiled.
+    methods = {"__new__": [f"def __new__(cls, {params}):", " self = _base()",
+                           *(f" self.{n} = {n}" for n in names), " self.__class__ = cls",
+                           " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+                           " return self"],
                "__eq__": ["def __eq__(self, other):",
                           f" return ({mine}) == ({theirs}) if other.__class__ is self.__class__"
                           " else NotImplemented"],
                "__hash__": [f"def __hash__(self): return hash(({mine}))"]}
-    source = [line for k, lines in methods.items() if k not in body for line in lines]
-    scope = {"__name__": cls.__module__, "_body": body}
+    own = {*body, "__new__"} if "__init__" in body else body
+    source = [line for k, lines in methods.items() if k not in own for line in lines]
+    scope = {"__name__": cls.__module__, "_body": body, "_base": base}
     exec("\n".join([*source, f"__dict__ = property(lambda self: {{{pairs}}})"]), scope)
-    if "__init__" in scope:
-        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    if "__new__" in scope:
+        scope["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
     space = {k: scope[k] for k in (*methods, "__dict__") if k in scope}
     space.update(__repr__=_repr, __reduce__=_reduce, __setattr__=_refuse, __delattr__=_refuse,
-                 __qualname__=cls.__qualname__, __slots__=(*names, "__weakref__"))
+                 __qualname__=cls.__qualname__, __slots__=())
     space.update((k, v) for k, v in body.items() if k not in (*names, "__dict__", "__weakref__"))
-    cls = type(cls.__name__, cls.__bases__, space)
-    scope.update((f"_set_{n}", vars(cls)[n].__set__) for n in names)
-    return cls
+    return type(cls.__name__, (base,), space)
 
 
 # the names each submodule exports at package level

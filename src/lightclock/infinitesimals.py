@@ -32,8 +32,9 @@ class Dual:
     eps: float = 0.0
 
     def __init__(self, real, eps=0.0):
-        # flat, since arithmetic builds a Dual per operation: a Dual part was
-        # checked when built, and the slot setters go past the frozen __setattr__
+        # Dual keeps its own __init__ (and gets no generated __new__): arithmetic
+        # builds a Dual per operation, a Dual part was checked when built, and
+        # the setters of the private base's slots go past the frozen __setattr__
         if real.__class__ is not Dual and not _isfinite(real):
             raise ValueError(f"real part must be finite, got {real!r}")
         if eps.__class__ is not Dual and not _isfinite(eps):
@@ -167,7 +168,7 @@ class Dual:
         return f"{real} + {eps}ε"
 
 
-_set_real, _set_eps = vars(Dual)["real"].__set__, vars(Dual)["eps"].__set__
+_set_real, _set_eps = Dual.real.__set__, Dual.eps.__set__
 
 
 def _fn(x, name: str, f: Callable[[float], float]):

@@ -339,8 +339,8 @@ def count_trace(
     """
     if n_pulses < 1:
         raise ValueError("need at least one pulse")
-    if t1 <= 0:
-        raise ValueError("invalid medium time: t1 must be positive")
+    if not 0 < t1 < math.inf:
+        raise ValueError(f"invalid medium time: t1 must be positive and finite, got {t1!r}")
     u = spec.time_unit_u
     q = radar._rapidity_factor(omega, spec.light_speed_c)
     rows: list[PulseCounts] = []

@@ -102,8 +102,11 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows just past it
 
 
 def _rapidity_factor(omega: float, c: float) -> float:
-    """e^{omega/c}; a ValueError names omega and c where it overflows."""
+    """e^{omega/c}; a ValueError names an omega that is not finite, and omega
+    and c where e^{omega/c} overflows."""
     if not omega / c <= _LOG_FLOAT_MAX:
+        if not math.isfinite(omega):
+            raise ValueError(f"omega is not finite: {omega!r}")
         raise ValueError(f"exp(omega/c) overflows for omega = {omega!r}, c = {c!r}")
     return math.exp(omega / c)
 

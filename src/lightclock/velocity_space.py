@@ -69,10 +69,12 @@ class TriangleEinstein:
 
 
 def gamma_factor(v: float, c: float) -> float:
-    """sqrt(1 − v²/c²) for a subluminal speed v."""
-    if abs(v) >= c:
+    """sqrt(1 − v²/c²) for a subluminal speed v, within 2 ulps however close
+    |v| comes to c: 1 − |v|/c is formed as (c − |v|)/c, which does not cancel."""
+    a = abs(v)
+    if a >= c:
         raise ValueError("superluminal")
-    return math.sqrt(1.0 - (v / c) ** 2)
+    return math.sqrt((c - a) / c * (1.0 + a / c)) if c != math.inf else 1.0
 
 
 def beta_gamma(v: float, c: float) -> BetaGamma:

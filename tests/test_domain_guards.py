@@ -14,6 +14,7 @@ from lightclock import (
     LightClockSpec,
     PropagationScenario,
     cosmological_constant_for_horizon,
+    count_trace,
     counts_for_length,
     damping_factor,
     gravitational_clock_compare,
@@ -114,11 +115,17 @@ class TestKernelDomains:
              "comparison factors must be positive outside r_s"),
             (lambda: separated_operator_check(lambda t: -1.0, 0.5, 1.0),
              "test function must be positive near the probe point"),
+            (lambda: count_trace(LightClockSpec(1.0), 0.1, math.nan, 3),
+             "invalid medium time: t1 must be positive and finite, got nan"),
+            (lambda: count_trace(LightClockSpec(1.0), 0.1, math.inf, 3),
+             "invalid medium time: t1 must be positive and finite, got inf"),
+            (lambda: count_trace(LightClockSpec(1.0), math.nan, 1.0, 3), "omega is not finite: nan"),
         ],
         ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
              "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
              "transition_profile", "medium_velocity-empty", "medium_velocity-past-b",
-             "GravCompareInput.g1", "gravitational_clock_compare", "separated_operator_check"],
+             "GravCompareInput.g1", "gravitational_clock_compare", "separated_operator_check",
+             "count_trace-t1-nan", "count_trace-t1-inf", "count_trace-omega-nan"],
     )
     def test_refused_naming_the_domain(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -5,11 +5,13 @@ by position or keyword, with the defaults listed below; ``vars()`` maps them
 in that order; ``repr`` spells them; ``==`` and ``hash`` read them, and only
 a record of the same class can be equal; no attribute can be set or deleted,
 nor a field changed through ``vars()``; copy, deepcopy and pickle give an
-equal record; a record can be weakly referenced; and each constructor guard
-raises its message.
+equal record; a record can be weakly referenced; its type is its class, which
+cannot be switched away; the class's signature lists the fields in order with
+their defaults; and each constructor guard raises its message.
 """
 
 import copy
+import inspect
 import math
 import pickle
 import weakref
@@ -169,6 +171,21 @@ class TestRecord:
     def test_weakref(self, cls):
         record = cls(**full(cls))
         assert weakref.ref(record)() is record
+
+    def test_type_is_the_record_class(self, cls):
+        assert type(cls(**full(cls))) is cls
+
+    def test_class_cannot_be_switched_to_its_base(self, cls):
+        record = cls(**full(cls))
+        with pytest.raises(AttributeError):
+            record.__class__ = type(record).__base__
+        assert type(record) is cls and vars(record) == full(cls)
+
+    def test_signature_lists_the_fields_with_their_defaults(self, cls):
+        parameters = inspect.signature(cls).parameters
+        assert list(parameters) == fields(cls)
+        given = {name: p.default for name, p in parameters.items() if p.default is not p.empty}
+        assert given == RECORDS[cls][1]
 
 
 def test_records_of_two_types_with_equal_values_differ():

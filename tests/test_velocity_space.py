@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lightclock import (
+    SPEED_OF_LIGHT,
     Event4,
     beta_gamma,
     compose_einstein,
     einstein_measures,
+    gamma_special,
     interval,
     lorentz_transform,
     minkowski_interval,
@@ -43,6 +47,36 @@ class TestBetaGamma:
         for v in (0.0, 0.1, 0.6, 0.99, -0.73):
             bg = beta_gamma(v, 1.0)
             assert bg.beta * bg.gamma == pytest.approx(1.0, rel=1e-15)
+
+
+class TestGammaAccuracy:
+    """γ = sqrt(1 − v²/c²) stays within 2 ulps of a 60-digit decimal oracle
+    however close |v| comes to c, where 1 − (v/c)² cancels."""
+
+    @pytest.mark.parametrize("draw_c", [
+        lambda rng: 1.0,
+        lambda rng: SPEED_OF_LIGHT,
+        lambda rng: 10.0 ** rng.uniform(-3.0, 9.0),
+    ], ids=["c-1", "c-SI", "c-log-uniform"])
+    def test_within_two_ulps_of_a_decimal_oracle(self, draw_c):
+        rng = random.Random(20_000)
+        worst = (0.0, None)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(6_667):
+                c = draw_c(rng)
+                # |v|/c from 0 to 1 − 1e-16, log-uniform in its distance from 1
+                v = rng.choice((-1.0, 1.0)) * c * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0))
+                if abs(v) >= c:
+                    continue
+                exact = (1 - (Decimal(v) / Decimal(c)) ** 2).sqrt()
+                got = gamma_special(v, c)
+                ulps = float(abs(Decimal(got) - exact) / Decimal(math.ulp(float(exact))))
+                worst = max(worst, (ulps, (v, c)), key=lambda w: w[0])
+        assert worst[0] <= 2.0, worst
+
+    def test_an_infinite_c_gives_one(self):
+        assert gamma_special(0.5, math.inf) == 1.0
 
 
 class TestCompose:
