@@ -49,8 +49,11 @@ def _record(cls):
     slots of a private mutable base class, ``_<name>``, of which the record
     class is a frozen subclass.  ``__new__`` takes the fields by position or
     keyword, writes them into a base instance, switches its class to the
-    record's, then runs ``__post_init__`` if the class has one; a class that
-    defines its own ``__init__`` (``Dual``) keeps it and gets no ``__new__``.
+    record's, then runs ``__post_init__`` if the class has one.  No
+    ``__init__`` follows it, so ``Cls.__new__(Cls, *fields)`` gives the same
+    record as ``Cls(*fields)`` without ``type.__call__``; ``count_trace``
+    builds its rows that way.  A class that defines its own ``__init__``
+    (``Dual``) keeps it and gets no ``__new__``.
     ``repr``, ``==`` (a record of the same class), ``hash`` and ``vars()`` (a
     fresh dict) read the fields; copy and pickle rebuild a record through its
     constructor; setting or deleting an attribute raises AttributeError.  A

@@ -65,8 +65,6 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-# all 15 abscissae of [-1, 1], in ascending order
-_X15 = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
 _EPS = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
@@ -124,13 +122,29 @@ class EquilinearResult:
 
 def _gk15(v: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """QUADPACK qk15 on ∫_a^b v(e^s) ds: the Kronrod estimate and its error.
-    Each sum adds its weight × value terms from 0.0 in ascending-abscissa
-    order, as ``sum`` did up to Python 3.11, uncompensated."""
+    v is called once per abscissa, in ascending-abscissa order.  Each sum
+    adds its weight × value terms from 0.0 in that order, as ``sum`` did up
+    to Python 3.11, uncompensated."""
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     exp = math.exp
-    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = [
-        v(exp(centre + half * x)) for x in _X15]
+    # centre - half·x is centre + half·(-x) bit for bit
+    x0, x1, x2, x3, x4, x5, x6 = _XGK
+    f0 = v(exp(centre - half * x0))
+    f1 = v(exp(centre - half * x1))
+    f2 = v(exp(centre - half * x2))
+    f3 = v(exp(centre - half * x3))
+    f4 = v(exp(centre - half * x4))
+    f5 = v(exp(centre - half * x5))
+    f6 = v(exp(centre - half * x6))
+    f7 = v(exp(centre))
+    f8 = v(exp(centre + half * x6))
+    f9 = v(exp(centre + half * x5))
+    f10 = v(exp(centre + half * x4))
+    f11 = v(exp(centre + half * x3))
+    f12 = v(exp(centre + half * x2))
+    f13 = v(exp(centre + half * x1))
+    f14 = v(exp(centre + half * x0))
     k0, k1, k2, k3, k4, k5, k6, k7 = _WGK  # k7 weighs the centre, f7
     g0, g1, g2, g3 = _WG  # g3 weighs the centre; the even positions weigh 0
     resk = (0.0 + k0 * f0 + k1 * f1 + k2 * f2 + k3 * f3 + k4 * f4 + k5 * f5 + k6 * f6 + k7 * f7
@@ -267,7 +281,9 @@ def medium_velocity(
 def _require_constant_profile(sc: PropagationScenario) -> None:
     grid = _linspace(sc.a, sc.b, 101)
     vals = list(map(sc.velocity_profile, grid))
-    if not all(map(math.isfinite, vals)):
+    # a NaN or inf makes the sum non-finite; so can finite values near the
+    # float limit, which the per-value scan then lets through
+    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
         i = list(map(math.isfinite, vals)).index(False)
         raise ValueError(f"round trip requires a finite propagation speed; the profile is "
                          f"{vals[i]!r} at t = {grid[i]!r}")
@@ -344,6 +360,7 @@ def count_trace(
     u = spec.time_unit_u
     q = radar._rapidity_factor(omega, spec.light_speed_c)
     rows: list[PulseCounts] = []
+    new = PulseCounts.__new__  # the whole constructor: PulseCounts has no __init__
     start = t1
     for i in range(n_pulses):
         mid = start * q
@@ -354,6 +371,6 @@ def count_trace(
         # start is the last row's end, and end and tau2 bound the other columns
         if not (end < math.inf and tau2 < math.inf):
             raise ValueError(f"pulse {i + 1} overflows: its medium times or counts are not finite")
-        rows.append(PulseCounts(tau1, tau2, tau3, start, mid, end))
+        rows.append(new(PulseCounts, tau1, tau2, tau3, start, mid, end))
         start = end
     return rows

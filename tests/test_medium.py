@@ -1,9 +1,11 @@
 import math
+import pickle
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from lightclock import (
@@ -208,6 +210,32 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="constant to-and-fro"):
             roundtrip(sc, 0.5, 1.0)
 
+    # the check reads the profile on 101 points of [a, b] = [1, 2]: 1 + i/100
+    GRID = [i * 0.01 + 1.0 for i in range(100)] + [2.0]
+
+    def test_a_constant_near_the_float_limit_is_accepted(self):
+        # its 101 values sum past the float range, yet each is finite and all are equal
+        sc = PropagationScenario(lambda t: 1e308, t1=1.0, a=1.0, b=2.0, c=1.0)
+        assert roundtrip(sc, 0.3, 2.0) == roundtrip(constant_speed(1.0), 0.3, 2.0)
+
+    @pytest.mark.parametrize("value, i", [(math.nan, 37), (math.inf, 100)], ids=["nan", "inf-at-b"])
+    def test_one_non_finite_grid_value_is_refused_naming_its_t(self, value, i):
+        t = self.GRID[i]
+        sc = PropagationScenario(lambda x: value if x == t else 1.0, t1=1.0, a=1.0, b=2.0, c=1.0)
+        with pytest.raises(ValueError) as info:
+            roundtrip(sc, 0.5, 1.0)
+        assert str(info.value) == ("round trip requires a finite propagation speed; "
+                                   f"the profile is {value!r} at t = {t!r}")
+
+    def test_finite_values_of_alternating_sign_are_refused_as_varying(self):
+        # ±1e308 in turn: a finite sum, whose spread overflows to inf
+        signs = {t: (-1.0) ** i for i, t in enumerate(self.GRID)}
+        sc = PropagationScenario(lambda t: signs[t] * 1e308, t1=1.0, a=1.0, b=2.0, c=1.0)
+        with pytest.raises(ValueError) as info:
+            roundtrip(sc, 0.5, 1.0)
+        assert str(info.value) == ("round trip requires a constant to-and-fro propagation speed; "
+                                   "the supplied profile varies over [a, b]")
+
 
 class TestEquilinear:
     def test_log_additivity(self):
@@ -362,6 +390,23 @@ class TestCountTrace:
                                         t1=start, t2=start * q, t3=end))
             start = end
         assert count_trace(LightClockSpec(u, 1.0), 0.8, 2.0, 5) == expected
+
+    @given(
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.floats(min_value=0.0, max_value=0.5),
+        st.floats(min_value=1e-6, max_value=1e6),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_rows_are_the_records_the_class_call_builds(self, L, omega, t1, n):
+        # count_trace builds each row through PulseCounts.__new__, not the class call
+        for row in count_trace(LightClockSpec(L, 1.0), omega, t1, n):
+            assert type(row) is PulseCounts
+            with pytest.raises(AttributeError, match="frozen record"):
+                row.tau2 = 0.0
+            built = PulseCounts(*vars(row).values())
+            assert row == built and hash(row) == hash(built)
+            assert pickle.dumps(row) == pickle.dumps(built)
+            assert pickle.loads(pickle.dumps(row)) == built
 
     def test_overflow_names_pulse(self):
         # t3 of pulse n is e^{2n}, past the float range from n = 355
