@@ -29,6 +29,13 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     return [i * step + start for i in range(n - 1)] + [stop]
 
 
+def _positive(what: str, x) -> None:
+    """ValueError "<what> must be positive" unless x > 0: zero, a negative x
+    and NaN (for which every comparison is false) are refused alike."""
+    if not x > 0:
+        raise ValueError(f"{what} must be positive")
+
+
 def _refuse(self, name: str, *_) -> None:
     raise AttributeError(f"cannot set or delete field {name!r} of a frozen record")
 

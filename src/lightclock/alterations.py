@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from . import _record, line_elements, velocity_space
+from . import _positive, _record, line_elements, velocity_space
 
 _STEP = 1e-6  # the central-difference step of separated_operator_check
 
@@ -86,15 +86,14 @@ def gamma_special(v_E: float, c: float) -> float:
 def gamma_gravitational(src: line_elements.GravitySource, R: float) -> float:
     """Gravitational gamma at radius R; identical by construction to the
     special-theory gamma evaluated at the escape velocity sqrt(2GM/R)."""
-    if R <= src.schwarzschild_r0:
+    if not R > src.schwarzschild_r0:
         raise ValueError("R must lie outside the Schwarzschild radius")
     return gamma_special(line_elements.potential_velocity(src, R), src.c)
 
 
 def transverse_doppler(nu_s: float, gamma: float) -> float:
     """Emitted-frequency alteration nu_m = gamma * nu_s."""
-    if nu_s <= 0:
-        raise ValueError("frequency must be positive")
+    _positive("frequency", nu_s)
     _require_unit_interval("gamma", gamma)
     return gamma * nu_s
 
@@ -102,8 +101,7 @@ def transverse_doppler(nu_s: float, gamma: float) -> float:
 def total_doppler(nu_s: float, v_E: float, c: float) -> float:
     """Received frequency for a receding source:
     nu_s * sqrt((1 - v/c)/(1 + v/c))."""
-    if nu_s <= 0:
-        raise ValueError("frequency must be positive")
+    _positive("frequency", nu_s)
     if not (0.0 <= v_E < c):
         raise ValueError("recession velocity must lie in [0, c)")
     K = v_E / c
@@ -112,16 +110,14 @@ def total_doppler(nu_s: float, v_E: float, c: float) -> float:
 
 def decay_lifetime(tau_s: float, gamma: float) -> float:
     """tau_m = tau_s / gamma."""
-    if tau_s <= 0:
-        raise ValueError("lifetime must be positive")
+    _positive("lifetime", tau_s)
     _require_unit_interval("gamma", gamma)
     return tau_s / gamma
 
 
 def mass_alteration(M_s: float, gamma: float) -> float:
     """M_m = M_s / gamma."""
-    if M_s <= 0:
-        raise ValueError("mass must be positive")
+    _positive("mass", M_s)
     _require_unit_interval("gamma", gamma)
     return M_s / gamma
 
@@ -163,6 +159,7 @@ def gravitational_clock_compare(inp: GravCompareInput) -> float:
 def frequency_compare(g1_P: float, g1_R: float, nu_R: float) -> float:
     """Solve sqrt(g1(P))·nu_P = sqrt(g1(R))·nu_R for nu_P."""
     _require_unit_interval("g1 factors", g1_P, g1_R)
+    _positive("frequency", nu_R)
     return math.sqrt(g1_R / g1_P) * nu_R
 
 
@@ -176,5 +173,6 @@ def rate_of_change_compare(
     g1_P: float, g1_R: float, dQ_P_per_second: float
 ) -> float:
     """Solve sqrt(g1(P))·rate_P = sqrt(g1(R))·rate_R for the R-side rate:
-    the frequency law with the two positions swapped."""
-    return frequency_compare(g1_R, g1_P, dQ_P_per_second)
+    the frequency law with the two positions swapped; a rate may be negative."""
+    _require_unit_interval("g1 factors", g1_R, g1_P)
+    return math.sqrt(g1_P / g1_R) * dQ_P_per_second

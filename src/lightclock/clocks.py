@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from . import SPEED_OF_LIGHT, _record
+from . import SPEED_OF_LIGHT, _positive, _record
 
 
 @_record
@@ -21,10 +21,8 @@ class LightClockSpec:
     light_speed_c: float = SPEED_OF_LIGHT  # m/s
 
     def __post_init__(self):
-        if not self.round_trip_length_L > 0:
-            raise ValueError("round_trip_length_L must be positive")
-        if not self.light_speed_c > 0:
-            raise ValueError("light_speed_c must be positive")
+        _positive("round_trip_length_L", self.round_trip_length_L)
+        _positive("light_speed_c", self.light_speed_c)
 
     @property
     def time_unit_u(self) -> float:
@@ -74,7 +72,7 @@ def distance_from_counts(spec: LightClockSpec, p: CountPair) -> float:
 
 def counts_for_length(spec: LightClockSpec, r: float) -> int:
     """Nearest whole-tick count covering distance r; residual ≤ L/2."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("length must be non-negative")
     return round(r / spec.round_trip_length_L)
 

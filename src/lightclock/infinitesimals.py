@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from . import _record
+from . import _positive, _record
 
 _isfinite = math.isfinite
 _ZERO_DIVISOR = "infinitesimal division: divisor has zero standard part"
@@ -211,8 +211,7 @@ def standard_part(a: Dual | int | float) -> float:
 
 def infinitely_close(a: float, b: float, tol: float) -> bool:
     """Desk-scale ≈ relation: |a − b| ≤ tol (boundary inclusive)."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _positive("tolerance", tol)
     return abs(a - b) <= tol
 
 

@@ -14,7 +14,7 @@ import math
 import warnings
 from collections.abc import Callable
 
-from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _record, infinitesimals
+from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _positive, _record, infinitesimals
 
 
 @_record
@@ -160,7 +160,7 @@ def linear_interval(lam: LambdaFactor, dt, dr, c: float):
 def schwarzschild_lambda(src: GravitySource, R: float) -> float:
     """1 − r0/R for R strictly outside the Schwarzschild radius."""
     r0 = src.schwarzschild_r0
-    if R <= r0:
+    if not R > r0:
         raise ValueError(
             f"R={R} is at or inside the Schwarzschild radius r0={r0}; "
             "use the transition module for the interior"
@@ -170,15 +170,13 @@ def schwarzschild_lambda(src: GravitySource, R: float) -> float:
 
 def potential_velocity(src: GravitySource, R: float) -> float:
     """Newtonian escape velocity sqrt(2GM/R) = c·sqrt(r0/R)."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _positive("R", R)
     return src.c * math.sqrt(src.schwarzschild_r0 / R)
 
 
 def modified_schwarzschild_lambda(src: GravitySource, R: float) -> float:
     """1 − r0/R − (1/3)·Lambda·R², Lambda in m^-2; the de Sitter factor at r0 = 0."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _positive("R", R)
     return modified_lambda(src.schwarzschild_r0, src.lambda_per_m2, R)
 
 
@@ -228,8 +226,7 @@ def horizon_roots(src: GravitySource) -> list[float]:
 def cosmological_constant_for_horizon(r0: float, R: float) -> float:
     """Lambda (m^-2) that places a horizon exactly at radius R:
     3(1 − r0/R)/R²."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _positive("R", R)
     return 3.0 * (1.0 - r0 / R) / (R * R)
 
 
@@ -247,8 +244,7 @@ def robertson_walker_interval(a: float, p: MetricPoint, c: float):
 
 def newtonian_first_approx(src: GravitySource, r: float, dt, dr, c: float):
     """(1 − 2GM/(rc²))(c dt)² − (1 + 2GM/(rc²))dr², valid for weak fields."""
-    if not r > 0:
-        raise ValueError("r must be positive")
+    _positive("r", r)
     x = src.schwarzschild_r0 / r
     if x > 0.1:
         warnings.warn(
@@ -264,7 +260,7 @@ def radar_coordinate_time(
     """Coordinate flight time of a radial pulse between R1 and R2:
     c·Δt = (R2 − R1) + r0·ln((R2 − r0)/(R1 − r0))."""
     r0 = src.schwarzschild_r0
-    if R1 <= r0 or R2 <= r0:
+    if not (R1 > r0 and R2 > r0):
         raise ValueError("both radii must lie outside the Schwarzschild radius")
     if R2 < R1:
         raise ValueError("R2 must not be less than R1")

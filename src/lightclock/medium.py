@@ -29,7 +29,7 @@ import warnings
 from collections.abc import Callable
 from operator import mul
 
-from . import SPEED_OF_LIGHT, _linspace, _record, clocks, radar
+from . import SPEED_OF_LIGHT, _linspace, _positive, _record, clocks, radar
 
 _QUAD_TOL = 1e-12
 _QUAD_LIMIT = 200  # subintervals
@@ -337,8 +337,7 @@ def parallel_photon_offset(
     """Transverse separation of two parallel-emitted photons after a medium
     recession omega: the hyperbolic value u·e^{omega/c}·dt_emit alongside the
     classical u·dt_emit."""
-    if dt_emit <= 0:
-        raise ValueError("emission gap must be positive")
+    _positive("emission gap", dt_emit)
     return (u * radar._rapidity_factor(omega, c) * dt_emit, u * dt_emit)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 
-from . import _record
+from . import _positive, _record
 
 
 @_record
@@ -38,8 +38,7 @@ class Rapidity:
     def __post_init__(self):
         if not self.omega >= 0:
             raise ValueError("medium velocity must be non-negative")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        _positive("c", self.c)
 
 
 @_record
@@ -102,8 +101,12 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows just past it
 
 
 def _rapidity_factor(omega: float, c: float) -> float:
-    """e^{omega/c}; a ValueError names an omega that is not finite, and omega
-    and c where e^{omega/c} overflows."""
+    """e^{omega/c}, the one place it is computed.  A medium velocity is
+    unsigned (a record gives e^{omega/c} = sqrt(t3/t1) >= 1), so a negative
+    omega, -inf too, is refused; a ValueError also names an omega that is not
+    finite, and omega and c where e^{omega/c} overflows."""
+    if omega < 0:
+        raise ValueError("medium velocity must be non-negative")
     if not omega / c <= _LOG_FLOAT_MAX:
         if not math.isfinite(omega):
             raise ValueError(f"omega is not finite: {omega!r}")
@@ -114,7 +117,5 @@ def _rapidity_factor(omega: float, c: float) -> float:
 def record_from_rapidity(omega: float, c: float, t1: float) -> RadarRecord:
     """Record (t1, t1·e^{omega/c}, t1·e^{2omega/c}); satisfies the
     geometric-mean law by construction (RadarRecord checks t1)."""
-    if omega < 0:
-        raise ValueError("medium velocity must be non-negative")
     q = _rapidity_factor(omega, c)
     return RadarRecord(t1=t1, t2=t1 * q, t3=t1 * q * q)

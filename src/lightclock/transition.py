@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from . import _record, line_elements
+from . import _positive, _record, line_elements
 
 
 class _Unbounded:
@@ -30,22 +30,21 @@ UNBOUNDED = _Unbounded()
 def middle_branch(x, k: float):
     """Cubic −x³/(2k⁴) + 7x²/(4k³) − x/k² − 1/k joining the two outer
     branches with matching value and slope."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    _positive("k", k)
     s = x / k  # Horner's rule in x/k: no power of k to overflow
     return (((-0.5 * s + 1.75) * s - 1.0) * s - 1.0) / k
 
 
 def _bridge(x, k: float, inner, middle):
-    """inner(x) for x ≤ 0, middle(x) for 0 < x ≤ 2k, 0 beyond; x is a number
-    (float path, no numpy) or array-like (numpy.piecewise)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    """inner(x) for x ≤ 0, 0 for x > 2k, middle(x) otherwise (0 < x ≤ 2k, or
+    a NaN x, for which middle gives NaN); x is a number (float path, no
+    numpy) or array-like (numpy.piecewise)."""
+    _positive("k", k)
     if isinstance(x, (int, float)):  # numpy.float64 is a float
         x = float(x)
         if x <= 0.0:
             return inner(x)
-        return middle(x) if x <= 2.0 * k else 0.0
+        return 0.0 if x > 2.0 * k else middle(x)
     try:
         import numpy as np
     except ImportError as exc:
@@ -54,8 +53,8 @@ def _bridge(x, k: float, inner, middle):
     arr = np.asarray(x, dtype=float)
     out = np.piecewise(
         arr,
-        [arr <= 0.0, (arr > 0.0) & (arr <= 2.0 * k)],
-        [inner, middle, 0.0],
+        [arr <= 0.0, arr > 2.0 * k],
+        [inner, 0.0, middle],  # middle, the default, also takes a NaN x
     )
     return float(out) if arr.ndim == 0 else out
 
@@ -86,8 +85,7 @@ def damping_factor(R: float, src: line_elements.GravitySource):
     no real standard part exists (its product with any dR still standardizes
     to 0, so interval assembly drops the term).
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _positive("R", R)
     r0 = src.schwarzschild_r0
     if R > r0:
         return 0.0
@@ -116,8 +114,7 @@ def transformed_radial_interval(src: line_elements.GravitySource, p: line_elemen
     with p.dt read as dU; the surface's unbounded damping contributes nothing
     because its product with dR standardizes to zero.
     """
-    if p.R <= 0:
-        raise ValueError("R must be positive")
+    _positive("R", p.R)
     c = src.c
     r0 = src.schwarzschild_r0
     lam = 1.0 - r0 / p.R
@@ -144,8 +141,7 @@ def partial_interval(
     form is singular at lambda = k, where the transformation has no local
     inverse.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    _positive("k", k)
     lam = region_lambda
     if lam <= 0.0:
         value = (lam - k) * (c * dtime) * (c * dtime) - 2.0 * c * dtime * dR
@@ -162,8 +158,7 @@ def partial_interval(
 def photon_families(lamval: float, k: float, c: float) -> tuple[float, float]:
     """Coordinate speeds ±c(lambda − k) of the two photon families in the
     transition zone 0 < lambda ≤ 2k."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    _positive("k", k)
     if not (0.0 < lamval <= 2.0 * k):
         raise ValueError("transition zone requires 0 < lambda <= 2k")
     speed = c * (lamval - k)

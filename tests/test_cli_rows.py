@@ -164,6 +164,14 @@ class TestFailuresNameTheirCause:
               "--z", "1e200"), ["lorentz:", "'interval_before'", "y=1e+200"]),
             (("metric", "rw", "--a", "1e-300", "--R", "1", "--c", "1"),
              ["metric rw:", "curvature singularity", "a=1e-300"]),
+            # a medium velocity is unsigned in every sim row, and a frequency is positive
+            (("sim", "counts", "--omega", "-1", "--t1", "1", "--n-pulses", "2", "--L", "1",
+              "--natural-units"), ["sim counts:", "medium velocity must be non-negative",
+                                   "omega=-1.0"]),
+            (("sim", "offset", "--u", "1", "--omega", "-1", "--dt-emit", "1", "--c", "1"),
+             ["sim offset:", "medium velocity must be non-negative", "omega=-1.0"]),
+            (("compare-frequency", "--g1-p", "0.9", "--g1-r", "0.8", "--nu-r", "-1"),
+             ["compare-frequency:", "frequency must be positive", "nu_r=-1.0"]),
         ],
     )
     def test_domain_error_names_its_cause(self, argv, named):

@@ -12,22 +12,39 @@ from lightclock import (
     GravCompareInput,
     LambdaFactor,
     LightClockSpec,
+    MetricPoint,
     PropagationScenario,
     cosmological_constant_for_horizon,
     count_trace,
     counts_for_length,
     damping_factor,
+    decay_lifetime,
+    frequency_compare,
+    gamma_gravitational,
     gravitational_clock_compare,
     horizon_roots,
+    infinitely_close,
     linear_interval,
+    mass_alteration,
     medium_velocity,
     middle_branch,
+    modified_schwarzschild_lambda,
     newtonian_first_approx,
+    parallel_photon_offset,
+    partial_interval,
+    photon_families,
     potential_velocity,
+    radar_coordinate_time,
+    rate_of_change_compare,
+    schwarzschild_lambda,
     separated_operator_check,
     source_from_mass,
     source_from_r0,
+    total_doppler,
+    transformed_radial_interval,
     transition_profile,
+    transition_profile_prime,
+    transverse_doppler,
 )
 
 
@@ -88,6 +105,7 @@ class TestZeroRadius:
 
 
 SCENARIO = PropagationScenario(lambda t: 1.0, t1=1.0, a=1.0, b=2.0, c=1.0)
+SRC = source_from_r0(1.0, 1.0)
 
 
 class TestKernelDomains:
@@ -120,16 +138,63 @@ class TestKernelDomains:
             (lambda: count_trace(LightClockSpec(1.0), 0.1, math.inf, 3),
              "invalid medium time: t1 must be positive and finite, got inf"),
             (lambda: count_trace(LightClockSpec(1.0), math.nan, 1.0, 3), "omega is not finite: nan"),
+            # a NaN fails every comparison, so each guard is written in the form it cannot pass
+            (lambda: middle_branch(0.1, math.nan), "k must be positive"),
+            (lambda: transition_profile(0.5, math.nan), "k must be positive"),
+            (lambda: transition_profile_prime(0.5, math.nan), "k must be positive"),
+            (lambda: partial_interval(0.5, math.nan, 1.0, 1.0, 1.0), "k must be positive"),
+            (lambda: photon_families(0.5, math.nan, 1.0), "k must be positive"),
+            (lambda: potential_velocity(SRC, math.nan), "R must be positive"),
+            (lambda: modified_schwarzschild_lambda(SRC, math.nan), "R must be positive"),
+            (lambda: cosmological_constant_for_horizon(1.0, math.nan), "R must be positive"),
+            (lambda: damping_factor(math.nan, SRC), "R must be positive"),
+            (lambda: transformed_radial_interval(SRC, MetricPoint(math.nan)),
+             "R must be positive"),
+            (lambda: transverse_doppler(math.nan, 0.5), "frequency must be positive"),
+            (lambda: total_doppler(math.nan, 0.5, 1.0), "frequency must be positive"),
+            (lambda: frequency_compare(0.9, 0.8, math.nan), "frequency must be positive"),
+            (lambda: decay_lifetime(math.nan, 0.5), "lifetime must be positive"),
+            (lambda: mass_alteration(math.nan, 0.5), "mass must be positive"),
+            (lambda: parallel_photon_offset(1, 0.1, 1, math.nan), "emission gap must be positive"),
+            (lambda: infinitely_close(1.0, 1.0, math.nan), "tolerance must be positive"),
+            (lambda: schwarzschild_lambda(SRC, math.nan),
+             "R=nan is at or inside the Schwarzschild radius r0=1.0; "
+             "use the transition module for the interior"),
+            (lambda: gamma_gravitational(SRC, math.nan),
+             "R must lie outside the Schwarzschild radius"),
+            (lambda: radar_coordinate_time(SRC, 2.0, math.nan, 1.0),
+             "both radii must lie outside the Schwarzschild radius"),
+            (lambda: counts_for_length(LightClockSpec(1.0), math.nan),
+             "length must be non-negative"),
+            # a medium velocity is unsigned wherever e^{omega/c} is computed
+            (lambda: count_trace(LightClockSpec(1.0, 1.0), -1.0, 1.0, 2),
+             "medium velocity must be non-negative"),
+            (lambda: parallel_photon_offset(1, -1, 1, 1), "medium velocity must be non-negative"),
+            (lambda: frequency_compare(0.9, 0.8, -1.0), "frequency must be positive"),
         ],
         ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
              "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
              "transition_profile", "medium_velocity-empty", "medium_velocity-past-b",
              "GravCompareInput.g1", "gravitational_clock_compare", "separated_operator_check",
-             "count_trace-t1-nan", "count_trace-t1-inf", "count_trace-omega-nan"],
+             "count_trace-t1-nan", "count_trace-t1-inf", "count_trace-omega-nan",
+             "middle_branch-k-nan", "transition_profile-k-nan", "transition_profile_prime-k-nan",
+             "partial_interval-k-nan", "photon_families-k-nan", "potential_velocity-R-nan",
+             "modified_schwarzschild_lambda-R-nan", "cosmological_constant_for_horizon-R-nan",
+             "damping_factor-R-nan", "transformed_radial_interval-R-nan",
+             "transverse_doppler-nu-nan", "total_doppler-nu-nan", "frequency_compare-nu-nan",
+             "decay_lifetime-tau-nan", "mass_alteration-M-nan", "parallel_photon_offset-gap-nan",
+             "infinitely_close-tol-nan", "schwarzschild_lambda-R-nan",
+             "gamma_gravitational-R-nan", "radar_coordinate_time-R2-nan",
+             "counts_for_length-nan", "count_trace-omega-negative",
+             "parallel_photon_offset-omega-negative", "frequency_compare-nu-negative"],
     )
     def test_refused_naming_the_domain(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+    def test_a_rate_of_change_may_be_negative(self):
+        # the frequency law refuses nu_R <= 0; the rate law that shares its form does not
+        assert rate_of_change_compare(0.9, 0.8, -2.0) == -2.1213203435596424
 
 
 class TestCountLimit:

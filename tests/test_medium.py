@@ -414,9 +414,9 @@ class TestCountTrace:
         assert len(count_trace(spec, 1.0, 1.0, 354)) == 354
         with pytest.raises(ValueError, match="pulse 355 overflows"):
             count_trace(spec, 1.0, 1.0, 2000)
-        # receding times: the first counts overflow, the later ones would not
+        # the first pulse's counts overflow where its medium times do not
         with pytest.raises(ValueError, match="pulse 1 overflows"):
-            count_trace(LightClockSpec(1e-10, 1.0), -50.0, 1e300, 5)
+            count_trace(LightClockSpec(1e-10, 1.0), 0.0, 1e300, 5)
 
     def test_a_million_pulses_stop_at_the_first_overflow(self):
         with pytest.raises(ValueError, match="pulse 355 overflows"):

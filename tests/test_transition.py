@@ -53,8 +53,10 @@ class TestProfileValues:
             for p in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
         ] + [-k, 0.5 * k, 1.5 * k, 3.0 * k]
         points += np.random.default_rng(41).uniform(0.0, 2.0 * k, 200).tolist()
+        points.append(math.nan)
         for fn in (transition_profile, transition_profile_prime):
             array = fn(np.array(points), k)
+            assert math.isnan(array[-1])  # a NaN x gives NaN, not the 0.0 beyond 2k
             for x, expected in zip(points, array):
                 for arg in (x, np.float64(x), np.array(x)):
                     value = fn(arg, k)
