@@ -57,14 +57,14 @@ def _record(cls):
     class is a frozen subclass.  ``__new__`` takes the fields by position or
     keyword, writes them into a base instance, switches its class to the
     record's, then runs ``__post_init__`` if the class has one.  No
-    ``__init__`` follows it, so ``Cls.__new__(Cls, *fields)`` gives the same
-    record as ``Cls(*fields)`` without ``type.__call__``; ``count_trace``
-    builds its rows that way.  A class that defines its own ``__init__``
-    (``Dual``) keeps it and gets no ``__new__``.
+    ``__init__`` follows it, so ``Cls.__new__(Cls, **fields)`` gives the same
+    record as ``Cls(**fields)`` without ``type.__call__``; the kernels build
+    the records they return that way.
     ``repr``, ``==`` (a record of the same class), ``hash`` and ``vars()`` (a
     fresh dict) read the fields; copy and pickle rebuild a record through its
     constructor; setting or deleting an attribute raises AttributeError.  A
-    method the class defines itself is kept."""
+    method the class defines itself is kept and not compiled: ``Dual``
+    defines its own ``__new__``."""
     names, body = list(cls.__annotations__), vars(cls)
     base = type(f"_{cls.__name__}", cls.__bases__,
                 {"__slots__": (*names, "__weakref__"), "__module__": cls.__module__})
@@ -83,8 +83,7 @@ def _record(cls):
                           f" return ({mine}) == ({theirs}) if other.__class__ is self.__class__"
                           " else NotImplemented"],
                "__hash__": [f"def __hash__(self): return hash(({mine}))"]}
-    own = {*body, "__new__"} if "__init__" in body else body
-    source = [line for k, lines in methods.items() if k not in own for line in lines]
+    source = [line for k, lines in methods.items() if k not in body for line in lines]
     scope = {"__name__": cls.__module__, "_body": body, "_base": base}
     exec("\n".join([*source, f"__dict__ = property(lambda self: {{{pairs}}})"]), scope)
     if "__new__" in scope:

@@ -42,7 +42,8 @@ def _require_unit_interval(what: str, *values: float) -> None:
 
 def alteration_report(gamma: float) -> AlterationReport:
     _require_unit_interval("gamma", gamma)
-    return AlterationReport(
+    return AlterationReport.__new__(
+        AlterationReport,
         gamma=gamma,
         frequency_ratio=gamma,
         lifetime_ratio=1.0 / gamma,

@@ -104,7 +104,8 @@ def einstein_from_count_diagram(
     t_E = spec.time_unit_u * te_counts
     r_E = spec.round_trip_length_L * re_counts
     v_E = r_E / t_E if t_E > 0 else 0.0
-    return CountDiagramMeasures(
+    return CountDiagramMeasures.__new__(
+        CountDiagramMeasures,
         t_E_counts=te_counts,
         r_E_counts=re_counts,
         t_E=t_E,

@@ -31,32 +31,37 @@ class Dual:
     real: float
     eps: float = 0.0
 
-    def __init__(self, real, eps=0.0):
-        # Dual keeps its own __init__ (and gets no generated __new__): arithmetic
-        # builds a Dual per operation, a Dual part was checked when built, and
-        # the setters of the private base's slots go past the frozen __setattr__
+    def __new__(cls, real, eps=0.0):
+        # Dual defines its own __new__ (and gets no generated one): arithmetic
+        # builds a Dual per operation through _new, one frame with no
+        # __post_init__, and a Dual part was checked when it was built
         if real.__class__ is not Dual and not _isfinite(real):
             raise ValueError(f"real part must be finite, got {real!r}")
         if eps.__class__ is not Dual and not _isfinite(eps):
             raise ValueError(f"infinitesimal coefficient must be finite, got {eps!r}")
-        _set_real(self, real)
-        _set_eps(self, eps)
+        self = _Base()
+        self.real = real
+        self.eps = eps
+        self.__class__ = cls
+        return self
 
     # -- ring operations, truncated at first order -------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dual(self.real + other.real, self.eps + other.eps)
+        if other.__class__ is not Dual:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _new(Dual, self.real + other.real, self.eps + other.eps)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dual(self.real - other.real, self.eps - other.eps)
+        if other.__class__ is not Dual:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _new(Dual, self.real - other.real, self.eps - other.eps)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -66,24 +71,23 @@ class Dual:
 
     def __mul__(self, other):
         if other.__class__ is Dual:
-            return Dual(
-                self.real * other.real,
-                self.real * other.eps + self.eps * other.real,
-            )
+            return _new(Dual, self.real * other.real,
+                        self.real * other.eps + self.eps * other.real)
         if isinstance(other, (int, float)):
-            return Dual(self.real * other, self.eps * other)
+            return _new(Dual, self.real * other, self.eps * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Dual:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if _real_of(other) == 0.0:
             raise ZeroDivisionError(_ZERO_DIVISOR)
         r = self.real / other.real
-        return Dual(r, (self.eps - r * other.eps) / other.real)
+        return _new(Dual, r, (self.eps - r * other.eps) / other.real)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -92,22 +96,22 @@ class Dual:
         return other / self
 
     def __neg__(self):
-        return Dual(-self.real, -self.eps)
+        return _new(Dual, -self.real, -self.eps)
 
     def __pow__(self, n):
         if isinstance(n, int) or (isinstance(n, float) and n.is_integer()):
             n = int(n)
             if n == 0:
-                return Dual(1.0, 0.0)
+                return _new(Dual, 1.0, 0.0)
             if n < 0 and _real_of(self) == 0.0:
                 raise ZeroDivisionError(_ZERO_DIVISOR)
         elif self.real <= 0.0:  # a Dual part compares its standard part
             raise ValueError("fractional power of a non-positive dual")
-        return Dual(self.real**n, n * self.real ** (n - 1) * self.eps)
+        return _new(Dual, self.real**n, n * self.real ** (n - 1) * self.eps)
 
     def __abs__(self):
         s = math.copysign(1.0, _real_of(self))
-        return Dual(abs(self.real), s * self.eps)
+        return _new(Dual, abs(self.real), s * self.eps)
 
     # -- comparisons act on the standard part ------------------------------
 
@@ -127,40 +131,42 @@ class Dual:
 
     def sqrt(self):
         r = _fn(self.real, "sqrt", math.sqrt)
-        return Dual(r, self.eps / (2.0 * r))
+        return _new(Dual, r, self.eps / (2.0 * r))
 
     def exp(self):
         e = _fn(self.real, "exp", math.exp)
-        return Dual(e, e * self.eps)
+        return _new(Dual, e, e * self.eps)
 
     def log(self):
-        return Dual(_fn(self.real, "log", math.log), self.eps / self.real)
+        return _new(Dual, _fn(self.real, "log", math.log), self.eps / self.real)
 
     def sin(self):
-        return Dual(_fn(self.real, "sin", math.sin), _fn(self.real, "cos", math.cos) * self.eps)
+        x = self.real
+        return _new(Dual, _fn(x, "sin", math.sin), _fn(x, "cos", math.cos) * self.eps)
 
     def cos(self):
-        return Dual(_fn(self.real, "cos", math.cos), -_fn(self.real, "sin", math.sin) * self.eps)
+        x = self.real
+        return _new(Dual, _fn(x, "cos", math.cos), -_fn(x, "sin", math.sin) * self.eps)
 
     def tan(self):
         x = self.real
-        return Dual(_fn(x, "tan", math.tan), self.eps / _fn(x, "cos", math.cos) ** 2)
+        return _new(Dual, _fn(x, "tan", math.tan), self.eps / _fn(x, "cos", math.cos) ** 2)
 
     def sinh(self):
         x = self.real
-        return Dual(_fn(x, "sinh", math.sinh), _fn(x, "cosh", math.cosh) * self.eps)
+        return _new(Dual, _fn(x, "sinh", math.sinh), _fn(x, "cosh", math.cosh) * self.eps)
 
     def cosh(self):
         x = self.real
-        return Dual(_fn(x, "cosh", math.cosh), _fn(x, "sinh", math.sinh) * self.eps)
+        return _new(Dual, _fn(x, "cosh", math.cosh), _fn(x, "sinh", math.sinh) * self.eps)
 
     def tanh(self):
         x = self.real
-        return Dual(_fn(x, "tanh", math.tanh), self.eps / _fn(x, "cosh", math.cosh) ** 2)
+        return _new(Dual, _fn(x, "tanh", math.tanh), self.eps / _fn(x, "cosh", math.cosh) ** 2)
 
     def arctan(self):
         x = self.real
-        return Dual(_fn(x, "arctan", math.atan), self.eps / (1.0 + x**2))
+        return _new(Dual, _fn(x, "arctan", math.atan), self.eps / (1.0 + x**2))
 
     def __repr__(self):
         # a Dual part is parenthesised, so each level of a hyper-dual shows
@@ -168,7 +174,8 @@ class Dual:
         return f"{real} + {eps}ε"
 
 
-_set_real, _set_eps = Dual.real.__set__, Dual.eps.__set__
+_Base = Dual.__base__  # the private mutable class whose slots hold the parts
+_new = Dual.__new__  # the whole constructor: Dual has no __init__
 
 
 def _fn(x, name: str, f: Callable[[float], float]):
@@ -180,7 +187,7 @@ def _coerce(x):
     if isinstance(x, Dual):
         return x
     if isinstance(x, (int, float)):
-        return Dual(float(x), 0.0)
+        return _new(Dual, float(x), 0.0)
     return NotImplemented
 
 
@@ -217,5 +224,5 @@ def infinitely_close(a: float, b: float, tol: float) -> bool:
 
 def derivative(f: Callable[[Dual], Dual], x: float) -> float:
     """First derivative of f at x read off the ε coefficient of f(x + ε)."""
-    y = f(Dual(float(x), 1.0))
+    y = f(_new(Dual, float(x), 1.0))
     return y.eps if isinstance(y, Dual) else 0.0

@@ -327,4 +327,4 @@ def hubble_deceleration(
     residual = None
     if rho is not None:
         residual = q * H * H - 4.0 * math.pi * G * rho / 3.0
-    return ExpansionRates(H=H, q=q, friedmann_residual=residual)
+    return ExpansionRates.__new__(ExpansionRates, H=H, q=q, friedmann_residual=residual)

@@ -266,7 +266,8 @@ def medium_velocity(
         sizes = list(map(abs, values))
         smallest = min(sizes)
         if smallest <= 1e-12 * max(1.0, max(sizes)):
-            return MediumVelocity(omega, grid[sizes.index(smallest)])
+            witness = grid[sizes.index(smallest)]
+            return MediumVelocity.__new__(MediumVelocity, omega=omega, witness=witness)
         # every |g| is beyond the tolerance here, so no product underflows
         for i, product in enumerate(map(mul, values, values[1:])):
             if product <= 0.0:
@@ -274,7 +275,7 @@ def medium_velocity(
                 # a jump in v changes g's sign with no root: bisected, it leaves |g| large
                 if abs(gap(t)) > _WITNESS_TOL * max(abs(omega), max(sizes)):
                     raise ValueError(_NO_WITNESS)
-                return MediumVelocity(omega, t)
+                return MediumVelocity.__new__(MediumVelocity, omega=omega, witness=t)
     raise ValueError(_NO_WITNESS)
 
 
@@ -328,7 +329,8 @@ def equilinear_check(
     w1 = _integral(sc.velocity_profile, t1, t2)
     w2 = _integral(back.velocity_profile, t2, t3)
     w3 = _integral(sc.velocity_profile, t1, t3)
-    return EquilinearResult(w1=w1, w2=w2, w3=w3, residual=abs(w1 + w2 - w3))
+    residual = abs(w1 + w2 - w3)
+    return EquilinearResult.__new__(EquilinearResult, w1=w1, w2=w2, w3=w3, residual=residual)
 
 
 def parallel_photon_offset(

@@ -71,7 +71,8 @@ def einstein_measures(rec: RadarRecord, c: float) -> EinsteinMeasures:
     degenerate = r_E == 0.0
     v_E = 0.0 if degenerate else r_E / t_E
     K = v_E / c
-    return EinsteinMeasures(
+    return EinsteinMeasures.__new__(
+        EinsteinMeasures,
         t_E=t_E,
         r_E=r_E,
         v_E=v_E,
@@ -94,7 +95,7 @@ def rapidity_from_vE(v_E: float, c: float) -> Rapidity:
     """omega = c·artanh(|v_E|/c)."""
     if abs(v_E) >= c:
         raise ValueError("superluminal Einstein velocity")
-    return Rapidity(omega=c * math.atanh(abs(v_E) / c), c=c)
+    return Rapidity.__new__(Rapidity, omega=c * math.atanh(abs(v_E) / c), c=c)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows just past it
@@ -103,10 +104,12 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows just past it
 def _rapidity_factor(omega: float, c: float) -> float:
     """e^{omega/c}, the one place it is computed.  A medium velocity is
     unsigned (a record gives e^{omega/c} = sqrt(t3/t1) >= 1), so a negative
-    omega, -inf too, is refused; a ValueError also names an omega that is not
-    finite, and omega and c where e^{omega/c} overflows."""
+    omega, -inf too, is refused, and so is a c that is not positive, NaN too;
+    a ValueError also names an omega that is not finite, and omega and c where
+    e^{omega/c} overflows."""
     if omega < 0:
         raise ValueError("medium velocity must be non-negative")
+    _positive("c", c)
     if not omega / c <= _LOG_FLOAT_MAX:
         if not math.isfinite(omega):
             raise ValueError(f"omega is not finite: {omega!r}")
@@ -118,4 +121,4 @@ def record_from_rapidity(omega: float, c: float, t1: float) -> RadarRecord:
     """Record (t1, t1·e^{omega/c}, t1·e^{2omega/c}); satisfies the
     geometric-mean law by construction (RadarRecord checks t1)."""
     q = _rapidity_factor(omega, c)
-    return RadarRecord(t1=t1, t2=t1 * q, t3=t1 * q * q)
+    return RadarRecord.__new__(RadarRecord, t1=t1, t2=t1 * q, t3=t1 * q * q)

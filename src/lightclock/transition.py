@@ -145,14 +145,15 @@ def partial_interval(
     lam = region_lambda
     if lam <= 0.0:
         value = (lam - k) * (c * dtime) * (c * dtime) - 2.0 * c * dtime * dR
-        return PartialInterval(value=value, branch="interior")
+        return PartialInterval.__new__(PartialInterval, value=value, branch="interior")
     if lam >= 2.0 * k:
         branch, shifted = "exterior", dtime
     elif lam == k:
         raise ValueError("transition singularity at lambda=k")
     else:
         branch, shifted = "transition", dtime - middle_branch(lam, k) * dR / c
-    return PartialInterval(value=line_elements.radial_form(lam - k, shifted, dR, c), branch=branch)
+    value = line_elements.radial_form(lam - k, shifted, dR, c)
+    return PartialInterval.__new__(PartialInterval, value=value, branch=branch)
 
 
 def photon_families(lamval: float, k: float, c: float) -> tuple[float, float]:

@@ -79,7 +79,7 @@ def gamma_factor(v: float, c: float) -> float:
 
 def beta_gamma(v: float, c: float) -> BetaGamma:
     g = gamma_factor(v, c)
-    return BetaGamma(v=v, beta=1.0 / g, gamma=g)
+    return BetaGamma.__new__(BetaGamma, v=v, beta=1.0 / g, gamma=g)
 
 
 def compose_einstein(v1: float, v2: float, c: float) -> float:
@@ -107,7 +107,8 @@ def solve_triangle(omega1: float, omega2: float, omega3: float, c: float) -> Vel
         if not math.isclose(omega1, omega3 if omega2 == 0 else omega2,
                             rel_tol=_TOL, abs_tol=_TOL):
             raise ValueError("degenerate velocity triangle")
-        return VelocityTriangle(
+        return VelocityTriangle.__new__(
+            VelocityTriangle,
             omega1=omega1, omega2=omega2, omega3=omega3,
             theta=0.0, phi=math.pi / 2.0,
             p1=omega3, p2=0.0, n=0.0, c=c,
@@ -140,7 +141,8 @@ def solve_triangle(omega1: float, omega2: float, omega3: float, c: float) -> Vel
 
     if abs((p1 + p2) - omega3) > _TOL * max(1.0, abs(omega3)):
         raise ValueError("degenerate velocity triangle")
-    return VelocityTriangle(
+    return VelocityTriangle.__new__(
+        VelocityTriangle,
         omega1=omega1, omega2=omega2, omega3=omega3,
         theta=theta, phi=phi, p1=p1, p2=p2, n=n, c=c,
     )
@@ -166,7 +168,8 @@ def triangle_to_einstein(tri: VelocityTriangle) -> TriangleEinstein:
     scale = max(1.0, abs(v1), abs(b1))
     if max(abs(r_proj), abs(r_beta), abs(r_norm)) > _TOL * scale:
         raise ValueError("triangle identity violation")
-    return TriangleEinstein(
+    return TriangleEinstein.__new__(
+        TriangleEinstein,
         v1=v1, v2=v2, v3=v3,
         residual_projection=r_proj,
         residual_beta=r_beta,
@@ -177,7 +180,8 @@ def triangle_to_einstein(tri: VelocityTriangle) -> TriangleEinstein:
 def lorentz_transform(e2: Event4, v3: float, c: float) -> Event4:
     """x-aligned boost: t1 = β3(t2 − v3·x2/c²), x1 = β3(x2 − v3·t2)."""
     b3 = 1.0 / gamma_factor(v3, c)
-    return Event4(
+    return Event4.__new__(
+        Event4,
         t=b3 * (e2.t - v3 * e2.x / (c * c)),
         x=b3 * (e2.x - v3 * e2.t),
         y=e2.y,

@@ -36,6 +36,7 @@ from lightclock import (
     potential_velocity,
     radar_coordinate_time,
     rate_of_change_compare,
+    record_from_rapidity,
     schwarzschild_lambda,
     separated_operator_check,
     source_from_mass,
@@ -171,6 +172,11 @@ class TestKernelDomains:
              "medium velocity must be non-negative"),
             (lambda: parallel_photon_offset(1, -1, 1, 1), "medium velocity must be non-negative"),
             (lambda: frequency_compare(0.9, 0.8, -1.0), "frequency must be positive"),
+            # and c is refused where e^{omega/c} is computed, ahead of any use of it
+            (lambda: parallel_photon_offset(1.0, 1.0, -1.0, 1.0), "c must be positive"),
+            (lambda: parallel_photon_offset(1.0, 1.0, 0.0, 1.0), "c must be positive"),
+            (lambda: record_from_rapidity(1.0, -1.0, 1.0), "c must be positive"),
+            (lambda: parallel_photon_offset(1.0, 1.0, math.nan, 1.0), "c must be positive"),
         ],
         ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
              "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
@@ -186,7 +192,9 @@ class TestKernelDomains:
              "infinitely_close-tol-nan", "schwarzschild_lambda-R-nan",
              "gamma_gravitational-R-nan", "radar_coordinate_time-R2-nan",
              "counts_for_length-nan", "count_trace-omega-negative",
-             "parallel_photon_offset-omega-negative", "frequency_compare-nu-negative"],
+             "parallel_photon_offset-omega-negative", "frequency_compare-nu-negative",
+             "parallel_photon_offset-c-negative", "parallel_photon_offset-c-zero",
+             "record_from_rapidity-c-negative", "parallel_photon_offset-c-nan"],
     )
     def test_refused_naming_the_domain(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

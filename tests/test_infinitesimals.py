@@ -58,7 +58,9 @@ class TestDualArithmetic:
             Dual(0.0, float("inf"))
 
     def test_init_is_the_one_dual_defines(self, monkeypatch):
-        assert Dual.__init__.__code__.co_filename == infinitesimals.__file__
+        # Dual's one constructor is the __new__ it defines, with no __init__ after it
+        assert "__init__" not in vars(Dual)
+        assert Dual.__new__.__code__.co_filename == infinitesimals.__file__
         # and the record decorator compiles no __init__ for a class that has one
         sources = []
         monkeypatch.setattr(lightclock, "exec", lambda source, scope: (
@@ -72,6 +74,50 @@ class TestDualArithmetic:
                 pass
 
         assert "__eq__" in sources[0] and "__init__" not in sources[0]
+
+    def test_record_compiles_no_new_for_a_class_that_defines_one(self, monkeypatch):
+        sources = []
+        monkeypatch.setattr(lightclock, "exec", lambda source, scope: (
+            sources.append(source), exec(source, scope)), raising=False)
+
+        @lightclock._record
+        class Own:
+            real: float
+
+            def __new__(cls, real):
+                return Dual(real)
+
+        assert "__eq__" in sources[0] and "__new__" not in sources[0]
+        assert Own(2.0) == Dual(2.0)
+
+    # a result outside the float range is refused when its Dual is built
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Dual(1e308, 1.0) * 10.0,
+            lambda: Dual(1.0, 1e308) + Dual(1.0, 1e308),
+            lambda: Dual(1e308, 0.0) - Dual(-1e308, 0.0),
+            lambda: Dual(1.0, 1e308) / Dual(1e-10, 0.0),
+            lambda: 1e300 / Dual(1e-10, 1.0),
+            lambda: Dual(700.0, 1e10).exp(),
+            lambda: Dual(1e100, 1e300) ** 2,
+            lambda: Dual(1e100, 1e300) ** 2.5,
+        ],
+        ids=["mul", "add", "sub", "truediv", "rtruediv", "exp", "pow-int", "pow-fractional"],
+    )
+    def test_an_overflowing_result_is_refused(self, call):
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
+    # where float math itself overflows first, its OverflowError comes through
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: Dual(800.0, 1.0).exp(), lambda: Dual(1e200, 1.0) ** 2],
+        ids=["exp", "pow"],
+    )
+    def test_a_float_overflow_is_not_a_dual_error(self, call):
+        with pytest.raises(OverflowError):
+            call()
 
     def test_ordering_compares_standard_parts_only(self):
         a, b = Dual(1, 2), Dual(1, 3)
