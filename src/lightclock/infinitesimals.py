@@ -3,7 +3,8 @@ standard-part operator.
 
 A ``Dual`` carries a finite real part plus the coefficient of a first-order
 infinitesimal; products of two infinitesimal parts are discarded by
-definition, not as an approximation.  Either part may itself be a ``Dual``:
+definition, not as an approximation.  Each elementary function is one row:
+f, and its ε coefficient f'(x)·ε.  Either part may itself be a ``Dual``:
 ``Dual(Dual(t, 1), Dual(1, 0))`` is a hyper-dual number t + ε1 + ε2, with
 ε1² = ε2² = 0 but ε1ε2 ≠ 0, and f of it carries f'' as the ε1ε2 coefficient.
 """
@@ -12,11 +13,34 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from operator import add, ge, gt, le, lt, mul, sub, truediv
 
 from . import _positive, _record
 
 _isfinite = math.isfinite
 _ZERO_DIVISOR = "infinitesimal division: divisor has zero standard part"
+
+
+def _dual_method(name: str, method):
+    method.__name__, method.__qualname__ = name, f"Dual.{name}"
+    return method
+
+
+def _chain(name: str, f: Callable[[float], float], slope):
+    """The Dual method ``name``: f of the real part x, and as ε coefficient
+    slope(x, f(x), eps), which is the chain rule's f'(x)·eps."""
+
+    def method(self):
+        x = self.real
+        value = _fn(x, name, f)
+        return _new(Dual, value, slope(x, value, self.eps))
+
+    return _dual_method(name, method)
+
+
+def _ordering(op):
+    """The Dual comparison named for ``op``: op of the two standard parts."""
+    return _dual_method(f"__{op.__name__}__", lambda a, b: op(_real_of(a), _real_of(b)))
 
 
 @_record
@@ -109,64 +133,23 @@ class Dual:
             raise ValueError("fractional power of a non-positive dual")
         return _new(Dual, self.real**n, n * self.real ** (n - 1) * self.eps)
 
-    def __abs__(self):
-        s = math.copysign(1.0, _real_of(self))
-        return _new(Dual, abs(self.real), s * self.eps)
-
     # -- comparisons act on the standard part ------------------------------
 
-    def __lt__(self, other):
-        return _real_of(self) < _real_of(other)
+    __lt__, __le__, __gt__, __ge__ = map(_ordering, (lt, le, gt, ge))
 
-    def __le__(self, other):
-        return _real_of(self) <= _real_of(other)
+    # -- elementary functions, named as numpy's ufuncs so that they dispatch --
 
-    def __gt__(self, other):
-        return _real_of(self) > _real_of(other)
-
-    def __ge__(self, other):
-        return _real_of(self) >= _real_of(other)
-
-    # -- elementary functions (named so numpy ufuncs dispatch) -------------
-
-    def sqrt(self):
-        r = _fn(self.real, "sqrt", math.sqrt)
-        return _new(Dual, r, self.eps / (2.0 * r))
-
-    def exp(self):
-        e = _fn(self.real, "exp", math.exp)
-        return _new(Dual, e, e * self.eps)
-
-    def log(self):
-        return _new(Dual, _fn(self.real, "log", math.log), self.eps / self.real)
-
-    def sin(self):
-        x = self.real
-        return _new(Dual, _fn(x, "sin", math.sin), _fn(x, "cos", math.cos) * self.eps)
-
-    def cos(self):
-        x = self.real
-        return _new(Dual, _fn(x, "cos", math.cos), -_fn(x, "sin", math.sin) * self.eps)
-
-    def tan(self):
-        x = self.real
-        return _new(Dual, _fn(x, "tan", math.tan), self.eps / _fn(x, "cos", math.cos) ** 2)
-
-    def sinh(self):
-        x = self.real
-        return _new(Dual, _fn(x, "sinh", math.sinh), _fn(x, "cosh", math.cosh) * self.eps)
-
-    def cosh(self):
-        x = self.real
-        return _new(Dual, _fn(x, "cosh", math.cosh), _fn(x, "sinh", math.sinh) * self.eps)
-
-    def tanh(self):
-        x = self.real
-        return _new(Dual, _fn(x, "tanh", math.tanh), self.eps / _fn(x, "cosh", math.cosh) ** 2)
-
-    def arctan(self):
-        x = self.real
-        return _new(Dual, _fn(x, "arctan", math.atan), self.eps / (1.0 + x**2))
+    sqrt = _chain("sqrt", math.sqrt, lambda x, v, e: e / (2.0 * v))
+    exp = _chain("exp", math.exp, lambda x, v, e: v * e)
+    log = _chain("log", math.log, lambda x, v, e: e / x)
+    sin = _chain("sin", math.sin, lambda x, v, e: _fn(x, "cos", math.cos) * e)
+    cos = _chain("cos", math.cos, lambda x, v, e: -_fn(x, "sin", math.sin) * e)
+    tan = _chain("tan", math.tan, lambda x, v, e: e / _fn(x, "cos", math.cos) ** 2)
+    sinh = _chain("sinh", math.sinh, lambda x, v, e: _fn(x, "cosh", math.cosh) * e)
+    cosh = _chain("cosh", math.cosh, lambda x, v, e: _fn(x, "sinh", math.sinh) * e)
+    tanh = _chain("tanh", math.tanh, lambda x, v, e: e / _fn(x, "cosh", math.cosh) ** 2)
+    arctan = _chain("arctan", math.atan, lambda x, v, e: e / (1.0 + x**2))
+    __abs__ = _chain("__abs__", abs, lambda x, v, e: math.copysign(1.0, _real_of(x)) * e)
 
     def __repr__(self):
         # a Dual part is parenthesised, so each level of a hyper-dual shows
@@ -197,17 +180,16 @@ def _real_of(x) -> float:
     return float(x)
 
 
+_ARITH = {"add": add, "sub": sub, "mul": mul, "div": truediv}
+
+
 def dual_arith(a: Dual, b: Dual, op: str) -> Dual:
     """Apply one of {add, sub, mul, div} with ε²-truncated arithmetic."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown dual operation {op!r}")
+    try:
+        f = _ARITH[op]
+    except (KeyError, TypeError):  # TypeError: an op that cannot be a key
+        raise ValueError(f"unknown dual operation {op!r}") from None
+    return f(a, b)
 
 
 def standard_part(a: Dual | int | float) -> float:

@@ -308,7 +308,8 @@ def hubble_deceleration(
     a density rho is given the residual of q·H² = 4πGρ/3 is reported too.
     """
     Dual = infinitesimals.Dual
-    y = a(Dual(Dual(t, 1.0), Dual(1.0, 0.0)))
+    new = Dual.__new__  # the whole constructor, called without type.__call__
+    y = a(new(Dual, new(Dual, t, 1.0), new(Dual, 1.0, 0.0)))
     # y = (a + a'ε1) + (a' + a''ε1)ε2; a scale function that ignores its
     # argument may return a float, or a Dual with float parts
     lo, hi = (y.real, y.eps) if isinstance(y, Dual) else (y, 0.0)

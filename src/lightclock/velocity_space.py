@@ -70,9 +70,10 @@ class TriangleEinstein:
 
 def gamma_factor(v: float, c: float) -> float:
     """sqrt(1 − v²/c²) for a subluminal speed v, within 2 ulps however close
-    |v| comes to c: 1 − |v|/c is formed as (c − |v|)/c, which does not cancel."""
+    |v| comes to c: 1 − |v|/c is formed as (c − |v|)/c, which does not cancel.
+    A NaN v or c fails |v| < c, so it is refused as superluminal."""
     a = abs(v)
-    if a >= c:
+    if not a < c:
         raise ValueError("superluminal")
     return math.sqrt((c - a) / c * (1.0 + a / c)) if c != math.inf else 1.0
 
@@ -84,7 +85,7 @@ def beta_gamma(v: float, c: float) -> BetaGamma:
 
 def compose_einstein(v1: float, v2: float, c: float) -> float:
     """Einstein addition (v1+v2)/(1+v1·v2/c²); tanh-addition of rapidities."""
-    if abs(v1) >= c or abs(v2) >= c:
+    if not (abs(v1) < c and abs(v2) < c):  # NaN fails every comparison
         raise ValueError("superluminal")
     return (v1 + v2) / (1.0 + v1 * v2 / (c * c))
 

@@ -14,13 +14,18 @@ from lightclock import (
     LightClockSpec,
     MetricPoint,
     PropagationScenario,
+    RadarRecord,
+    beta_gamma,
+    compose_einstein,
     cosmological_constant_for_horizon,
     count_trace,
     counts_for_length,
     damping_factor,
     decay_lifetime,
+    einstein_measures,
     frequency_compare,
     gamma_gravitational,
+    gamma_special,
     gravitational_clock_compare,
     horizon_roots,
     infinitely_close,
@@ -35,6 +40,7 @@ from lightclock import (
     photon_families,
     potential_velocity,
     radar_coordinate_time,
+    rapidity_from_vE,
     rate_of_change_compare,
     record_from_rapidity,
     schwarzschild_lambda,
@@ -177,6 +183,17 @@ class TestKernelDomains:
             (lambda: parallel_photon_offset(1.0, 1.0, 0.0, 1.0), "c must be positive"),
             (lambda: record_from_rapidity(1.0, -1.0, 1.0), "c must be positive"),
             (lambda: parallel_photon_offset(1.0, 1.0, math.nan, 1.0), "c must be positive"),
+            # and by the radar kernels that divide by c
+            (lambda: einstein_measures(RadarRecord(1, 2, 4), -1.0), "c must be positive"),
+            (lambda: einstein_measures(RadarRecord(1, 2, 4), 0.0), "c must be positive"),
+            (lambda: einstein_measures(RadarRecord(1, 2, 4), math.nan), "c must be positive"),
+            (lambda: rapidity_from_vE(0.5, math.nan), "c must be positive"),
+            (lambda: rapidity_from_vE(0.5, -1.0), "c must be positive"),
+            # a NaN speed or c is never below c, so it is refused as superluminal
+            (lambda: beta_gamma(0.5, math.nan), "superluminal"),
+            (lambda: gamma_special(math.nan, 1.0), "superluminal"),
+            (lambda: compose_einstein(math.nan, 0.5, 1.0), "superluminal"),
+            (lambda: compose_einstein(0.5, 0.5, math.nan), "superluminal"),
         ],
         ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
              "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
@@ -194,7 +211,10 @@ class TestKernelDomains:
              "counts_for_length-nan", "count_trace-omega-negative",
              "parallel_photon_offset-omega-negative", "frequency_compare-nu-negative",
              "parallel_photon_offset-c-negative", "parallel_photon_offset-c-zero",
-             "record_from_rapidity-c-negative", "parallel_photon_offset-c-nan"],
+             "record_from_rapidity-c-negative", "parallel_photon_offset-c-nan",
+             "einstein_measures-c-negative", "einstein_measures-c-zero", "einstein_measures-c-nan",
+             "rapidity_from_vE-c-nan", "rapidity_from_vE-c-negative", "beta_gamma-c-nan",
+             "gamma_special-v-nan", "compose_einstein-v1-nan", "compose_einstein-c-nan"],
     )
     def test_refused_naming_the_domain(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
