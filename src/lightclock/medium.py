@@ -16,8 +16,8 @@ and the summed estimate is at most
 max(1e-12, 1e-12·|integral|).  If 200 subintervals do not reach that, a
 subinterval can no longer be halved, or the estimate is not finite, the best
 estimate is returned with an ``IntegrationWarning``.  A medium velocity's
-witness is read from the interval's ends, then from a 257-point grid, and a
-bisected one is checked against the mean-value equation.
+witness is read from the interval's ends, then from a 257-point grid, and one
+found inside a sign change, by ITP, is checked against the mean-value equation.
 """
 
 from __future__ import annotations
@@ -219,22 +219,51 @@ def distance_profile(sc: PropagationScenario, t: float) -> float:
 def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
     """A root of f in [a, b], given fa = f(a) and fb = f(b), which must not
     have the same sign: an end where f is zero, else the midpoint once the
-    bracket is within 4e-16 of it relatively (or after 200 halvings)."""
+    bracket is within 4e-16 of it relatively (or after 200 steps).
+
+    Each step probes where ITP does (Oliveira and Takahashi, ACM TOMS 47(1),
+    2021), with k1 = 0.2/(b − a), k2 = 2 and n0 = 1: the regula falsi point,
+    moved k1·w² towards the midpoint m of the bracket of width w, then within
+    the radius of m that keeps ITP at most one step behind bisection's
+    worst case for reaching ε = 2e-16·min(|a|, |b|).
+    """
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if fa * fb > 0:
         raise ValueError("bisection bracket does not straddle a root")
+    k1 = 0.2 / (b - a)
+    eps = 2.0e-16 * min(abs(a), abs(b)) or math.ulp(0.0)  # an end at 0: the least float
+    reach = math.ldexp(eps, math.ceil(math.log2(b - a) - math.log2(eps)))  # ε·2^(n_half + n0)
     for _ in range(200):
         m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) <= abs(m) * 4.0e-16:
+        w = b - a
+        tol = abs(m) * 4.0e-16
+        if w <= tol:
             return m
-        if fa * fm < 0:
-            b, fb = m, fm
+        xf = a + w * (fa / (fa - fb))  # the regula falsi point
+        off = m - xf
+        size = off if off > 0.0 else -off
+        # x steps from xf towards m by k1·w², but at least tol/2, so that it
+        # cannot round onto an end, at least to within r = reach - w/2 of m,
+        # and at most to m (if-statements: builtin calls cost more here)
+        step = k1 * w * w
+        if step < 0.5 * tol:
+            step = 0.5 * tol
+        if step < size - reach + 0.5 * w:
+            step = size - reach + 0.5 * w
+        if step > size:
+            step = size
+        x = xf + step if off > 0.0 else xf - step
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
         else:
-            a, fa = m, fm
+            a, fa = x, fx
+        reach *= 0.5
     return 0.5 * (a + b)
 
 
@@ -247,7 +276,7 @@ def medium_velocity(
     g(t) = v(t)·ln(t_end/t_start) − omega is zero.  g is read at the ends,
     then, where they do not settle t*, on a 257-point grid that shares them:
     t* is the point of least |g| if that is within 1e-12·max(1, max|g|), else
-    the bisection root of the first sign change (a constant v costs 2 calls),
+    the ITP root of the first sign change (a constant v costs 2 calls),
     refused where |g(t*)| is above 1e-6·max(|omega|, max|g|), as at a jump.
     """
     if not (sc.a <= t_start < t_end <= sc.b):
@@ -280,15 +309,22 @@ def medium_velocity(
 
 
 def _require_constant_profile(sc: PropagationScenario) -> None:
-    grid = _linspace(sc.a, sc.b, 101)
-    vals = list(map(sc.velocity_profile, grid))
-    # a NaN or inf makes the sum non-finite; so can finite values near the
-    # float limit, which the per-value scan then lets through
-    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+    a, b, v = sc.a, sc.b, sc.velocity_profile
+    step = (b - a) / 100
+    vals = [v(i * step + a) for i in range(100)]  # _linspace(a, b, 101), bit for bit
+    vals.append(v(b))
+    # a NaN or inf makes the sum non-finite, and finite values near the float
+    # limit can overflow it, which the per-value scan then lets through; fsum
+    # adds them as floats, so numpy values raise no overflow warning
+    try:
+        finite = math.isfinite(math.fsum(vals))
+    except (OverflowError, ValueError):  # an overflowing partial sum, or inf - inf
+        finite = False
+    if not finite and not all(map(math.isfinite, vals)):
         i = list(map(math.isfinite, vals)).index(False)
         raise ValueError(f"round trip requires a finite propagation speed; the profile is "
-                         f"{vals[i]!r} at t = {grid[i]!r}")
-    lo, hi = min(vals), max(vals)
+                         f"{vals[i]!r} at t = {_linspace(a, b, 101)[i]!r}")
+    lo, hi = float(min(vals)), float(max(vals))
     if hi - lo > 1e-12 * max(1.0, hi, -lo):  # max(|v|) is max(hi, -lo)
         raise ValueError(
             "round trip requires a constant to-and-fro propagation speed; "

@@ -64,9 +64,12 @@ def einstein_measures(rec: RadarRecord, c: float) -> EinsteinMeasures:
     t3 = (1+v_E/c)t_E, t1 = (1−v_E/c)t_E and t2_pred = sqrt(1−v_E²/c²)·t_E.
 
     When r_E = 0 the result is flagged degenerate: t_E = t1 = t3 is then a
-    coincidence time, not an Einstein measure; c must be positive, not NaN.
+    coincidence time, not an Einstein measure; c must be positive and finite
+    (an infinite c makes r_E infinite and K NaN).
     """
     _positive("c", c)
+    if c == math.inf:
+        raise ValueError(f"c must be finite, got {c!r}")
     t_E = 0.5 * (rec.t3 + rec.t1)
     r_E = 0.5 * c * (rec.t3 - rec.t1)
     degenerate = r_E == 0.0
@@ -93,9 +96,10 @@ def check_geometric_mean(rec: RadarRecord, tol: float = 1e-12) -> bool:
 
 
 def rapidity_from_vE(v_E: float, c: float) -> Rapidity:
-    """omega = c·artanh(|v_E|/c); c must be positive, not NaN."""
+    """omega = c·artanh(|v_E|/c); c must be positive, not NaN, and a NaN
+    v_E, never below c, is refused as superluminal."""
     _positive("c", c)
-    if abs(v_E) >= c:
+    if not abs(v_E) < c:
         raise ValueError("superluminal Einstein velocity")
     return Rapidity.__new__(Rapidity, omega=c * math.atanh(abs(v_E) / c), c=c)
 

@@ -194,6 +194,9 @@ class TestKernelDomains:
             (lambda: gamma_special(math.nan, 1.0), "superluminal"),
             (lambda: compose_einstein(math.nan, 0.5, 1.0), "superluminal"),
             (lambda: compose_einstein(0.5, 0.5, math.nan), "superluminal"),
+            (lambda: rapidity_from_vE(math.nan, 1.0), "superluminal Einstein velocity"),
+            # an infinite c passes the positive guard, and would give K = NaN
+            (lambda: einstein_measures(RadarRecord(1, 2, 4), math.inf), "c must be finite, got inf"),
         ],
         ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
              "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
@@ -214,7 +217,8 @@ class TestKernelDomains:
              "record_from_rapidity-c-negative", "parallel_photon_offset-c-nan",
              "einstein_measures-c-negative", "einstein_measures-c-zero", "einstein_measures-c-nan",
              "rapidity_from_vE-c-nan", "rapidity_from_vE-c-negative", "beta_gamma-c-nan",
-             "gamma_special-v-nan", "compose_einstein-v1-nan", "compose_einstein-c-nan"],
+             "gamma_special-v-nan", "compose_einstein-v1-nan", "compose_einstein-c-nan",
+             "rapidity_from_vE-vE-nan", "einstein_measures-c-inf"],
     )
     def test_refused_naming_the_domain(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,28 @@ class TestRoundtrip:
         sc = PropagationScenario(lambda t: signs[t] * 1e308, t1=1.0, a=1.0, b=2.0, c=1.0)
         with pytest.raises(ValueError) as info:
             roundtrip(sc, 0.5, 1.0)
+        assert str(info.value) == ("round trip requires a constant to-and-fro propagation speed; "
+                                   "the supplied profile varies over [a, b]")
+
+
+    @pytest.mark.parametrize("value", [1e308, -1e308], ids=["plus", "minus"])
+    def test_a_numpy_constant_near_the_float_limit_is_accepted_without_a_warning(self, value):
+        # the screen adds the values as floats, so numpy warns of no overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc = PropagationScenario(lambda t: np.float64(value), t1=1.0, a=1.0, b=2.0, c=1.0)
+            expected = roundtrip(PropagationScenario(lambda t: value, 1.0, 1.0, 2.0, 1.0), 0.3, 2.0)
+            assert roundtrip(sc, 0.3, 2.0) == expected
+
+    def test_numpy_values_of_alternating_sign_are_refused_without_a_warning(self):
+        # ±1e308 in turn as numpy float64: the spread is taken in floats
+        signs = {t: (-1.0) ** i for i, t in enumerate(self.GRID)}
+        sc = PropagationScenario(lambda t: np.float64(signs[t] * 1e308), t1=1.0, a=1.0, b=2.0,
+                                 c=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                roundtrip(sc, 0.5, 1.0)
         assert str(info.value) == ("round trip requires a constant to-and-fro propagation speed; "
                                    "the supplied profile varies over [a, b]")
 

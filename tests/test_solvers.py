@@ -10,6 +10,7 @@ import inspect
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 import lightclock
 from lightclock import (
@@ -28,6 +29,21 @@ from lightclock.medium import _bisect, _log_kernel_integral
 
 def boom(t):
     raise AssertionError(f"profile evaluated at {t!r}")
+
+
+def plain_bisect(f, a, b, fa, fb):
+    """The oracle: plain bisection of a bracket whose ends' f differ in sign,
+    to the midpoint once the bracket is within 4e-16 of it relatively."""
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0 or (b - a) <= abs(m) * 4.0e-16:
+            return m
+        if fa * fm < 0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
 
 
 class TestBisect:
@@ -56,7 +72,8 @@ class TestWitnessEvaluations:
     @pytest.mark.parametrize("p", [0.5, 2.0, 3.7])
     def test_bracket_ends_are_evaluated_once(self, p):
         # the gap's values at [1, 5]'s ends bracket the witness; the root
-        # finder takes them, and each halving lands on a grid point once
+        # finder takes them, and probes only points strictly inside, each once
+        # (the witness may be read twice: by a probe where g is 0, and by the check)
         calls = []
 
         def profile(t):
@@ -65,10 +82,10 @@ class TestWitnessEvaluations:
 
         sc = PropagationScenario(velocity_profile=profile, t1=1.0, a=1.0, b=5.0, c=1.0)
         witness = medium_velocity(sc, 1.0, 5.0).witness
-        grid = lightclock._linspace(1.0, 5.0, 257)
-        idx = max(i for i, t in enumerate(grid[:-1]) if t <= witness)
-        assert grid[idx] < witness < grid[idx + 1]
-        assert calls.count(grid[idx]) == calls.count(grid[idx + 1]) == 1
+        assert 1.0 < witness < 5.0
+        assert calls.count(1.0) == calls.count(5.0) == 1
+        assert all(calls.count(t) == 1 for t in calls if t != witness)
+        assert calls.count(witness) <= 2
 
     @pytest.mark.parametrize(
         "profile",
@@ -88,7 +105,7 @@ class TestWitnessEvaluations:
         witness_calls = list(calls)
         calls.clear()
         _log_kernel_integral(counted, 1.5, 4.5)
-        assert len(witness_calls) - len(calls) <= 75
+        assert len(witness_calls) - len(calls) <= 13
         assert witness_calls.count(1.5) == witness_calls.count(4.5) == 1
 
     @pytest.mark.parametrize(
@@ -145,6 +162,70 @@ class TestWitnessEvaluations:
         with pytest.raises(ValueError, match=r"^no mean-value witness found; "
                                              r"is the profile continuous\?$"):
             medium_velocity(sc, 1.0, 2.0)
+
+    @pytest.mark.parametrize("jump", [1.1, 1.5, 1.9])
+    def test_a_step_costs_at_most_one_probe_more_than_bisection(self, jump):
+        # a gap with no root gives the interpolation nothing to go on: ITP's
+        # projection keeps it within one step of plain bisection's count
+        def profile(t):
+            return 1.0 if t < jump else 3.0
+
+        omega, log_span = _log_kernel_integral(profile, 1.0, 2.0), math.log(2.0)
+        calls = []
+
+        def gap(t):
+            calls.append(t)
+            return profile(t) * log_span - omega
+
+        ends = gap(1.0), gap(2.0)
+        calls.clear()
+        _bisect(gap, 1.0, 2.0, *ends)
+        probes = len(calls)
+        calls.clear()
+        plain_bisect(gap, 1.0, 2.0, *ends)
+        assert probes <= len(calls) + 1
+
+    @given(
+        st.sampled_from(["power", "log"]),
+        st.floats(min_value=0.1, max_value=2.0),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.booleans(),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.floats(min_value=1.2, max_value=6.0),
+    )
+    def test_a_monotone_witness_is_the_bisection_oracles(self, kind, A, p, rising, t_start,
+                                                          ratio):
+        # A·t^±p or A·ln t: the gap rises or falls through one root.  The two
+        # witnesses agree to the bracket's 4e-16, plus the width on which the
+        # gap's rounding (at most 2^-50·|omega| here) hides its sign, which
+        # is wider than 4e-16 where the gap is flat
+        p = p if rising else -p
+        if kind == "power":
+            def v(t):
+                return A * t**p
+
+            def dv(t):
+                return A * p * t ** (p - 1.0)
+        else:
+            def v(t):
+                return A * math.log(t)
+
+            def dv(t):
+                return A / t
+        t_end = t_start * ratio
+        sc = PropagationScenario(velocity_profile=v, t1=t_start, a=t_start, b=t_end, c=1.0)
+        result = medium_velocity(sc, t_start, t_end)
+        log_span = math.log(t_end / t_start)
+
+        def gap(t):
+            return v(t) * log_span - result.omega
+
+        oracle = plain_bisect(gap, t_start, t_end, gap(t_start), gap(t_end))
+        band = 2.0 * 2.0**-50 * abs(result.omega) / abs(dv(oracle) * log_span)
+        assert abs(result.witness - oracle) <= 4e-16 * abs(oracle) + band
+        # and g(t*) is within the rounding of zero, plus its slope across 4e-16·t*
+        t = result.witness
+        assert abs(gap(t)) <= 2.0 * 2.0**-50 * abs(result.omega) + 4e-16 * abs(t * dv(t) * log_span)
 
     def test_a_near_constant_profile_settles_at_an_end(self):
         # the gap is within 1e-12 of zero at t_start, so no grid is scanned;
