@@ -40,6 +40,15 @@ def _refuse(self, name: str, *_) -> None:
     raise AttributeError(f"cannot set or delete field {name!r} of a frozen record")
 
 
+def _eq(self, other):
+    # the fields compare as a tuple's items do: a NaN equals itself alone
+    return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash((*vars(self).values(),))
+
+
 def _repr(self) -> str:
     return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
@@ -59,38 +68,28 @@ def _record(cls):
     record's, then runs ``__post_init__`` if the class has one.  No
     ``__init__`` follows it, so ``Cls.__new__(Cls, **fields)`` gives the same
     record as ``Cls(**fields)`` without ``type.__call__``; the kernels build
-    the records they return that way.
-    ``repr``, ``==`` (a record of the same class), ``hash`` and ``vars()`` (a
-    fresh dict) read the fields; copy and pickle rebuild a record through its
-    constructor; setting or deleting an attribute raises AttributeError.  A
-    method the class defines itself is kept and not compiled: ``Dual``
-    defines its own ``__new__``."""
+    the records they return that way.  ``__new__`` is the one method compiled
+    per record, unless the class defines its own (``Dual`` does); ``==``,
+    ``hash``, ``repr``, copy, pickle and the frozen guard are functions that
+    every record shares, and ``vars()`` is a fresh dict in field order."""
     names, body = list(cls.__annotations__), vars(cls)
     base = type(f"_{cls.__name__}", cls.__bases__,
                 {"__slots__": (*names, "__weakref__"), "__module__": cls.__module__})
-    params = ", ".join(f"{n}=_body[{n!r}]" if n in body else n for n in names)
-    mine, theirs = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
-    pairs = "".join(f"{n!r}: self.{n}, " for n in names)
-    # flat methods on the fields, as dataclasses writes them: records are built
-    # and compared on hot paths (a PulseCounts per pulse row); __new__ stores
-    # the fields while the instance is still of the mutable base, where each
-    # store is a plain slot write.  Only the methods the class lacks are compiled.
-    methods = {"__new__": [f"def __new__(cls, {params}):", " self = _base()",
-                           *(f" self.{n} = {n}" for n in names), " self.__class__ = cls",
-                           " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
-                           " return self"],
-               "__eq__": ["def __eq__(self, other):",
-                          f" return ({mine}) == ({theirs}) if other.__class__ is self.__class__"
-                          " else NotImplemented"],
-               "__hash__": [f"def __hash__(self): return hash(({mine}))"]}
-    source = [line for k, lines in methods.items() if k not in body for line in lines]
-    scope = {"__name__": cls.__module__, "_body": body, "_base": base}
-    exec("\n".join([*source, f"__dict__ = property(lambda self: {{{pairs}}})"]), scope)
-    if "__new__" in scope:
-        scope["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
-    space = {k: scope[k] for k in (*methods, "__dict__") if k in scope}
-    space.update(__repr__=_repr, __reduce__=_reduce, __setattr__=_refuse, __delattr__=_refuse,
-                 __qualname__=cls.__qualname__, __slots__=())
+    space = dict(__eq__=_eq, __hash__=_hash, __repr__=_repr, __reduce__=_reduce,
+                 __setattr__=_refuse, __delattr__=_refuse, __qualname__=cls.__qualname__,
+                 __slots__=(), __dict__=property(lambda self: {n: getattr(self, n) for n in names}))
+    if "__new__" not in body:
+        # flat, as dataclasses writes __init__: records are built on hot paths (a
+        # PulseCounts per pulse row), and each field is stored while the instance
+        # is still of the mutable base, where the store is a plain slot write
+        params = ", ".join(f"{n}=_body[{n!r}]" if n in body else n for n in names)
+        stores = "".join(f" self.{n} = {n}\n" for n in names)
+        post = " self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        scope = {"__name__": cls.__module__, "_body": body, "_base": base}
+        exec(f"def __new__(cls, {params}):\n self = _base()\n{stores}"
+             f" self.__class__ = cls\n{post} return self", scope)
+        space["__new__"] = scope["__new__"]
+        space["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
     space.update((k, v) for k, v in body.items() if k not in (*names, "__dict__", "__weakref__"))
     return type(cls.__name__, (base,), space)
 

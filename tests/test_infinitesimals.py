@@ -73,9 +73,10 @@ class TestDualArithmetic:
             def __init__(self, real):
                 pass
 
-        assert "__eq__" in sources[0] and "__init__" not in sources[0]
+        assert len(sources) == 1 and "def __new__" in sources[0] and "__init__" not in sources[0]
 
     def test_record_compiles_no_new_for_a_class_that_defines_one(self, monkeypatch):
+        # __new__ is the one method a record compiles, so such a class runs no exec
         sources = []
         monkeypatch.setattr(lightclock, "exec", lambda source, scope: (
             sources.append(source), exec(source, scope)), raising=False)
@@ -87,7 +88,7 @@ class TestDualArithmetic:
             def __new__(cls, real):
                 return Dual(real)
 
-        assert "__eq__" in sources[0] and "__new__" not in sources[0]
+        assert sources == []
         assert Own(2.0) == Dual(2.0)
 
     # a result outside the float range is refused when its Dual is built

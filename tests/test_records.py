@@ -196,6 +196,20 @@ def test_records_of_two_types_with_equal_values_differ():
     assert RadarRecord(1.0, 2.0, 3.0) != BetaGamma(1.0, 2.0, 3.0)
 
 
+# == compares the fields as a tuple does: a NaN equals itself alone, and
+# 0.0 equals -0.0; records that compare equal hash alike
+@pytest.mark.parametrize("a,b,equal", [
+    (Event4(math.nan, 1.0), Event4(math.nan, 1.0), True),
+    (Event4(float("nan"), 1.0), Event4(float("nan"), 1.0), False),
+    (Event4(0.0, 1.0), Event4(-0.0, 1.0), True),
+], ids=["one-nan-object", "two-nan-objects", "signed-zero"])
+def test_eq_on_nan_and_signed_zero_fields(a, b, equal):
+    assert (a == b) is equal and (a != b) is not equal
+    assert (a == b) is (tuple(vars(a).values()) == tuple(vars(b).values()))
+    if equal:
+        assert hash(a) == hash(b)
+
+
 @pytest.mark.parametrize("cls,args,message", [
     (LightClockSpec, (0.0,), "round_trip_length_L must be positive"),
     (LightClockSpec, (1.0, -1.0), "light_speed_c must be positive"),
