@@ -36,6 +36,20 @@ def _positive(what: str, x) -> None:
         raise ValueError(f"{what} must be positive")
 
 
+def _non_negative(what: str, *values) -> None:
+    """ValueError "<what> must be non-negative" unless every value is >= 0, NaN refused."""
+    for x in values:
+        if not x >= 0:
+            raise ValueError(f"{what} must be non-negative")
+
+
+def _unit_interval(what: str, *values) -> None:
+    """ValueError "<what> must lie in (0, 1]" unless every value does, NaN refused."""
+    for x in values:
+        if not 0.0 < x <= 1.0:
+            raise ValueError(f"{what} must lie in (0, 1]")
+
+
 def _refuse(self, name: str, *_) -> None:
     raise AttributeError(f"cannot set or delete field {name!r} of a frozen record")
 

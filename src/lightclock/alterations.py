@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from . import _positive, _record, line_elements, velocity_space
+from . import _non_negative, _positive, _record, _unit_interval, line_elements, velocity_space
 
 _STEP = 1e-6  # the central-difference step of separated_operator_check
 
@@ -33,15 +33,8 @@ class AlterationReport:
     clock_rate_ratio: float
 
 
-def _require_unit_interval(what: str, *values: float) -> None:
-    """ValueError "<what> must lie in (0, 1]" unless every value does."""
-    for value in values:
-        if not (0.0 < value <= 1.0):
-            raise ValueError(f"{what} must lie in (0, 1]")
-
-
 def alteration_report(gamma: float) -> AlterationReport:
-    _require_unit_interval("gamma", gamma)
+    _unit_interval("gamma", gamma)
     return AlterationReport.__new__(
         AlterationReport,
         gamma=gamma,
@@ -64,8 +57,7 @@ class GravCompareInput:
     lambda_R_per_m2: float = 0.0  # attached to the R-side factor
 
     def __post_init__(self):
-        if not self.r_s >= 0:
-            raise ValueError("r_s must be non-negative")
+        _non_negative("r_s", self.r_s)
         if not (self.r_P >= self.r_s and self.r_R >= self.r_s):
             raise ValueError("both radii must lie at or outside r_s")
         if not (self.r_P > 0 and self.r_R > 0):  # r_s = 0 lets a radius be 0
@@ -95,7 +87,7 @@ def gamma_gravitational(src: line_elements.GravitySource, R: float) -> float:
 def transverse_doppler(nu_s: float, gamma: float) -> float:
     """Emitted-frequency alteration nu_m = gamma * nu_s."""
     _positive("frequency", nu_s)
-    _require_unit_interval("gamma", gamma)
+    _unit_interval("gamma", gamma)
     return gamma * nu_s
 
 
@@ -112,14 +104,14 @@ def total_doppler(nu_s: float, v_E: float, c: float) -> float:
 def decay_lifetime(tau_s: float, gamma: float) -> float:
     """tau_m = tau_s / gamma."""
     _positive("lifetime", tau_s)
-    _require_unit_interval("gamma", gamma)
+    _unit_interval("gamma", gamma)
     return tau_s / gamma
 
 
 def mass_alteration(M_s: float, gamma: float) -> float:
     """M_m = M_s / gamma."""
     _positive("mass", M_s)
-    _require_unit_interval("gamma", gamma)
+    _unit_interval("gamma", gamma)
     return M_s / gamma
 
 
@@ -130,7 +122,7 @@ def separated_operator_check(f: Callable[[float], float], gamma: float, t_m: flo
     delta_s = f'/f at gamma*t_m must satisfy delta_s = delta_m/gamma; the
     absolute difference (central differences, step _STEP) is returned.
     """
-    _require_unit_interval("gamma", gamma)
+    _unit_interval("gamma", gamma)
 
     def log_rate(g: Callable[[float], float], t: float) -> float:
         g0 = g(t)
@@ -159,14 +151,14 @@ def gravitational_clock_compare(inp: GravCompareInput) -> float:
 
 def frequency_compare(g1_P: float, g1_R: float, nu_R: float) -> float:
     """Solve sqrt(g1(P))·nu_P = sqrt(g1(R))·nu_R for nu_P."""
-    _require_unit_interval("g1 factors", g1_P, g1_R)
+    _unit_interval("g1 factors", g1_P, g1_R)
     _positive("frequency", nu_R)
     return math.sqrt(g1_R / g1_P) * nu_R
 
 
 def altered_light_speed(g1: float, c: float) -> float:
     """Comparative light speed sqrt(g1)·c at the deeper position."""
-    _require_unit_interval("g1", g1)
+    _unit_interval("g1", g1)
     return math.sqrt(g1) * c
 
 
@@ -175,5 +167,5 @@ def rate_of_change_compare(
 ) -> float:
     """Solve sqrt(g1(P))·rate_P = sqrt(g1(R))·rate_R for the R-side rate:
     the frequency law with the two positions swapped; a rate may be negative."""
-    _require_unit_interval("g1 factors", g1_R, g1_P)
+    _unit_interval("g1 factors", g1_R, g1_P)
     return math.sqrt(g1_P / g1_R) * dQ_P_per_second

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from . import SPEED_OF_LIGHT, _positive, _record
+from . import SPEED_OF_LIGHT, _non_negative, _positive, _record
 
 
 @_record
@@ -42,8 +42,7 @@ class CountPair:
     count_b: float
 
     def __post_init__(self):
-        if not (self.count_a >= 0 and self.count_b >= 0):
-            raise ValueError("counter readings must be non-negative")
+        _non_negative("counter readings", self.count_a, self.count_b)
         if not self.count_b >= self.count_a:
             raise ValueError("count_b must not precede count_a")
 
@@ -72,8 +71,7 @@ def distance_from_counts(spec: LightClockSpec, p: CountPair) -> float:
 
 def counts_for_length(spec: LightClockSpec, r: float) -> int:
     """Nearest whole-tick count covering distance r; residual ≤ L/2."""
-    if not r >= 0:
-        raise ValueError("length must be non-negative")
+    _non_negative("length", r)
     return round(r / spec.round_trip_length_L)
 
 

@@ -40,7 +40,7 @@ def _chain(name: str, f: Callable[[float], float], slope):
 
 def _ordering(op):
     """The Dual comparison named for ``op``: op of the two standard parts."""
-    return _dual_method(f"__{op.__name__}__", lambda a, b: op(_real_of(a), _real_of(b)))
+    return _dual_method(f"__{op.__name__}__", lambda a, b: op(standard_part(a), standard_part(b)))
 
 
 @_record
@@ -108,7 +108,7 @@ class Dual:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if _real_of(other) == 0.0:
+        if standard_part(other) == 0.0:
             raise ZeroDivisionError(_ZERO_DIVISOR)
         r = self.real / other.real
         return _new(Dual, r, (self.eps - r * other.eps) / other.real)
@@ -127,7 +127,7 @@ class Dual:
             n = int(n)
             if n == 0:
                 return _new(Dual, 1.0, 0.0)
-            if n < 0 and _real_of(self) == 0.0:
+            if n < 0 and standard_part(self) == 0.0:
                 raise ZeroDivisionError(_ZERO_DIVISOR)
         elif self.real <= 0.0:  # a Dual part compares its standard part
             raise ValueError("fractional power of a non-positive dual")
@@ -149,7 +149,7 @@ class Dual:
     cosh = _chain("cosh", math.cosh, lambda x, v, e: _fn(x, "sinh", math.sinh) * e)
     tanh = _chain("tanh", math.tanh, lambda x, v, e: e / _fn(x, "cosh", math.cosh) ** 2)
     arctan = _chain("arctan", math.atan, lambda x, v, e: e / (1.0 + x**2))
-    __abs__ = _chain("__abs__", abs, lambda x, v, e: math.copysign(1.0, _real_of(x)) * e)
+    __abs__ = _chain("__abs__", abs, lambda x, v, e: math.copysign(1.0, standard_part(x)) * e)
 
     def __repr__(self):
         # a Dual part is parenthesised, so each level of a hyper-dual shows
@@ -174,10 +174,12 @@ def _coerce(x):
     return NotImplemented
 
 
-def _real_of(x) -> float:
-    while x.__class__ is Dual:
-        x = x.real
-    return float(x)
+def standard_part(a: Dual | int | float) -> float:
+    """Extract the real number infinitely close to a finite dual, through
+    every level of a dual whose parts are duals."""
+    while a.__class__ is Dual:
+        a = a.real
+    return float(a)
 
 
 _ARITH = {"add": add, "sub": sub, "mul": mul, "div": truediv}
@@ -190,12 +192,6 @@ def dual_arith(a: Dual, b: Dual, op: str) -> Dual:
     except (KeyError, TypeError):  # TypeError: an op that cannot be a key
         raise ValueError(f"unknown dual operation {op!r}") from None
     return f(a, b)
-
-
-def standard_part(a: Dual | int | float) -> float:
-    """Extract the real number infinitely close to a finite dual, through
-    every level of a dual whose parts are duals."""
-    return _real_of(a)
 
 
 def infinitely_close(a: float, b: float, tol: float) -> bool:

@@ -14,7 +14,8 @@ import math
 import warnings
 from collections.abc import Callable
 
-from . import GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _positive, _record, infinitesimals
+from . import (GRAVITATIONAL_CONSTANT, LAMBDA_UNITS, SPEED_OF_LIGHT, _non_negative, _positive,
+               _record, _unit_interval, infinitesimals)
 
 
 @_record
@@ -93,8 +94,7 @@ def source_from_mass(
     lambda_unit: str = "s^-2",
 ) -> GravitySource:
     """A source of mass ``mass`` (kg), whose Schwarzschild radius is 2GM/c²."""
-    if not mass >= 0:
-        raise ValueError("mass must be non-negative")
+    _non_negative("mass", mass)
     r0 = 2.0 * G * mass / (c * c)
     if not 0.0 <= r0 < math.inf:
         raise ValueError(f"the Schwarzschild radius 2GM/c² of mass {mass!r} kg with G = {G!r}"
@@ -276,8 +276,7 @@ def infinitesimal_transform(eta: float, dRm, dTm):
     The coefficients are tuned so the cross term cancels:
     dTs² − dRs² = η·dTm² − dRm²/η identically.
     """
-    if not (0.0 < eta <= 1.0):
-        raise ValueError("eta must lie in (0, 1]")
+    _unit_interval("eta", eta)
     root = math.sqrt(1.0 - eta)
     dRs = dRm / eta + root * dTm
     dTs = (root / eta) * dRm + dTm

@@ -143,16 +143,16 @@ def partial_interval(
     """
     _positive("k", k)
     lam = region_lambda
-    if lam <= 0.0:
-        value = (lam - k) * (c * dtime) * (c * dtime) - 2.0 * c * dtime * dR
-        return PartialInterval.__new__(PartialInterval, value=value, branch="interior")
-    if lam >= 2.0 * k:
-        branch, shifted = "exterior", dtime
-    elif lam == k:
-        raise ValueError("transition singularity at lambda=k")
+    if lam <= 0.0:  # no line_elements: a CLI call in the interior never loads it
+        branch, value = "interior", (lam - k) * (c * dtime) * (c * dtime) - 2.0 * c * dtime * dR
     else:
-        branch, shifted = "transition", dtime - middle_branch(lam, k) * dR / c
-    value = line_elements.radial_form(lam - k, shifted, dR, c)
+        if lam >= 2.0 * k:
+            branch, shifted = "exterior", dtime
+        elif lam == k:
+            raise ValueError("transition singularity at lambda=k")
+        else:
+            branch, shifted = "transition", dtime - middle_branch(lam, k) * dR / c
+        value = line_elements.radial_form(lam - k, shifted, dR, c)
     return PartialInterval.__new__(PartialInterval, value=value, branch=branch)
 
 

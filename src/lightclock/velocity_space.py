@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from . import _record
+from . import _non_negative, _record
 
 _TOL = 1e-9  # how far a triangle may miss its relations and still be admissible
 
@@ -99,8 +99,7 @@ def solve_triangle(omega1: float, omega2: float, omega3: float, c: float) -> Vel
     form an admissible triangle.  The collinear branch (sin phi = 0) is taken
     when the cosine law pins phi at pi.
     """
-    if min(omega1, omega2, omega3) < 0:
-        raise ValueError("medium velocities must be non-negative")
+    _non_negative("medium velocities", omega1, omega2, omega3)
     w1, w2, w3 = omega1 / c, omega2 / c, omega3 / c
 
     if omega2 == 0.0 or omega3 == 0.0:
@@ -108,38 +107,31 @@ def solve_triangle(omega1: float, omega2: float, omega3: float, c: float) -> Vel
         if not math.isclose(omega1, omega3 if omega2 == 0 else omega2,
                             rel_tol=_TOL, abs_tol=_TOL):
             raise ValueError("degenerate velocity triangle")
-        return VelocityTriangle.__new__(
-            VelocityTriangle,
-            omega1=omega1, omega2=omega2, omega3=omega3,
-            theta=0.0, phi=math.pi / 2.0,
-            p1=omega3, p2=0.0, n=0.0, c=c,
-        )
-
-    denom = math.sinh(w2) * math.sinh(w3)
-    cos_phi = (math.cosh(w1) - math.cosh(w2) * math.cosh(w3)) / denom
-    if cos_phi > _TOL or cos_phi < -1.0 - _TOL:
-        raise ValueError("degenerate velocity triangle")
-    cos_phi = min(0.0, max(-1.0, cos_phi))
-    phi = math.acos(cos_phi)
-    sin_phi = math.sin(phi)
-
-    if sin_phi <= _TOL:
-        # Collinear limit: the sinh rule is singular, the projections are
-        # the speeds themselves.
-        theta, phi = 0.0, math.pi
-        p1, p2, n = omega1, omega2, 0.0
+        theta, phi, p1, p2, n = 0.0, math.pi / 2.0, omega3, 0.0, 0.0
     else:
-        if omega1 == 0.0:
-            theta = 0.0
+        denom = math.sinh(w2) * math.sinh(w3)
+        cos_phi = (math.cosh(w1) - math.cosh(w2) * math.cosh(w3)) / denom
+        if cos_phi > _TOL or cos_phi < -1.0 - _TOL:
+            raise ValueError("degenerate velocity triangle")
+        cos_phi = min(0.0, max(-1.0, cos_phi))
+        phi = math.acos(cos_phi)
+        sin_phi = math.sin(phi)
+        if sin_phi <= _TOL:
+            # Collinear limit: the sinh rule is singular, the projections are
+            # the speeds themselves.
+            theta, phi, p1, p2, n = 0.0, math.pi, omega1, omega2, 0.0
         else:
-            sin_theta = math.sinh(w2) * sin_phi / math.sinh(w1)
-            if sin_theta > 1.0 + _TOL:
-                raise ValueError("degenerate velocity triangle")
-            theta = math.asin(min(1.0, sin_theta))
-        p1 = c * math.atanh(math.tanh(w1) * math.cos(theta))
-        p2 = c * math.atanh(-math.tanh(w2) * cos_phi)
-        n = c * math.asinh(math.sinh(w2) * sin_phi)
+            theta = 0.0
+            if omega1 != 0.0:
+                sin_theta = math.sinh(w2) * sin_phi / math.sinh(w1)
+                if sin_theta > 1.0 + _TOL:
+                    raise ValueError("degenerate velocity triangle")
+                theta = math.asin(min(1.0, sin_theta))
+            p1 = c * math.atanh(math.tanh(w1) * math.cos(theta))
+            p2 = c * math.atanh(-math.tanh(w2) * cos_phi)
+            n = c * math.asinh(math.sinh(w2) * sin_phi)
 
+    # on the degenerate branch p1 + p2 is omega3 itself, which passes
     if abs((p1 + p2) - omega3) > _TOL * max(1.0, abs(omega3)):
         raise ValueError("degenerate velocity triangle")
     return VelocityTriangle.__new__(

@@ -45,6 +45,7 @@ from lightclock import (
     record_from_rapidity,
     schwarzschild_lambda,
     separated_operator_check,
+    solve_triangle,
     source_from_mass,
     source_from_r0,
     total_doppler,
@@ -197,6 +198,9 @@ class TestKernelDomains:
             (lambda: rapidity_from_vE(math.nan, 1.0), "superluminal Einstein velocity"),
             # an infinite c passes the positive guard, and would give K = NaN
             (lambda: einstein_measures(RadarRecord(1, 2, 4), math.inf), "c must be finite, got inf"),
+            # a NaN speed is refused by the non-negative guard, and an infinite c by name
+            (lambda: solve_triangle(math.nan, 1.0, 1.0, 1.0), "medium velocities must be non-negative"),
+            (lambda: rapidity_from_vE(0.5, math.inf), "c must be finite, got inf"),
         ],
         ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
              "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
@@ -218,7 +222,8 @@ class TestKernelDomains:
              "einstein_measures-c-negative", "einstein_measures-c-zero", "einstein_measures-c-nan",
              "rapidity_from_vE-c-nan", "rapidity_from_vE-c-negative", "beta_gamma-c-nan",
              "gamma_special-v-nan", "compose_einstein-v1-nan", "compose_einstein-c-nan",
-             "rapidity_from_vE-vE-nan", "einstein_measures-c-inf"],
+             "rapidity_from_vE-vE-nan", "einstein_measures-c-inf", "solve_triangle-omega1-nan",
+             "rapidity_from_vE-c-inf"],
     )
     def test_refused_naming_the_domain(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
