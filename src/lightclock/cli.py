@@ -247,8 +247,6 @@ def emit_plot_data(
 ) -> None:
     """CSV with a header naming columns and units, LF endings, and floats
     printed at full round-trip precision."""
-    if not rows:
-        raise ValueError("refusing to emit an empty series")
     lines = [",".join(header), *(",".join(map(_format_value, row)) for row in rows)]
     _write_text("\n".join(lines) + "\n", out)
 
@@ -680,7 +678,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

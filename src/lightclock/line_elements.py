@@ -64,11 +64,18 @@ class GravitySource:
                              f" and Lambda = {self.lambda_per_m2!r} m^-2")
 
 
+def _square_of_c(c: float) -> float:
+    """c², refused by name where it is 0; GravitySource names a NaN or negative c."""
+    if c * c == 0.0:
+        raise ValueError(f"c must have a square that is not 0, got {c!r}")
+    return c * c
+
+
 def convert_lambda(value: float, unit: str, c: float) -> float:
     """A cosmological constant given in ``unit`` (one of LAMBDA_UNITS),
     converted to m^-2."""
     if unit == "s^-2":
-        return value / (c * c)
+        return value / _square_of_c(c)
     if unit == "cm^-2":
         return value * 1.0e4
     return value
@@ -95,7 +102,7 @@ def source_from_mass(
 ) -> GravitySource:
     """A source of mass ``mass`` (kg), whose Schwarzschild radius is 2GM/c²."""
     _non_negative("mass", mass)
-    r0 = 2.0 * G * mass / (c * c)
+    r0 = 2.0 * G * mass / _square_of_c(c)
     if not 0.0 <= r0 < math.inf:
         raise ValueError(f"the Schwarzschild radius 2GM/c² of mass {mass!r} kg with G = {G!r}"
                          f" is not finite and non-negative ({r0!r} m)")
@@ -233,6 +240,7 @@ def cosmological_constant_for_horizon(r0: float, R: float) -> float:
 def robertson_walker_interval(a: float, p: MetricPoint, c: float):
     """(c dt)² − dR²/(1 − R²/(ca)²) − R²(sin²θ dφ² + dθ²) for expansion
     scale a (seconds)."""
+    _positive("c", c)
     if a == 0:
         raise ValueError("expansion scale a must be nonzero")
     curvature = 1.0 - (p.R / (c * a)) * (p.R / (c * a))
@@ -259,6 +267,7 @@ def radar_coordinate_time(
 ) -> float:
     """Coordinate flight time of a radial pulse between R1 and R2:
     c·Δt = (R2 − R1) + r0·ln((R2 − r0)/(R1 − r0))."""
+    _positive("c", c)
     r0 = src.schwarzschild_r0
     if not (R1 > r0 and R2 > r0):
         raise ValueError("both radii must lie outside the Schwarzschild radius")

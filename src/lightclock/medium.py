@@ -11,11 +11,11 @@ abscissae, weights and error scaling (Piessens et al., *QUADPACK*, 1983).
 Each of the rule's sums adds its terms from 0.0 in ascending-abscissa order,
 one rounding at a time, so the same input gives the same bits on Python
 3.10–3.13 (``sum`` of floats compensates from 3.12 on).  The subinterval
-with the largest error estimate is bisected until the integral is finite
-and the summed estimate is at most
-max(1e-12, 1e-12·|integral|).  If 200 subintervals do not reach that, a
-subinterval can no longer be halved, or the estimate is not finite, the best
-estimate is returned with an ``IntegrationWarning``.  A medium velocity's
+with the largest error estimate is bisected until the integral is finite and
+the summed estimate is at most max(1e-12, 1e-12·|integral|).  If 200
+subintervals do not reach that, a subinterval can no longer be halved, or the
+estimate is not finite, the best estimate is returned with an
+``IntegrationWarning``; a non-finite one is refused.  A medium velocity's
 witness is read from the interval's ends, then from a 257-point grid, and one
 found inside a sign change, by ITP, is checked against the mean-value equation.
 """
@@ -172,7 +172,7 @@ def _gk15(v: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 def _log_kernel_integral(v: Callable[[float], float], lo: float, hi: float) -> float:
     """∫_lo^hi v(x)/x dx = ∫ v(e^s) ds over [ln lo, ln hi], by adaptive GK15;
-    0.0 without calling v when lo == hi."""
+    0.0 without calling v when lo == hi, refused where it is not finite."""
     if lo == hi:
         return 0.0
     a, b = math.log(lo), math.log(hi)
@@ -187,7 +187,7 @@ def _log_kernel_integral(v: Callable[[float], float], lo: float, hi: float) -> f
                 f"{len(heap)} subintervals with estimated error {error:.3g} "
                 f"(tolerance {_QUAD_TOL:g}); the result may be inaccurate",
                 IntegrationWarning,
-                stacklevel=4,
+                stacklevel=3,  # the caller of the public kernel that integrates
             )
             break
         heapq.heappop(heap)
@@ -196,24 +196,17 @@ def _log_kernel_integral(v: Callable[[float], float], lo: float, hi: float) -> f
             heapq.heappush(heap, (-err, left, right, value))
         total = math.fsum(item[3] for item in heap)
         error = math.fsum(-item[0] for item in heap)
-    return total
-
-
-def _integral(v: Callable[[float], float], lo: float, hi: float) -> float:
-    """``_log_kernel_integral``, refused where it is not finite: each public
-    kernel integrates through here, a frame its warning's stacklevel counts."""
-    integral = _log_kernel_integral(v, lo, hi)
-    if not math.isfinite(integral):
-        raise ValueError(f"the log-kernel integral over [{lo!r}, {hi!r}] is {integral!r}; "
+    if not math.isfinite(total):
+        raise ValueError(f"the log-kernel integral over [{lo!r}, {hi!r}] is {total!r}; "
                          "the velocity profile must be finite there")
-    return integral
+    return total
 
 
 def distance_profile(sc: PropagationScenario, t: float) -> float:
     """s(t) = t·∫_{t1}^{t} v(x)/x dx, with s(t1) initialized to zero."""
     if not (sc.t1 <= t <= sc.b):
         raise ValueError("t must lie in [t1, b]")
-    return t * _integral(sc.velocity_profile, sc.t1, t)
+    return t * _log_kernel_integral(sc.velocity_profile, sc.t1, t)
 
 
 def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -278,12 +271,16 @@ def medium_velocity(
     t* is the point of least |g| if that is within 1e-12·max(1, max|g|), else
     the ITP root of the first sign change (a constant v costs 2 calls),
     refused where |g(t*)| is above 1e-6·max(|omega|, max|g|), as at a jump.
+    A span whose t_end/t_start overflows is refused, naming both ends.
     """
     if not (sc.a <= t_start < t_end <= sc.b):
         raise ValueError("need a <= t_start < t_end <= b")
+    ratio = t_end / t_start
+    if ratio == math.inf:  # an inf log_span makes every gap inf, which passes the grid test
+        raise ValueError(f"t_end/t_start overflows: t_start = {t_start!r}, t_end = {t_end!r}")
     v = sc.velocity_profile
-    omega = _integral(v, t_start, t_end)
-    log_span = math.log(t_end / t_start)
+    omega = _log_kernel_integral(v, t_start, t_end)
+    log_span = math.log(ratio)
 
     def gap(t):
         return v(t) * log_span - omega
@@ -362,9 +359,9 @@ def equilinear_check(
         if not inside:
             raise ValueError(f"{name} = {t!r} lies outside the scenario's [a, b]"
                              f" = [{scenario.a!r}, {scenario.b!r}]")
-    w1 = _integral(sc.velocity_profile, t1, t2)
-    w2 = _integral(back.velocity_profile, t2, t3)
-    w3 = _integral(sc.velocity_profile, t1, t3)
+    w1 = _log_kernel_integral(sc.velocity_profile, t1, t2)
+    w2 = _log_kernel_integral(back.velocity_profile, t2, t3)
+    w3 = _log_kernel_integral(sc.velocity_profile, t1, t3)
     residual = abs(w1 + w2 - w3)
     return EquilinearResult.__new__(EquilinearResult, w1=w1, w2=w2, w3=w3, residual=residual)
 

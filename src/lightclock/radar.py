@@ -22,8 +22,7 @@ class RadarRecord:
     t3: float
 
     def __post_init__(self):
-        if self.t1 <= 0:
-            raise ValueError("invalid medium time: t1 must be positive")
+        _positive("invalid medium time: t1", self.t1)
         if not (self.t1 <= self.t2 <= self.t3):
             raise ValueError("radar record requires t1 <= t2 <= t3")
 
@@ -76,8 +75,7 @@ def einstein_measures(rec: RadarRecord, c: float) -> EinsteinMeasures:
     _finite_c(c)
     t_E = 0.5 * (rec.t3 + rec.t1)
     r_E = 0.5 * c * (rec.t3 - rec.t1)
-    degenerate = r_E == 0.0
-    v_E = 0.0 if degenerate else r_E / t_E
+    v_E = r_E / t_E  # +0.0 on a degenerate record, whose r_E is +0.0 and t_E > 0
     K = v_E / c
     return EinsteinMeasures.__new__(
         EinsteinMeasures,
@@ -88,7 +86,7 @@ def einstein_measures(rec: RadarRecord, c: float) -> EinsteinMeasures:
         t1_split=(1.0 - K) * t_E,
         t3_split=(1.0 + K) * t_E,
         t2_pred=math.sqrt(1.0 - K * K) * t_E,
-        degenerate=degenerate,
+        degenerate=r_E == 0.0,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from . import _non_negative, _record
+from . import _non_negative, _positive, _record
 
 _TOL = 1e-9  # how far a triangle may miss its relations and still be admissible
 
@@ -100,6 +100,7 @@ def solve_triangle(omega1: float, omega2: float, omega3: float, c: float) -> Vel
     when the cosine law pins phi at pi.
     """
     _non_negative("medium velocities", omega1, omega2, omega3)
+    _positive("c", c)
     w1, w2, w3 = omega1 / c, omega2 / c, omega3 / c
 
     if omega2 == 0.0 or omega3 == 0.0:

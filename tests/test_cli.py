@@ -713,6 +713,14 @@ class TestConfigAndOutputDefects:
         assert err.startswith("config error:")
         assert "'t_1'" in err
 
+    def test_an_untagged_float_is_two(self, tmp_path):
+        cfg = write_config(tmp_path, {"t1": 1.0, "t2": {"value": 2.0, "unit": "s"},
+                                      "t3": {"value": 4.0, "unit": "s"}})
+        code, out, err = run_main("radar", "--config", cfg, "--c", "1")
+        assert (code, out) == (2, "")
+        assert err == ("config error: config field 't1' must carry a unit tag "
+                       '({"value": ..., "unit": "s"})\n')
+
     def test_other_subcommands_config_fields_are_ignored(self, tmp_path):
         # k belongs to transition; a config may be shared between subcommands
         cfg = write_config(tmp_path, {

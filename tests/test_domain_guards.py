@@ -43,6 +43,7 @@ from lightclock import (
     rapidity_from_vE,
     rate_of_change_compare,
     record_from_rapidity,
+    robertson_walker_interval,
     schwarzschild_lambda,
     separated_operator_check,
     solve_triangle,
@@ -201,6 +202,24 @@ class TestKernelDomains:
             # a NaN speed is refused by the non-negative guard, and an infinite c by name
             (lambda: solve_triangle(math.nan, 1.0, 1.0, 1.0), "medium velocities must be non-negative"),
             (lambda: rapidity_from_vE(0.5, math.inf), "c must be finite, got inf"),
+            # c is refused by name before a kernel divides by it or by its square
+            (lambda: solve_triangle(1.0, 1.0, 1.0, 0.0), "c must be positive"),
+            (lambda: solve_triangle(1.0, 1.0, 1.0, -1.0), "c must be positive"),
+            (lambda: radar_coordinate_time(SRC, 2.0, 3.0, 0.0), "c must be positive"),
+            (lambda: radar_coordinate_time(SRC, 2.0, 3.0, -1.0), "c must be positive"),
+            (lambda: robertson_walker_interval(1.0, MetricPoint(0.5, dt=1.0), 0.0),
+             "c must be positive"),
+            (lambda: robertson_walker_interval(1.0, MetricPoint(0.5, dt=1.0), -1.0),
+             "c must be positive"),
+            (lambda: source_from_r0(1.0, -0.0), "c must have a square that is not 0, got -0.0"),
+            (lambda: source_from_mass(1.0, c=1e-300),
+             "c must have a square that is not 0, got 1e-300"),
+            # a span whose t_end/t_start overflows has no finite ln(t_end/t_start)
+            (lambda: medium_velocity(PropagationScenario(lambda t: math.log(t) + 700.0, 1e-300,
+                                                         1e-300, 1e300, 1.0), 1e-300, 1e300),
+             r"t_end/t_start overflows: t_start = 1e-300, t_end = 1e\+300"),
+            # a NaN t1 is refused by the positive guard, ahead of the ordering check
+            (lambda: RadarRecord(math.nan, 1.0, 2.0), "invalid medium time: t1 must be positive"),
         ],
         ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
              "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
@@ -223,7 +242,11 @@ class TestKernelDomains:
              "rapidity_from_vE-c-nan", "rapidity_from_vE-c-negative", "beta_gamma-c-nan",
              "gamma_special-v-nan", "compose_einstein-v1-nan", "compose_einstein-c-nan",
              "rapidity_from_vE-vE-nan", "einstein_measures-c-inf", "solve_triangle-omega1-nan",
-             "rapidity_from_vE-c-inf"],
+             "rapidity_from_vE-c-inf", "solve_triangle-c-zero", "solve_triangle-c-negative",
+             "radar_coordinate_time-c-zero", "radar_coordinate_time-c-negative",
+             "robertson_walker_interval-c-zero", "robertson_walker_interval-c-negative",
+             "source_from_r0-c-squared-zero", "source_from_mass-c-squared-zero",
+             "medium_velocity-span-overflows", "RadarRecord-t1-nan"],
     )
     def test_refused_naming_the_domain(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

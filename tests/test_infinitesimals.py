@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ class TestDualArithmetic:
         assert Dual(3, 1) + 1 == Dual(4, 1)
         assert 1 - Dual(3, 1) == Dual(-2, -1)
         assert (1.0 / Dual(2, 1)).eps == -0.25
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_a_str_operand_on_either_side_is_a_type_error(self, op):
+        # Dual's method returns NotImplemented, and so does str's or it raises itself
+        for left, right in ((Dual(1.0, 2.0), "x"), ("x", Dual(1.0, 2.0))):
+            with pytest.raises(TypeError):
+                op(left, right)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

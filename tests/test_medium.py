@@ -102,15 +102,15 @@ class TestLogKernelIntegral:
         assert math.isfinite(value)
 
     def test_non_finite_profile_warns(self):
-        with pytest.warns(IntegrationWarning):
-            value = _log_kernel_integral(lambda t: math.nan, 1.0, 2.0)
-        assert math.isnan(value)
+        with pytest.warns(IntegrationWarning), pytest.raises(
+                ValueError, match=r"^the log-kernel integral over \[1\.0, 2\.0\] is nan; "):
+            _log_kernel_integral(lambda t: math.nan, 1.0, 2.0)
 
     def test_infinite_profile_warns(self):
         # its error estimate is inf too, so the stop test alone, error <= 1e-12·|total|, holds
-        with pytest.warns(IntegrationWarning):
-            value = _log_kernel_integral(lambda t: math.inf, 1.0, 2.0)
-        assert value == math.inf
+        with pytest.warns(IntegrationWarning), pytest.raises(
+                ValueError, match=r"^the log-kernel integral over \[1\.0, 2\.0\] is inf; "):
+            _log_kernel_integral(lambda t: math.inf, 1.0, 2.0)
 
     @pytest.mark.parametrize(
         "call",

@@ -1,6 +1,6 @@
 """Every ``lightclock`` call shown in README's ``sh`` blocks runs and exits 0,
 with any ``--out`` written under a temporary directory, and prints the numbers
-README states for it."""
+README states for it; README's table of public names lists each one once."""
 
 import json
 import re
@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 from conftest import run_main
+
+import lightclock
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -77,3 +79,12 @@ def test_the_sweep_runs_between_the_stated_multiples_of_the_root():
     sweep = next(line for line in readme_calls() if line.startswith(head))
     start, stop, _, _ = sweep[len(head):].split(":")
     assert (float(start), float(stop)) == (1.000001 * r0, 1e6 * r0)
+
+
+def test_the_name_table_lists_each_public_name_once():
+    table = re.search(r"^## What each public name is for\n(.*?)^## ", README.read_text(
+        encoding="utf-8"), re.S | re.M).group(1)
+    rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", table, re.M)
+    assert sorted(name for name, _ in rows) == sorted(lightclock.__all__)
+    # every name but dual_arith is held by a criterion, a CLI row or a formula
+    assert [name for name, cells in rows if "none" in cells] == ["dual_arith"]

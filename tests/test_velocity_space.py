@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from lightclock import (
     SPEED_OF_LIGHT,
     Event4,
+    VelocityTriangle,
     beta_gamma,
     compose_einstein,
     einstein_measures,
@@ -146,6 +147,12 @@ class TestSolveTriangle:
         with pytest.raises(ValueError, match="degenerate velocity triangle"):
             solve_triangle(0.1, 2.0, 4.0, 1.0)
 
+    def test_an_apex_past_the_sinh_rule_rejected(self):
+        # the cosine law admits phi, but the sinh rule gives sin(theta) > 1
+        with pytest.raises(ValueError, match="^degenerate velocity triangle$"):
+            solve_triangle(1.7091755307199946e-05, 1.7091758709035833e-05,
+                           9.157968100341977e-10, 1.0)
+
 
 class TestTriangleEinstein:
     def test_equilateral_residuals(self):
@@ -191,6 +198,11 @@ class TestTriangleEinstein:
             assert abs(e.residual_projection) < 1e-11
             assert abs(e.residual_beta) < 1e-11
             assert abs(e.residual_normal) < 1e-11
+
+    def test_a_triangle_that_breaks_the_identities_rejected(self):
+        tri = VelocityTriangle(0.5, 0.5, 1.0, 0.3, 2.0, 0.5, 0.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^triangle identity violation$"):
+            triangle_to_einstein(tri)
 
     def test_obtuse_observer_angle_rejected(self):
         # foot of the altitude beyond the observer: cosine law admits it but
