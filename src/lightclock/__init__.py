@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 GRAVITATIONAL_CONSTANT = 6.6743e-11  # m^3 kg^-1 s^-2
+_INF = float("inf")  # a range guard takes finite numbers only: "<what> must be finite, got inf"
 
 #: supported unit tags for the cosmological constant
 LAMBDA_UNITS = ("s^-2", "m^-2", "cm^-2")
@@ -30,17 +31,17 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
 
 
 def _positive(what: str, x) -> None:
-    """ValueError "<what> must be positive" unless x > 0: zero, a negative x
-    and NaN (for which every comparison is false) are refused alike."""
-    if not x > 0:
-        raise ValueError(f"{what} must be positive")
+    """ValueError "<what> must be positive" unless 0 < x: zero, a negative x and
+    NaN (for which every comparison is false) alike; +inf is refused by name."""
+    if not 0.0 < x < _INF:
+        raise ValueError(f"{what} must be {'finite, got inf' if x == _INF else 'positive'}")
 
 
 def _non_negative(what: str, *values) -> None:
-    """ValueError "<what> must be non-negative" unless every value is >= 0, NaN refused."""
+    """As _positive, with "<what> must be non-negative" unless each value is >= 0."""
     for x in values:
-        if not x >= 0:
-            raise ValueError(f"{what} must be non-negative")
+        if not 0.0 <= x < _INF:
+            raise ValueError(f"{what} must be {'finite, got inf' if x == _INF else 'non-negative'}")
 
 
 def _unit_interval(what: str, *values) -> None:

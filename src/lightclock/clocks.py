@@ -23,6 +23,9 @@ class LightClockSpec:
     def __post_init__(self):
         _positive("round_trip_length_L", self.round_trip_length_L)
         _positive("light_speed_c", self.light_speed_c)
+        if not 0.0 < self.round_trip_length_L / self.light_speed_c < math.inf:
+            raise ValueError("tick L/c must be positive and finite, got L = "
+                             f"{self.round_trip_length_L!r}, c = {self.light_speed_c!r}")
 
     @property
     def time_unit_u(self) -> float:

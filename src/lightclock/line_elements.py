@@ -234,6 +234,8 @@ def cosmological_constant_for_horizon(r0: float, R: float) -> float:
     """Lambda (m^-2) that places a horizon exactly at radius R:
     3(1 − r0/R)/R²."""
     _positive("R", R)
+    if R * R == 0.0:
+        raise ValueError(f"R must have a square that is not 0, got {R!r}")
     return 3.0 * (1.0 - r0 / R) / (R * R)
 
 

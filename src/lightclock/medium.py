@@ -389,8 +389,7 @@ def count_trace(
     """
     if n_pulses < 1:
         raise ValueError("need at least one pulse")
-    if not 0 < t1 < math.inf:
-        raise ValueError(f"invalid medium time: t1 must be positive and finite, got {t1!r}")
+    _positive("invalid medium time: t1", t1)
     u = spec.time_unit_u
     q = radar._rapidity_factor(omega, spec.light_speed_c)
     rows: list[PulseCounts] = []

@@ -57,14 +57,6 @@ class EinsteinMeasures:
     degenerate: bool = False
 
 
-def _finite_c(c: float) -> None:
-    """c must be positive, NaN refused, and finite: an infinite c would make
-    r_E infinite and K NaN, and omega = inf·artanh(0) NaN."""
-    if not 0.0 < c < math.inf:
-        _positive("c", c)  # refuses c <= 0 and NaN, which leaves c = inf
-        raise ValueError(f"c must be finite, got {c!r}")
-
-
 def einstein_measures(rec: RadarRecord, c: float) -> EinsteinMeasures:
     """t_E = (t3+t1)/2, r_E = c(t3−t1)/2, v_E = r_E/t_E, plus the splits
     t3 = (1+v_E/c)t_E, t1 = (1−v_E/c)t_E and t2_pred = sqrt(1−v_E²/c²)·t_E.
@@ -72,7 +64,7 @@ def einstein_measures(rec: RadarRecord, c: float) -> EinsteinMeasures:
     When r_E = 0 the result is flagged degenerate: t_E = t1 = t3 is then a
     coincidence time, not an Einstein measure; c must be positive and finite.
     """
-    _finite_c(c)
+    _positive("c", c)
     t_E = 0.5 * (rec.t3 + rec.t1)
     r_E = 0.5 * c * (rec.t3 - rec.t1)
     v_E = r_E / t_E  # +0.0 on a degenerate record, whose r_E is +0.0 and t_E > 0
@@ -100,7 +92,7 @@ def check_geometric_mean(rec: RadarRecord, tol: float = 1e-12) -> bool:
 def rapidity_from_vE(v_E: float, c: float) -> Rapidity:
     """omega = c·artanh(|v_E|/c); c must be positive and finite, and a NaN
     v_E, never below c, is refused as superluminal."""
-    _finite_c(c)
+    _positive("c", c)
     if not abs(v_E) < c:
         raise ValueError("superluminal Einstein velocity")
     return Rapidity.__new__(Rapidity, omega=c * math.atanh(abs(v_E) / c), c=c)

@@ -160,6 +160,7 @@ def photon_families(lamval: float, k: float, c: float) -> tuple[float, float]:
     """Coordinate speeds ±c(lambda − k) of the two photon families in the
     transition zone 0 < lambda ≤ 2k."""
     _positive("k", k)
+    _positive("c", c)
     if not (0.0 < lamval <= 2.0 * k):
         raise ValueError("transition zone requires 0 < lambda <= 2k")
     speed = c * (lamval - k)

@@ -4,7 +4,9 @@ one per numpy bridge profile over a seeded grid.
 
 Each kernel is called on ``PER_KERNEL`` inputs drawn from its documented
 domain by a ``random.Random`` seeded with the kernel's name, then on one base
-call with each float argument in turn set to each of ``EDGES``.  An outcome is
+call with each float argument in turn set to each of ``EDGES``.  Its entry
+``<kernel> nonfinite`` holds the same base call with each float argument in
+turn set to each of ``NONFINITE``, where it has one.  An outcome is
 every float of the result as ``float.hex`` (a record field by field), or what
 the call raised (see ``outcome``).  ``tests/fixtures/ledger.json``
 holds the hashes and the platform and Python they were made on.
@@ -39,6 +41,7 @@ FIXTURE = HERE / "fixtures" / "ledger.json"
 PER_KERNEL = 256
 # the finite edges each float argument of a base call meets
 EDGES = (0.0, -0.0, 5e-324, 1e-300, -1.0, -0.5, 0.9999999999999999, 1.0, 1e300, -1e300, 2.0)
+NONFINITE = (math.inf, -math.inf, math.nan)
 NUMPY_POINTS = 4096
 
 
@@ -303,16 +306,25 @@ KERNELS = {
 }
 
 
+def _edged(base: tuple, edges: tuple) -> list[tuple]:
+    """base with each float argument in turn set to each of edges."""
+    return [base[:j] + (edge,) + base[j + 1:]
+            for j, arg in enumerate(base) if type(arg) is float for edge in edges]
+
+
 def calls(name: str) -> list[tuple]:
     """The argument tuples the ledger gives kernel ``name``: PER_KERNEL seeded
     draws, then the first draw with each float argument set to each edge."""
     rng = random.Random(f"ledger:{name}")
     draw = KERNELS[name][1]
     drawn = [draw(rng.uniform, i) for i in range(PER_KERNEL)]
-    base = drawn[0]
-    edged = [base[:j] + (edge,) + base[j + 1:]
-             for j, arg in enumerate(base) if type(arg) is float for edge in EDGES]
-    return drawn + edged
+    return drawn + _edged(drawn[0], EDGES)
+
+
+def nonfinite_calls(name: str) -> list[tuple]:
+    """The first draw of ``calls(name)`` with each float argument set to each
+    of NONFINITE; empty where the draw has no float argument."""
+    return _edged(KERNELS[name][1](random.Random(f"ledger:{name}").uniform, 0), NONFINITE)
 
 
 def _digest(lines) -> str:
@@ -324,10 +336,15 @@ def _digest(lines) -> str:
 
 
 def kernel_entries() -> dict[str, str]:
+    entries = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return {name: _digest(outcome(fn, args) for args in calls(name))
-                for name, (fn, _) in KERNELS.items()}
+        for name, (fn, _) in KERNELS.items():
+            entries[name] = _digest(outcome(fn, args) for args in calls(name))
+            nonfinite = nonfinite_calls(name)
+            if nonfinite:
+                entries[f"{name} nonfinite"] = _digest(outcome(fn, args) for args in nonfinite)
+    return entries
 
 
 # -- the CLI: one entry per row of test_cli_rows.GOOD -----------------------------

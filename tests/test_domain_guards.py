@@ -143,9 +143,9 @@ class TestKernelDomains:
             (lambda: separated_operator_check(lambda t: -1.0, 0.5, 1.0),
              "test function must be positive near the probe point"),
             (lambda: count_trace(LightClockSpec(1.0), 0.1, math.nan, 3),
-             "invalid medium time: t1 must be positive and finite, got nan"),
+             "invalid medium time: t1 must be positive"),
             (lambda: count_trace(LightClockSpec(1.0), 0.1, math.inf, 3),
-             "invalid medium time: t1 must be positive and finite, got inf"),
+             "invalid medium time: t1 must be finite, got inf"),
             (lambda: count_trace(LightClockSpec(1.0), math.nan, 1.0, 3), "omega is not finite: nan"),
             # a NaN fails every comparison, so each guard is written in the form it cannot pass
             (lambda: middle_branch(0.1, math.nan), "k must be positive"),
@@ -197,9 +197,9 @@ class TestKernelDomains:
             (lambda: compose_einstein(math.nan, 0.5, 1.0), "superluminal"),
             (lambda: compose_einstein(0.5, 0.5, math.nan), "superluminal"),
             (lambda: rapidity_from_vE(math.nan, 1.0), "superluminal Einstein velocity"),
-            # an infinite c passes the positive guard, and would give K = NaN
+            # an infinite c, which would give K = NaN, is refused by the positive guard
             (lambda: einstein_measures(RadarRecord(1, 2, 4), math.inf), "c must be finite, got inf"),
-            # a NaN speed is refused by the non-negative guard, and an infinite c by name
+            # a NaN speed is refused by the non-negative guard, an infinite c by the positive one
             (lambda: solve_triangle(math.nan, 1.0, 1.0, 1.0), "medium velocities must be non-negative"),
             (lambda: rapidity_from_vE(0.5, math.inf), "c must be finite, got inf"),
             # c is refused by name before a kernel divides by it or by its square
@@ -220,6 +220,31 @@ class TestKernelDomains:
              r"t_end/t_start overflows: t_start = 1e-300, t_end = 1e\+300"),
             # a NaN t1 is refused by the positive guard, ahead of the ordering check
             (lambda: RadarRecord(math.nan, 1.0, 2.0), "invalid medium time: t1 must be positive"),
+            # a range guard takes finite numbers only: +inf is refused by name
+            (lambda: potential_velocity(SRC, math.inf), "R must be finite, got inf"),
+            (lambda: counts_for_length(LightClockSpec(1.0), math.inf),
+             "length must be finite, got inf"),
+            (lambda: record_from_rapidity(1.0, math.inf, 1.0), "c must be finite, got inf"),
+            (lambda: count_trace(LightClockSpec(1.0, math.inf), 0.1, 1.0, 2),
+             "light_speed_c must be finite, got inf"),
+            # a clock's tick L/c must neither underflow to 0 nor overflow
+            (lambda: LightClockSpec(5e-324),
+             "tick L/c must be positive and finite, got L = 5e-324, c = 299792458.0"),
+            (lambda: LightClockSpec(1.0, 5e-324),
+             "tick L/c must be positive and finite, got L = 1.0, c = 5e-324"),
+            (lambda: LightClockSpec(1e-300, 1e300),
+             r"tick L/c must be positive and finite, got L = 1e-300, c = 1e\+300"),
+            (lambda: count_trace(LightClockSpec(5e-324), 0.1, 1.0, 2),
+             "tick L/c must be positive and finite, got L = 5e-324, c = 299792458.0"),
+            (lambda: counts_for_length(LightClockSpec(5e-324), 1.0),
+             "tick L/c must be positive and finite, got L = 5e-324, c = 299792458.0"),
+            # c is a positive guard's in photon_families too, and R's square must not underflow
+            (lambda: photon_families(0.5, 1.0, math.inf), "c must be finite, got inf"),
+            (lambda: photon_families(0.5, 1.0, -1.0), "c must be positive"),
+            (lambda: cosmological_constant_for_horizon(1.0, 5e-324),
+             "R must have a square that is not 0, got 5e-324"),
+            (lambda: cosmological_constant_for_horizon(1.0, 1e-300),
+             "R must have a square that is not 0, got 1e-300"),
         ],
         ids=["counts_for_length", "horizon_roots", "linear_interval", "potential_velocity",
              "cosmological_constant_for_horizon", "damping_factor", "middle_branch",
@@ -246,11 +271,24 @@ class TestKernelDomains:
              "radar_coordinate_time-c-zero", "radar_coordinate_time-c-negative",
              "robertson_walker_interval-c-zero", "robertson_walker_interval-c-negative",
              "source_from_r0-c-squared-zero", "source_from_mass-c-squared-zero",
-             "medium_velocity-span-overflows", "RadarRecord-t1-nan"],
+             "medium_velocity-span-overflows", "RadarRecord-t1-nan", "potential_velocity-R-inf",
+             "counts_for_length-inf", "record_from_rapidity-c-inf", "count_trace-c-inf",
+             "LightClockSpec-tick-zero", "LightClockSpec-tick-inf",
+             "LightClockSpec-tick-underflows", "count_trace-tick-zero",
+             "counts_for_length-tick-zero", "photon_families-c-inf", "photon_families-c-negative",
+             "cosmological_constant_for_horizon-R-squared-zero",
+             "cosmological_constant_for_horizon-R-squared-underflows"],
     )
     def test_refused_naming_the_domain(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+    def test_cli_names_a_tick_that_underflows(self):
+        code, out, err = run_main("sim", "counts", "--omega", "1", "--t1", "1", "--L", "1e-300",
+                                  "--c", "1e300")
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: sim counts: tick L/c must be positive and finite, "
+                              "got L = 1e-300, c = 1e+300")
 
     def test_a_rate_of_change_may_be_negative(self):
         # the frequency law refuses nu_R <= 0; the rate law that shares its form does not

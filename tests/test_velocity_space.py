@@ -125,6 +125,16 @@ class TestSolveTriangle:
         assert tri.phi == math.pi / 2.0
         assert tri.p1 == 1.0 and tri.p2 == 0.0 and tri.n == 0.0
 
+    def test_a_resting_apex_on_either_branch(self):
+        # omega1 = 0 with omega2 = omega3 = w is collinear, but cos(phi) may round
+        # above -1, and then the general branch runs with its sinh rule skipped
+        assert solve_triangle(0.0, 0.19044989552071387, 0.19044989552071387, 1.0).phi < math.pi
+        rng = random.Random("solve_triangle omega1 = 0")
+        ws = [rng.uniform(0.01, 2.0) for _ in range(200)]
+        tris = [solve_triangle(0.0, w, w, 1.0) for w in ws]
+        assert all(t.theta == t.p1 == 0.0 for t in tris)
+        assert any(t.phi < math.pi for t in tris)
+
     def test_equilateral_projections(self):
         tri = solve_triangle(1.0, 1.0, 1.0, 1.0)
         assert tri.p1 + tri.p2 == pytest.approx(1.0, rel=1e-12)
