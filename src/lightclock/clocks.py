@@ -75,7 +75,10 @@ def distance_from_counts(spec: LightClockSpec, p: CountPair) -> float:
 def counts_for_length(spec: LightClockSpec, r: float) -> int:
     """Nearest whole-tick count covering distance r; residual ≤ L/2."""
     _non_negative("length", r)
-    return round(r / spec.round_trip_length_L)
+    ticks = r / spec.round_trip_length_L
+    if ticks == math.inf:
+        raise ValueError(f"length/L overflows: length = {r!r}, L = {spec.round_trip_length_L!r}")
+    return round(ticks)
 
 
 def einstein_from_count_diagram(

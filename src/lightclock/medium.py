@@ -209,10 +209,12 @@ def distance_profile(sc: PropagationScenario, t: float) -> float:
     return t * _log_kernel_integral(sc.velocity_profile, sc.t1, t)
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
-    """A root of f in [a, b], given fa = f(a) and fb = f(b), which must not
-    have the same sign: an end where f is zero, else the midpoint once the
-    bracket is within 4e-16 of it relatively (or after 200 steps).
+def _bisect(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float | None]:
+    """A root of f in [a, b] and f's value there, given fa = f(a) and
+    fb = f(b), which must not have the same sign: an end or a probe where f
+    is zero, with that zero, else the midpoint once the bracket is within
+    4e-16 of it relatively (or after 200 steps), with None: f was not read
+    there.
 
     Each step probes where ITP does (Oliveira and Takahashi, ACM TOMS 47(1),
     2021), with k1 = 0.2/(b − a), k2 = 2 and n0 = 1: the regula falsi point,
@@ -221,9 +223,9 @@ def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
     worst case for reaching ε = 2e-16·min(|a|, |b|).
     """
     if fa == 0.0:
-        return a
+        return a, fa
     if fb == 0.0:
-        return b
+        return b, fb
     if fa * fb > 0:
         raise ValueError("bisection bracket does not straddle a root")
     k1 = 0.2 / (b - a)
@@ -234,7 +236,7 @@ def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
         w = b - a
         tol = abs(m) * 4.0e-16
         if w <= tol:
-            return m
+            return m, None
         xf = a + w * (fa / (fa - fb))  # the regula falsi point
         off = m - xf
         size = off if off > 0.0 else -off
@@ -251,13 +253,13 @@ def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
         x = xf + step if off > 0.0 else xf - step
         fx = f(x)
         if fx == 0.0:
-            return x
+            return x, fx
         if (fx > 0.0) == (fb > 0.0):
             b, fb = x, fx
         else:
             a, fa = x, fx
         reach *= 0.5
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), None
 
 
 def medium_velocity(
@@ -297,9 +299,11 @@ def medium_velocity(
         # every |g| is beyond the tolerance here, so no product underflows
         for i, product in enumerate(map(mul, values, values[1:])):
             if product <= 0.0:
-                t = _bisect(gap, *grid[i:i + 2], *values[i:i + 2])
+                t, g = _bisect(gap, *grid[i:i + 2], *values[i:i + 2])
+                if g is None:  # a root where a probe found g = 0 is not read again
+                    g = gap(t)
                 # a jump in v changes g's sign with no root: bisected, it leaves |g| large
-                if abs(gap(t)) > _WITNESS_TOL * max(abs(omega), max(sizes)):
+                if abs(g) > _WITNESS_TOL * max(abs(omega), max(sizes)):
                     raise ValueError(_NO_WITNESS)
                 return MediumVelocity.__new__(MediumVelocity, omega=omega, witness=t)
     raise ValueError(_NO_WITNESS)

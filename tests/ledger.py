@@ -1,6 +1,7 @@
 """The bit ledger: one SHA-256 per public kernel over every bit it returns on a
 seeded corpus, one per CLI call of ``test_cli_rows.GOOD`` over its stdout, and
-one per numpy bridge profile over a seeded grid.
+one per numpy bridge profile over a seeded grid and one over a grid of
+several evaluation blocks.
 
 Each kernel is called on ``PER_KERNEL`` inputs drawn from its documented
 domain by a ``random.Random`` seeded with the kernel's name, then on one base
@@ -381,10 +382,21 @@ def cli_entries() -> dict[str, str]:
 def numpy_entries() -> dict[str, str]:
     import numpy as np
 
+    from lightclock import transition
+
     rng = random.Random("ledger:numpy")
     k = rng.uniform(1e-3, 1.0)
     x = np.array([rng.uniform(-3.0, 3.0) * k for _ in range(NUMPY_POINTS)] + [0.0, k, 2.0 * k])
-    return {f"{fn.__name__} numpy": _digest(map(float.hex, fn(x, k).tolist()))
+    # 3B + 7 points in blocks of B, the 7 edges at both ends of each block
+    block = transition._BLOCK
+    edges = [0.0, -0.0, 5e-324, k, 2.0 * k, math.nextafter(2.0 * k, math.inf), math.nan]
+    y = np.array([rng.uniform(-3.0, 3.0) * k for _ in range(3 * block + len(edges))])
+    for start in range(0, y.size, block):
+        end = min(start + block, y.size)
+        y[start:start + len(edges)] = edges
+        y[end - len(edges):end] = edges[::-1]
+    return {f"{fn.__name__} {name}": _digest(map(float.hex, fn(grid, k).tolist()))
+            for name, grid in (("numpy", x), ("blocks numpy", y))
             for fn in (lc.transition_profile, lc.transition_profile_prime)}
 
 

@@ -238,6 +238,9 @@ class TestKernelDomains:
              "tick L/c must be positive and finite, got L = 5e-324, c = 299792458.0"),
             (lambda: counts_for_length(LightClockSpec(5e-324), 1.0),
              "tick L/c must be positive and finite, got L = 5e-324, c = 299792458.0"),
+            # a finite length over a finite L can still overflow the count
+            (lambda: counts_for_length(LightClockSpec(1e-300, 1.0), 1e10),
+             "length/L overflows: length = 10000000000.0, L = 1e-300"),
             # c is a positive guard's in photon_families too, and R's square must not underflow
             (lambda: photon_families(0.5, 1.0, math.inf), "c must be finite, got inf"),
             (lambda: photon_families(0.5, 1.0, -1.0), "c must be positive"),
@@ -275,7 +278,8 @@ class TestKernelDomains:
              "counts_for_length-inf", "record_from_rapidity-c-inf", "count_trace-c-inf",
              "LightClockSpec-tick-zero", "LightClockSpec-tick-inf",
              "LightClockSpec-tick-underflows", "count_trace-tick-zero",
-             "counts_for_length-tick-zero", "photon_families-c-inf", "photon_families-c-negative",
+             "counts_for_length-tick-zero", "counts_for_length-overflows",
+             "photon_families-c-inf", "photon_families-c-negative",
              "cosmological_constant_for_horizon-R-squared-zero",
              "cosmological_constant_for_horizon-R-squared-underflows"],
     )

@@ -48,15 +48,15 @@ def plain_bisect(f, a, b, fa, fb):
 
 class TestBisect:
     def test_root_at_either_end(self):
-        assert _bisect(lambda x: x, 0.0, 1.0, 0.0, 1.0) == 0.0
-        assert _bisect(lambda x: x - 1.0, 0.0, 1.0, -1.0, 0.0) == 1.0
+        assert _bisect(lambda x: x, 0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
+        assert _bisect(lambda x: x - 1.0, 0.0, 1.0, -1.0, 0.0) == (1.0, 0.0)
 
     def test_bracket_without_sign_change(self):
         with pytest.raises(ValueError, match="does not straddle a root"):
             _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0)
 
     def test_interior_root_to_relative_4e_16(self):
-        root = _bisect(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 2.0)
+        root, _ = _bisect(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 2.0)
         assert abs(root - math.sqrt(2.0)) <= 4e-16 * math.sqrt(2.0)
 
     def test_one_home(self):
@@ -73,7 +73,7 @@ class TestWitnessEvaluations:
     def test_bracket_ends_are_evaluated_once(self, p):
         # the gap's values at [1, 5]'s ends bracket the witness; the root
         # finder takes them, and probes only points strictly inside, each once
-        # (the witness may be read twice: by a probe where g is 0, and by the check)
+        # (a witness where a probe found g to be 0 is not read again by the check)
         calls = []
 
         def profile(t):
@@ -84,8 +84,7 @@ class TestWitnessEvaluations:
         witness = medium_velocity(sc, 1.0, 5.0).witness
         assert 1.0 < witness < 5.0
         assert calls.count(1.0) == calls.count(5.0) == 1
-        assert all(calls.count(t) == 1 for t in calls if t != witness)
-        assert calls.count(witness) <= 2
+        assert all(calls.count(t) == 1 for t in calls)
 
     @pytest.mark.parametrize(
         "profile",

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from lightclock import (
     transition_profile,
     transition_profile_prime,
 )
+from lightclock.transition import _BLOCK as B
 
 KS = (1e-3, 1.0, 1e3)
+PROFILES = (transition_profile, transition_profile_prime)
 
 
 class TestProfileValues:
@@ -119,6 +123,72 @@ class TestProfileBound:
         xs = np.linspace(-10.0 * k, 10.0 * k, 1_000_000)
         vals = transition_profile(xs, k)
         assert float(np.max(np.abs(vals))) <= 2.0 / k
+
+
+class TestArrayBlocks:
+    """An array is evaluated in blocks of B points into one new output."""
+
+    @staticmethod
+    def scalar_hex(fn, values, k):
+        return [fn(x, k).hex() for x in values.ravel().tolist()]
+
+    @pytest.mark.parametrize("fn", PROFILES)
+    @pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_each_element_keeps_the_scalar_bits(self, fn, size):
+        k = 0.37
+        base = np.random.default_rng(size).uniform(-3.0 * k, 3.0 * k, size)
+        expected = self.scalar_hex(fn, base, k)
+        ends = sorted({i for start in range(0, size, B) for i in (start, min(start + B, size) - 1)})
+        for edge in (0.0, -0.0, k, 2.0 * k, math.nextafter(2.0 * k, math.inf), math.nan):
+            x = base.copy()
+            x[ends] = edge
+            for i in ends:
+                expected[i] = fn(edge, k).hex()
+            before = x.tobytes()
+            out = fn(x, k)
+            assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape
+            assert not np.shares_memory(out, x)
+            assert [v.hex() for v in out.tolist()] == expected
+            assert x.tobytes() == before
+
+    @pytest.mark.parametrize("fn", PROFILES)
+    @pytest.mark.parametrize("layout", ["0-d", "C", "Fortran", "strided"])
+    def test_every_layout_keeps_the_scalar_bits(self, fn, layout):
+        k = 0.37
+        base = np.random.default_rng(7).uniform(-3.0 * k, 3.0 * k, 3 * B + 7)
+        x = {
+            "0-d": np.array(base[0]),
+            "C": base[:3 * B].reshape(3, B)[:, :B // 2 + 5].copy(),
+            "Fortran": np.asfortranarray(base[:3 * B].reshape(6, B // 2)),
+            "strided": base[::-2],
+        }[layout]
+        before = x.copy()
+        out = fn(x, k)
+        assert np.array_equal(x, before)
+        if layout == "0-d":
+            assert type(out) is float and out.hex() == fn(float(x), k).hex()
+        else:
+            assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape
+            assert [v.hex() for v in out.ravel().tolist()] == self.scalar_hex(fn, x, k)
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        x = np.linspace(-3.0, 3.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            out = transition_profile(x, 0.37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2**20
+
+    def test_an_overflow_warns_once_per_block_and_once_by_default(self):
+        # (x - k)² overflows at x = -1e300 in each of 3 blocks
+        x = np.full(3 * B, -1e300)
+        for action, count in (("always", 3), ("default", 1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert (transition_profile_prime(x, 0.37) == 0.0).all()
+            assert [str(w.message) for w in caught] == ["overflow encountered in multiply"] * count
 
 
 class TestDampingFactor:
